@@ -24,12 +24,13 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import limits, measures, model, solver
-from .discretize import standard_system, system_from_json
+from .discretize import default_eta_spec, standard_system, system_from_json
 from .errors import (BadValue, DiscountLabError, ParseError, UnknownKey)
 from .model import ZOO_IDS
 
@@ -83,14 +84,6 @@ def _coerce(name, kind, raw):
 def parse_config(text: str) -> ExperimentSpec:
     """Parse a flat key = value document into an ExperimentSpec."""
     known = {f.name: f.type for f in fields(ExperimentSpec)}
-    types = {"instance": str, "pipeline": str, "lam": float,
-             "lambda_start": float, "lambda_ratio": float, "rungs": int,
-             "tol": float, "ergodic_lambda": float, "ergodic_tol": float,
-             "damping": float, "grid_points": int, "xi_radius": float,
-             "xi_count": int, "seed": int, "samples": int,
-             "face_samples": int, "face_tol": float, "normalize": bool,
-             "erg_radius": float, "probe_state": int, "probe_mode": int,
-             "output_dir": str}
     values = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -107,7 +100,7 @@ def parse_config(text: str) -> ExperimentSpec:
                              f"(line {lineno})")
         if field_name in values:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
-        values[field_name] = _coerce(key, types[field_name], raw)
+        values[field_name] = _coerce(key, known[field_name], raw)
     for required in ("instance", "pipeline"):
         if required not in values:
             raise BadValue(f"missing required key {required!r}")
@@ -218,90 +211,118 @@ def _build_system(spec: ExperimentSpec):
     return system_from_json(path.read_text()), None
 
 
-def _pipe_structure(spec, sys_, mdl, out):
+class _Run:
+    """One run's system and shared stages, each computed at most once.
+
+    The stages follow the paper's chain: the ergodic constant normalizes
+    the system, and the sweep, the Mather measures and the selection
+    limit are all read off that one normalized system.  Stages that
+    produce a table record it in ``tables``; ``run_experiment`` writes
+    whatever was recorded.
+    """
+
+    def __init__(self, spec: ExperimentSpec, sys_, mdl, out: Path):
+        self.spec, self.sys, self.model, self.out = spec, sys_, mdl, out
+        self.tables = {}
+
+    @cached_property
+    def audits(self):
+        """Per-point three-way duality audits at ``lam``."""
+        spec, sys_ = self.spec, self.sys
+        u, _, _ = solver.policy_iterate(sys_, spec.lam, tol=1e-10)
+        audits = [measures.duality_audit(sys_, spec.lam, z, k,
+                                         solver_value=float(u[k, z]))
+                  for k in range(sys_.m) for z in range(sys_.num_states)]
+        self.tables["duality"] = (
+            ("mode", "state", "solver", "measure_lp", "subsolution_lp"),
+            [(a.k, a.z, a.solver_value, a.measure_value, a.subsolution_value)
+             for a in audits])
+        return audits
+
+    @cached_property
+    def ergodic(self):
+        """(cost-shifted system, ErgodicResult) from one ergodic solve."""
+        spec = self.spec
+        return limits.ergodic_normalize(self.sys, lam=spec.ergodic_lambda,
+                                        tol=spec.ergodic_tol,
+                                        damping=spec.damping)
+
+    @cached_property
+    def work(self):
+        """The system the limit stages run on."""
+        return self.ergodic[0] if self.spec.normalize else self.sys
+
+    @cached_property
+    def sweep(self):
+        spec = self.spec
+        sweep = limits.discount_sweep(self.work, spec.lambda_start,
+                                      spec.lambda_ratio, spec.rungs, spec.tol)
+        self.tables["sweep"] = (
+            ("lambda", "sup_norm", "cauchy_gap", "solver_iters"),
+            sweep.csv_rows())
+        emit_plotdata(sweep, self.out / "sweep.dat",
+                      probe=(spec.probe_mode, spec.probe_state))
+        return sweep
+
+    def ergodic_constant(self):
+        return self.ergodic[1].c.tolist() if self.spec.normalize else None
+
+
+def _pipe_structure(run):
+    mdl = run.model
     if mdl is None:
         raise BadValue("structure pipeline requires a zoo instance")
+    spec = run.spec
     reports = [model.check_monotone(mdl, spec.samples, spec.seed),
                model.check_convex(mdl, spec.samples, spec.seed)]
-    tables = []
     for i in range(mdl.m):
         xi = np.linspace(-1.0, 1.0, 5)
-        etas = np.stack(_default_etas(mdl, i))
-        tables.append(model.legendre_transform(
-            mdl, i, sys_.grid.x[:1], xi, etas))
-        reports.append(model.check_coupling_domain(tables[-1]))
+        etas = np.stack(default_eta_spec(mdl, i))
+        table = model.legendre_transform(mdl, i, run.sys.grid.x[:1], xi, etas)
+        reports.append(model.check_coupling_domain(table))
     sections = {"reports": [json.loads(r.to_json()) for r in reports]}
-    return sections, all(r.passed for r in reports), {}, None
+    return sections, all(r.passed for r in reports)
 
 
-def _default_etas(mdl, i):
-    from .discretize import default_eta_spec
-    return default_eta_spec(mdl, i)
-
-
-def _pipe_solve(spec, sys_, mdl, out):
-    u, pol, diag = solver.policy_iterate(sys_, spec.lam, tol=spec.tol)
+def _pipe_solve(run):
+    spec = run.spec
+    u, _, diag = solver.policy_iterate(run.sys, spec.lam, tol=spec.tol)
+    diagnostics = diag.to_dict()
+    del diagnostics["wall_time"]   # timing lives in manifest.json
     sections = {"lambda": spec.lam,
                 "sup_norm": float(np.max(np.abs(u))),
                 "value_at_probe": float(u[spec.probe_mode, spec.probe_state]),
-                "diagnostics": diag.to_dict()}
-    return sections, diag.final_residual <= 10 * spec.tol, {}, None
+                "diagnostics": diagnostics}
+    return sections, diag.final_residual <= 10 * spec.tol
 
 
-def _pipe_duality(spec, sys_, mdl, out):
-    u, _, _ = solver.policy_iterate(sys_, spec.lam, tol=1e-10)
-    audits = []
-    for k in range(sys_.m):
-        for z in range(sys_.num_states):
-            audits.append(measures.duality_audit(
-                sys_, spec.lam, z, k, solver_value=float(u[k, z])))
-    spread = max(a.spread() for a in audits)
-    sections = {"lambda": spec.lam, "max_spread": spread,
+def _pipe_duality(run):
+    audits = run.audits
+    sections = {"lambda": run.spec.lam,
+                "max_spread": max(a.spread() for a in audits),
                 "three_way_value_at_probe": {
                     "solver": audits[0].solver_value,
                     "measure_lp": audits[0].measure_value,
                     "subsolution_lp": audits[0].subsolution_value},
                 "audits": [json.loads(a.to_json()) for a in audits]}
-    rows = [(a.k, a.z, a.solver_value, a.measure_value, a.subsolution_value)
-            for a in audits]
-    return sections, all(a.passed for a in audits), \
-        {"duality": (("mode", "state", "solver", "measure_lp",
-                      "subsolution_lp"), rows)}, None
+    return sections, all(a.passed for a in audits)
 
 
-def _normalized(spec, sys_):
-    if not spec.normalize:
-        return sys_, None
-    shifted, erg = limits.ergodic_normalize(
-        sys_, lam=spec.ergodic_lambda, tol=spec.ergodic_tol,
-        damping=spec.damping)
-    return shifted, erg
-
-
-def _pipe_sweep(spec, sys_, mdl, out):
-    work, erg = _normalized(spec, sys_)
-    sweep = limits.discount_sweep(work, spec.lambda_start, spec.lambda_ratio,
-                                  spec.rungs, spec.tol)
-    sections = {"normalized": spec.normalize,
-                "ergodic_constant": None if erg is None else erg.c.tolist(),
+def _pipe_sweep(run):
+    sweep = run.sweep
+    sections = {"normalized": run.spec.normalize,
+                "ergodic_constant": run.ergodic_constant(),
                 "sweep": json.loads(sweep.to_json())}
-    emit_plotdata(sweep, Path(out) / "sweep.dat",
-                  probe=(spec.probe_mode, spec.probe_state))
-    return sections, not sweep.divergent, \
-        {"sweep": (("lambda", "sup_norm", "cauchy_gap", "solver_iters"),
-                   sweep.csv_rows())}, sweep
+    return sections, not sweep.divergent
 
 
-def _pipe_mather(spec, sys_, mdl, out):
-    work, erg = _normalized(spec, sys_)
-    nu, min_value = limits.mather_lp(work)
-    sweep = limits.discount_sweep(work, spec.lambda_start, spec.lambda_ratio,
-                                  spec.rungs, spec.tol)
+def _pipe_mather(run):
+    spec, work, sweep = run.spec, run.work, run.sweep
+    _, min_value = limits.mather_lp(work)
     scaled = limits.mather_from_sweep(work, sweep, spec.probe_state,
                                       spec.probe_mode)
     resid = limits.closedness_residual(work, scaled)
-    lam_min = sweep.lambdas[-1]
-    bound = 5.0 * lam_min * (1.0 + limits.stencil_norm(work))
+    bound = 5.0 * sweep.lambdas[-1] * (1.0 + limits.stencil_norm(work))
     pairing = scaled.pair_cost(work)
     ok = (-1e-8 <= min_value <= 1e-12) and resid <= bound \
         and abs(pairing) <= 1e-4
@@ -309,14 +330,12 @@ def _pipe_mather(spec, sys_, mdl, out):
                 "scaled_measure_closedness_residual": resid,
                 "closedness_bound": bound,
                 "scaled_measure_cost_pairing": pairing,
-                "ergodic_constant": None if erg is None else erg.c.tolist()}
-    return sections, ok, {}, sweep
+                "ergodic_constant": run.ergodic_constant()}
+    return sections, ok
 
 
-def _pipe_selection(spec, sys_, mdl, out):
-    work, erg = _normalized(spec, sys_)
-    sweep = limits.discount_sweep(work, spec.lambda_start, spec.lambda_ratio,
-                                  spec.rungs, spec.tol)
+def _pipe_selection(run):
+    spec, work, sweep = run.spec, run.work, run.sweep
     mset = limits.mather_face_samples(work, spec.face_samples, spec.seed,
                                       tol=spec.face_tol)
     field = limits.selection_field(work, mset)
@@ -325,45 +344,36 @@ def _pipe_selection(spec, sys_, mdl, out):
                            "exhaustive": mset.exhaustive,
                            "representatives": len(mset.representatives)},
                 "report": json.loads(report.to_json())}
-    return sections, report.passed, \
-        {"sweep": (("lambda", "sup_norm", "cauchy_gap", "solver_iters"),
-                   sweep.csv_rows())}, sweep
+    return sections, report.passed
 
 
-def _pipe_ergodic(spec, sys_, mdl, out):
-    erg = solver.ergodic_solve(sys_, spec.ergodic_lambda,
-                               tol=spec.ergodic_tol, damping=spec.damping)
+def _pipe_ergodic(run):
+    spec, mdl = run.spec, run.model
+    erg = run.ergodic[1]
     sections = {"c": erg.c.tolist(), "residual": erg.residual,
                 "outer_iterations": erg.outer_iterations}
-    condition = None
     if mdl is not None:
         radii = [1.0, 2.0, 4.0, max(8.0, 2.0 * spec.erg_radius)]
         profile = model.coercivity_profile(mdl, spec.erg_radius, radii, 24)
-        condition = model.check_erg_condition(profile, mdl.n)
-        sections["erg_condition"] = condition
+        sections["erg_condition"] = model.check_erg_condition(profile, mdl.n)
         sections["beta"] = profile.beta
-    return sections, erg.residual <= 1e-6, {}, None
+    return sections, erg.residual <= 1e-6
 
 
-def _pipe_full(spec, sys_, mdl, out):
+def _pipe_full(run):
+    """Every stage section on one run; duality and sweep keep only their
+    headline numbers."""
     sections = {}
     passed = True
-    s, ok, tables, _ = _pipe_duality(spec, sys_, mdl, out)
-    sections["duality"] = {"max_spread": s["max_spread"]}
-    passed &= ok
-    s, ok, _, _ = _pipe_ergodic(spec, sys_, mdl, out)
-    sections["ergodic"] = s
-    passed &= ok
-    s, ok, tables, sweep = _pipe_sweep(spec, sys_, mdl, out)
-    sections["sweep"] = s["sweep"]
-    passed &= ok
-    s, ok, _, _ = _pipe_mather(spec, sys_, mdl, out)
-    sections["mather"] = s
-    passed &= ok
-    s, ok, _, _ = _pipe_selection(spec, sys_, mdl, out)
-    sections["selection"] = s
-    passed &= ok
-    return sections, passed, tables, sweep
+    for name, build in (("duality", _pipe_duality), ("ergodic", _pipe_ergodic),
+                        ("sweep", _pipe_sweep), ("mather", _pipe_mather),
+                        ("selection", _pipe_selection)):
+        s, ok = build(run)
+        sections[name] = s
+        passed &= ok
+    sections["duality"] = {"max_spread": sections["duality"]["max_spread"]}
+    sections["sweep"] = sections["sweep"]["sweep"]
+    return sections, passed
 
 
 _PIPELINE_FNS = {"structure": _pipe_structure, "solve": _pipe_solve,
@@ -392,9 +402,8 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
     except OSError as exc:
         return ExitReport(2, "", False, f"output_dir not writable: {exc}")
     try:
-        sys_, mdl = _build_system(spec)
-        sections, passed, tables, sweep = _PIPELINE_FNS[spec.pipeline](
-            spec, sys_, mdl, out)
+        run = _Run(spec, *_build_system(spec), out)
+        sections, passed = _PIPELINE_FNS[spec.pipeline](run)
     except DiscountLabError as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)},
                   "pipeline": spec.pipeline, "instance": spec.instance,
@@ -406,7 +415,7 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
               "seed": spec.seed, "pass": bool(passed), "sections": sections}
     result_bytes = (dumps_precise(result) + "\n").encode()
     (out / "result.json").write_bytes(result_bytes)
-    for name, (header, rows) in tables.items():
+    for name, (header, rows) in run.tables.items():
         _csv(out / f"{name}.csv", header, rows)
     manifest = {"spec": {(_FIELD_TO_KEY.get(f.name, f.name)):
                          getattr(spec, f.name)

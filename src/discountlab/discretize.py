@@ -33,13 +33,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (BadDimension, BadResolution, CouplingOutsideCone,
                      MissingCost)
-from .model import HamiltonianModel, LagrangianTable, in_coupling_cone
+from .model import (HamiltonianModel, LagrangianTable, in_coupling_cone,
+                    product_grid)
 
 ValueField = np.ndarray   # shape (m, S)
 Policy = np.ndarray       # int array, shape (m, S)
@@ -133,6 +135,39 @@ def _symmetric_axis(radius: float, count: int) -> np.ndarray:
     return axis
 
 
+def _control_rows(m: int, n: int, mode: int, xi_radius: float,
+                  xi_count: int, eta_spec: Sequence):
+    """(xi_rows, eta_rows): the symmetric xi grid crossed with eta_spec.
+
+    Every eta must have length m and lie exactly in cone(mode).
+    """
+    etas = [np.asarray(e, dtype=float) for e in eta_spec]
+    for e in etas:
+        if e.shape != (m,):
+            raise CouplingOutsideCone(f"eta {e.tolist()} has wrong length")
+        if not in_coupling_cone(e, mode):
+            raise CouplingOutsideCone(
+                f"eta {e.tolist()} violates the cone of mode {mode}")
+    xis = product_grid(_symmetric_axis(float(xi_radius), int(xi_count)), n)
+    return (np.repeat(xis, len(etas), axis=0),
+            np.tile(np.stack(etas), (len(xis), 1)))
+
+
+def _labels(prefix: str, mode: int, xi_rows, eta_rows) -> list:
+    return [f"{prefix}:mode{mode}:xi{r.tolist()}:eta{e.tolist()}"
+            for r, e in zip(xi_rows, eta_rows)]
+
+
+def _table_cost_fn(table: LagrangianTable, values: np.ndarray) -> Callable:
+    """Cost source that serves ``values`` on the table's own x points only."""
+    def cost_fn(x_points):
+        if len(x_points) != len(table.x_points) or \
+                not np.allclose(x_points, table.x_points, atol=1e-12):
+            raise MissingCost("table x points do not match the grid")
+        return values
+    return cost_fn
+
+
 def sample_controls(model_or_table, mode: int, xi_radius: float,
                     xi_count: int, eta_spec: Sequence) -> ModeControls:
     """Build one mode's control list from a model or a numeric cost table.
@@ -147,27 +182,12 @@ def sample_controls(model_or_table, mode: int, xi_radius: float,
     if xi_count < 1:
         raise ValueError("xi_count must be >= 1")
     if isinstance(model_or_table, LagrangianTable):
-        return _controls_from_table_grid(model_or_table, mode,
-                                         float(xi_radius), int(xi_count),
-                                         eta_spec)
+        return _controls_from_table_grid(model_or_table, mode, xi_radius,
+                                         xi_count, eta_spec)
     model = model_or_table
-    etas = [np.asarray(e, dtype=float) for e in eta_spec]
-    for e in etas:
-        if e.shape != (model.m,):
-            raise CouplingOutsideCone(f"eta {e.tolist()} has wrong length")
-        if not in_coupling_cone(e, mode):
-            raise CouplingOutsideCone(
-                f"eta {e.tolist()} violates the cone of mode {mode}")
-    axis = _symmetric_axis(float(xi_radius), int(xi_count))
-    if model.n == 1:
-        xis = axis.reshape(-1, 1)
-    else:
-        g0, g1 = np.meshgrid(axis, axis, indexing="ij")
-        xis = np.stack([g0.ravel(), g1.ravel()], axis=-1)
-    xi_rows = np.repeat(xis, len(etas), axis=0)
-    eta_rows = np.tile(np.stack(etas), (len(xis), 1))
-    labels = [f"{model.zoo_id or 'custom'}:mode{mode}:xi{r.tolist()}:eta{e.tolist()}"
-              for r, e in zip(xi_rows, eta_rows)]
+    xi_rows, eta_rows = _control_rows(model.m, model.n, mode, xi_radius,
+                                      xi_count, eta_spec)
+    labels = _labels(model.zoo_id or "custom", mode, xi_rows, eta_rows)
 
     if model.lagrangian_hint is None:
         raise MissingCost(f"model {model.zoo_id!r} provides no cost source")
@@ -195,19 +215,8 @@ def _controls_from_table_grid(table: LagrangianTable, mode: int,
     table grids with finite values at every stored x."""
     if mode != table.mode:
         raise MissingCost(f"table covers mode {table.mode}, not {mode}")
-    etas = [np.asarray(e, dtype=float) for e in eta_spec]
-    for e in etas:
-        if not in_coupling_cone(e, mode):
-            raise CouplingOutsideCone(
-                f"eta {e.tolist()} violates the cone of mode {mode}")
-    axis = _symmetric_axis(xi_radius, xi_count)
-    if table.n == 1:
-        xis = axis.reshape(-1, 1)
-    else:
-        g0, g1 = np.meshgrid(axis, axis, indexing="ij")
-        xis = np.stack([g0.ravel(), g1.ravel()], axis=-1)
-    xi_rows = np.repeat(xis, len(etas), axis=0)
-    eta_rows = np.tile(np.stack(etas), (len(xis), 1))
+    xi_rows, eta_rows = _control_rows(table.m, table.n, mode, xi_radius,
+                                      xi_count, eta_spec)
     cols = []
     for r, e in zip(xi_rows, eta_rows):
         try:
@@ -218,18 +227,9 @@ def _controls_from_table_grid(table: LagrangianTable, mode: int,
             raise MissingCost(f"table cost infinite at xi={r.tolist()}, "
                               f"eta={e.tolist()}")
         cols.append(np.asarray(vals, dtype=float))
-    values = np.stack(cols, axis=-1)
-    labels = [f"table:mode{mode}:xi{r.tolist()}:eta{e.tolist()}"
-              for r, e in zip(xi_rows, eta_rows)]
-
-    def cost_fn(x_points):
-        if len(x_points) != len(table.x_points) or \
-                not np.allclose(x_points, table.x_points, atol=1e-12):
-            raise MissingCost("table x points do not match the grid")
-        return values
-
-    return ModeControls(mode=mode, xi=xi_rows, eta=eta_rows, labels=labels,
-                        cost_fn=cost_fn)
+    return ModeControls(mode=mode, xi=xi_rows, eta=eta_rows,
+                        labels=_labels("table", mode, xi_rows, eta_rows),
+                        cost_fn=_table_cost_fn(table, np.stack(cols, axis=-1)))
 
 
 def controls_from_table(table: LagrangianTable) -> ModeControls:
@@ -243,18 +243,10 @@ def controls_from_table(table: LagrangianTable) -> ModeControls:
         raise MissingCost("table has no control with finite cost at every x")
     xi_rows = table.xi_grid[pairs[0]]
     eta_rows = table.eta_grid[pairs[1]]
-    vals = table.values[:, pairs[0], pairs[1]]
-    labels = [f"table:mode{table.mode}:xi{r.tolist()}:eta{e.tolist()}"
-              for r, e in zip(xi_rows, eta_rows)]
-
-    def cost_fn(x_points):
-        if len(x_points) != len(table.x_points) or \
-                not np.allclose(x_points, table.x_points, atol=1e-12):
-            raise MissingCost("table x points do not match the grid")
-        return vals
-
     return ModeControls(mode=table.mode, xi=xi_rows, eta=eta_rows,
-                        labels=labels, cost_fn=cost_fn)
+                        labels=_labels("table", table.mode, xi_rows, eta_rows),
+                        cost_fn=_table_cost_fn(
+                            table, table.values[:, pairs[0], pairs[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +269,7 @@ class DiscreteSystem:
     def num_controls(self, i: int) -> int:
         return len(self.controls[i])
 
-    @property
+    @cached_property
     def var_offsets(self) -> list:
         """Start of each mode's (x, a) block in the flat (i, x, a) order."""
         offs, acc = [], 0

@@ -371,7 +371,7 @@ def coercivity_profile(model: HamiltonianModel, R: float,
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise EmptySampleSet("radii must be nonempty and ascending")
 
-    xs = _torus_grid(model.n, sample_density)
+    xs = product_grid(np.arange(sample_density) / sample_density, model.n)
     us = _ball_grid(model.m, R, sample_density)
     beta = -math.inf
     zero_p = np.zeros(model.n)
@@ -402,20 +402,17 @@ def check_erg_condition(profile: CoercivityProfile, n: int) -> bool:
     return profile.beta < alpha
 
 
-def _torus_grid(n, density):
-    axis = np.arange(density) / density
-    if n == 1:
-        return axis.reshape(-1, 1)
-    g0, g1 = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([g0.ravel(), g1.ravel()], axis=-1)
+def product_grid(axis, dims: int) -> np.ndarray:
+    """Every point of axis^dims as a row, in ``ij`` order (first coordinate
+    slowest)."""
+    mesh = np.meshgrid(*([axis] * dims), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 def _ball_grid(m, R, density):
-    k = max(density, 3)
-    axis = np.linspace(-R, R, k)
+    g = product_grid(np.linspace(-R, R, max(density, 3)), m)
     if m == 1:
-        return axis.reshape(-1, 1)
-    g = np.stack(np.meshgrid(*([axis] * m), indexing="ij"), axis=-1).reshape(-1, m)
+        return g
     return g[np.linalg.norm(g, axis=1) <= R + 1e-12]
 
 
@@ -485,11 +482,7 @@ def _as_grid(arr, width):
 
 
 def default_search_grid(radius: float, points_per_axis: int, dims: int) -> np.ndarray:
-    axis = np.linspace(-radius, radius, points_per_axis)
-    if dims == 1:
-        return axis.reshape(-1, 1)
-    mesh = np.meshgrid(*([axis] * dims), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+    return product_grid(np.linspace(-radius, radius, points_per_axis), dims)
 
 
 def legendre_transform(model: HamiltonianModel, mode: int, x,

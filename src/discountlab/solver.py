@@ -43,7 +43,6 @@ from .discretize import (ControlSet, DiscreteSystem, ModeControls, Policy,
 from .errors import (BadValue, NoConvergence, NotASubsolution,
                      NotASupersolution, SingularSystem)
 
-DENSE_LIMIT = 2000
 SIGN_TOL = 1e-12
 
 
@@ -141,31 +140,13 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy) -> ValueFie
         raise BadValue("policy_evaluate requires lam > 0")
     A = policy_matrix(sys, lam, policy)
     rhs = policy_cost(sys, policy)
-    nn = A.shape[0]
-    if nn <= DENSE_LIMIT:
-        try:
-            flat = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"policy evaluation failed: {exc}")
-    else:
-        flat = _gauss_seidel(A, rhs, tol=1e-12)
+    try:
+        flat = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"policy evaluation failed: {exc}")
     if not np.all(np.isfinite(flat)):
         raise SingularSystem("policy evaluation produced non-finite values")
     return flat.reshape(sys.m, sys.num_states)
-
-
-def _gauss_seidel(A, b, tol, max_sweeps=500000):
-    diag = np.diag(A).copy()
-    if np.min(np.abs(diag)) <= 0.0:
-        raise SingularSystem("zero diagonal in iterative policy solve")
-    x = np.zeros_like(b)
-    off = A - np.diag(diag)
-    for _ in range(max_sweeps):
-        for r in range(len(b)):
-            x[r] = (b[r] - off[r] @ x) / diag[r]
-        if np.max(np.abs(A @ x - b)) <= tol:
-            return x
-    raise SingularSystem("iterative policy solve did not reach tolerance")
 
 
 IMPROVE_TOL = 1e-11

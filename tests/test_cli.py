@@ -1,13 +1,14 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import discountlab as dl
-from discountlab.cli import (ExperimentSpec, dumps_precise, emit_plotdata,
-                             main, parse_config, run_experiment,
-                             serialize_config)
+from discountlab.cli import (PIPELINES, ExperimentSpec, dumps_precise,
+                             emit_plotdata, main, parse_config,
+                             run_experiment, serialize_config)
 from discountlab.errors import BadValue, ParseError, UnknownKey
 
 
@@ -72,18 +73,84 @@ def test_run_duality_pipeline(tmp_path):
             "determinism_sha256"} <= set(manifest)
 
 
+def _small_spec(pipeline, out, **overrides):
+    """Eikonal-f on six points: every pipeline finishes in well under 1 s."""
+    kwargs = dict(instance="eikonal-f", pipeline=pipeline, grid_points=6,
+                  ergodic_lambda=0.01, ergodic_tol=1e-12, samples=200,
+                  output_dir=str(out))
+    kwargs.update(overrides)
+    return ExperimentSpec(**kwargs)
+
+
 def test_run_is_deterministic(tmp_path):
-    specs = [ExperimentSpec(instance="constant-coupling", pipeline="duality",
-                            lam=0.5, seed=3, output_dir=str(tmp_path / d))
-             for d in ("one", "two")]
-    reports = [run_experiment(s) for s in specs]
-    a = (tmp_path / "one" / "result.json").read_bytes()
-    b = (tmp_path / "two" / "result.json").read_bytes()
-    assert a == b
-    hashes = [json.loads((tmp_path / d / "manifest.json").read_text())
-              ["determinism_sha256"] for d in ("one", "two")]
-    assert hashes[0] == hashes[1]
-    assert all(r.status == 0 for r in reports)
+    for pipeline in PIPELINES:
+        dirs = [tmp_path / pipeline / d for d in ("one", "two")]
+        reports = [run_experiment(_small_spec(pipeline, d, seed=3))
+                   for d in dirs]
+        assert all(r.status == 0 for r in reports), (pipeline, reports)
+        a, b = ((d / "result.json").read_bytes() for d in dirs)
+        assert a == b, pipeline
+        hashes = [json.loads((d / "manifest.json").read_text())
+                  ["determinism_sha256"] for d in dirs]
+        assert hashes[0] == hashes[1], pipeline
+
+
+def test_full_writes_every_table(tmp_path):
+    assert run_experiment(_small_spec("full", tmp_path)).status == 0
+    for name in ("duality.csv", "sweep.csv", "sweep.dat"):
+        assert (tmp_path / name).is_file(), name
+    rows = (tmp_path / "duality.csv").read_text().splitlines()
+    assert len(rows) == 1 + 6
+
+
+def test_mather_and_selection_write_sweep_files(tmp_path):
+    for pipeline in ("mather", "selection"):
+        out = tmp_path / pipeline
+        assert run_experiment(_small_spec(pipeline, out)).status == 0
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 1 + 18
+        assert len((out / "sweep.dat").read_text().splitlines()) == 1 + 18
+
+
+def _count_calls(monkeypatch, func):
+    """Replace ``func`` in every discountlab module that binds it with a
+    wrapper that records each call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "discountlab" or name.startswith("discountlab."):
+            for attr, value in list(vars(mod).items()):
+                if value is func:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_full_computes_each_stage_once(tmp_path, monkeypatch):
+    ergodic = _count_calls(monkeypatch, dl.solver.ergodic_solve)
+    sweeps = _count_calls(monkeypatch, dl.limits.discount_sweep)
+    assert run_experiment(_small_spec("full", tmp_path)).status == 0
+    assert len(ergodic) == 1
+    assert len(sweeps) == 1
+
+
+def test_full_sections_match_single_pipelines(tmp_path):
+    docs = {}
+    for pipeline in ("full", "duality", "ergodic", "sweep", "mather",
+                     "selection"):
+        assert run_experiment(_small_spec(pipeline, tmp_path / pipeline)) \
+            .status == 0
+        docs[pipeline] = json.loads(
+            (tmp_path / pipeline / "result.json").read_text())["sections"]
+    full = docs["full"]
+    assert full["duality"] == {"max_spread": docs["duality"]["max_spread"]}
+    assert full["ergodic"] == docs["ergodic"]
+    assert full["sweep"] == docs["sweep"]["sweep"]
+    assert full["mather"] == docs["mather"]
+    assert full["selection"] == docs["selection"]
 
 
 def test_run_unwritable_output(tmp_path):

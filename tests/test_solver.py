@@ -164,16 +164,6 @@ def test_ergodic_solve_rejects_bad_damping(instance_a):
         dl.ergodic_solve(instance_a, 0.25, damping=0.0)
 
 
-def test_policy_evaluate_iterative_path_matches_dense(instance_b, monkeypatch):
-    import discountlab.solver as solver_mod
-    lam = 0.5
-    _, pol, _ = dl.policy_iterate(instance_b, lam, tol=1e-10)
-    dense = policy_evaluate(instance_b, lam, pol)
-    monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 0)
-    iterative = policy_evaluate(instance_b, lam, pol)
-    assert np.max(np.abs(dense - iterative)) <= 1e-9
-
-
 def test_ergodic_solve_linear_b(instance_linear_b):
     # zero row sums leave an additive freedom; the normalization in the
     # fixed-point map pins it and the residual identity still holds
