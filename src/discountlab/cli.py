@@ -11,17 +11,26 @@ result bytes).  Exit status is 0 only when every internal audit passed,
 
 # Thread capping must happen before any BLAS-backed import.
 import os as _os
+import sys
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_numpy_loaded = "numpy" in sys.modules
+_before_cap = {var: _os.environ.get(var) for var in _THREAD_VARS}
 
 _cap = _os.environ.get("DISCOUNTLAB_THREADS")
 if _cap:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    for _var in _THREAD_VARS + ("NUMEXPR_NUM_THREADS",):
         _os.environ.setdefault(_var, _cap)
+
+# The thread settings numpy's BLAS loaded with, recorded in manifest.json.
+# BLAS reads them once, when numpy loads: if numpy was already loaded, the
+# cap above came too late and the settings from before it are in effect.
+_THREADS = _before_cap if _numpy_loaded else \
+    {var: _os.environ.get(var) for var in _THREAD_VARS}
 
 import argparse
 import hashlib
 import json
-import sys
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -253,6 +262,11 @@ class _Run:
         return self.ergodic[0] if self.spec.normalize else self.sys
 
     @cached_property
+    def mather(self):
+        """(Mather measure, minimum) of the Mather LP on ``work``."""
+        return limits.mather_lp(self.work)
+
+    @cached_property
     def sweep(self):
         spec = self.spec
         sweep = limits.discount_sweep(self.work, spec.lambda_start,
@@ -318,7 +332,7 @@ def _pipe_sweep(run):
 
 def _pipe_mather(run):
     spec, work, sweep = run.spec, run.work, run.sweep
-    _, min_value = limits.mather_lp(work)
+    _, min_value = run.mather
     scaled = limits.mather_from_sweep(work, sweep, spec.probe_state,
                                       spec.probe_mode)
     resid = limits.closedness_residual(work, scaled)
@@ -337,7 +351,8 @@ def _pipe_mather(run):
 def _pipe_selection(run):
     spec, work, sweep = run.spec, run.work, run.sweep
     mset = limits.mather_face_samples(work, spec.face_samples, spec.seed,
-                                      tol=spec.face_tol)
+                                      tol=spec.face_tol,
+                                      min_value=run.mather[1])
     field = limits.selection_field(work, mset)
     report = limits.convergence_report(work, sweep, field, mset)
     sections = {"mather": {"min_value": mset.min_value,
@@ -424,6 +439,7 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
                              "numpy": np.__version__,
                              "python": sys.version.split()[0]},
                 "seed": spec.seed,
+                "threads": _THREADS,
                 "wall_time_s": time.perf_counter() - started,
                 "determinism_sha256": hashlib.sha256(result_bytes).hexdigest()}
     (out / "manifest.json").write_text(dumps_precise(manifest) + "\n")

@@ -24,9 +24,13 @@ exact, and it is re-verified at assembly.
 
 The same stencil coefficients drive three consumers: the pointwise
 Bellman residual, the per-policy linear solves, and (transposed) the
-closed-measure constraint matrix.  ``linearized_matrix`` is the single
-source for the matrix form, so the transpose used by the measure module
-is bit-identical to the operator used by the solver.
+closed-measure constraint matrix.  ``DiscreteSystem.stencil`` is the
+single source for the matrix form: the lam-independent coefficients,
+built once per system as COO triplets, plus the diagonal slots where lam
+is added.  ``linearized_matrix`` accumulates all of them and
+``policy_matrix`` only the rows a policy selects, in one and the same
+order, so the transpose used by the measure module is bit-identical to
+the operator used by the solver.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -296,6 +300,77 @@ class DiscreteSystem:
                 return i, rem // self.num_controls(i), rem % self.num_controls(i)
         raise IndexError(idx)
 
+    @cached_property
+    def uncoupled(self) -> list:
+        """Each mode as a one-mode system with its coupling dropped, built once.
+
+        The controls, and with them each system's cached stencil, are
+        fixed; the cost is a zero placeholder that the user writes before
+        each solve (the ergodic map writes the cost of a frozen coupling).
+        """
+        return [DiscreteSystem(
+                    grid=self.grid, m=1,
+                    controls=ControlSet([ModeControls(
+                        mode=0, xi=self.controls[i].xi.copy(),
+                        eta=np.zeros((self.num_controls(i), 1)),
+                        labels=list(self.controls[i].labels))]),
+                    cost=[np.zeros_like(self.cost[i])],
+                    label=f"{self.label}:frozen{i}",
+                    drift_bound=self.drift_bound)
+                for i in range(self.m)]
+
+    @cached_property
+    def stencil(self) -> Stencil:
+        """The lam-independent operator as COO triplets, built once.
+
+        For each mode i and control a, in that order, the triplets of
+        rows (i, x, a) over all x are: the diagonal weight of xi_a . D_h
+        (lam is added there), one block per upwind neighbor term, and one
+        block per nonzero coupling eta_{a,j}.  Entries that share a
+        (row, column) are summed in this order by every consumer.
+        """
+        S, m = self.num_states, self.m
+        states = np.arange(S)
+        rows, cols, vals, on_diag = [], [], [], []
+
+        def block(r, c, v, diag=False):
+            rows.append(r)
+            cols.append(c)
+            vals.append(np.full(S, v, dtype=float))
+            on_diag.append(np.full(S, diag))
+
+        for i in range(m):
+            mc = self.controls[i]
+            Ai = len(mc)
+            for a in range(Ai):
+                r = self.var_offsets[i] + states * Ai + a
+                diag, terms = drift_stencil(self.grid, mc.xi[a])
+                block(r, i * S + states, diag, diag=True)
+                for nbr, w in terms:
+                    block(r, i * S + nbr, w)
+                for j in range(m):
+                    if mc.eta[a, j] != 0.0:
+                        block(r, j * S + states, mc.eta[a, j])
+        return Stencil(rows=np.concatenate(rows), cols=np.concatenate(cols),
+                       vals=np.concatenate(vals),
+                       lam_slots=np.flatnonzero(np.concatenate(on_diag)))
+
+
+class Stencil(NamedTuple):
+    """COO triplets of ``linearized_matrix`` at lam = 0, in accumulation
+    order; ``lam_slots`` indexes the triplets that receive lam."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    lam_slots: np.ndarray
+
+    def values(self, lam: float) -> np.ndarray:
+        """Triplet values with lam added on the diagonal slots."""
+        vals = self.vals.copy()
+        vals[self.lam_slots] += lam
+        return vals
+
 
 def assemble_system(model_or_label, grid: TorusGrid, controls: ControlSet,
                     label: str = "") -> DiscreteSystem:
@@ -424,37 +499,40 @@ def linearized_matrix(sys: DiscreteSystem, lam: float) -> np.ndarray:
     Row (i, x, a) applied to a field u gives
     lam*u_i(x) + xi_a . D_h u_i(x) + eta_a . u(x); subtracting the flat
     cost vector yields the per-control Bellman slack.  Its transpose is
-    the closed-measure constraint matrix.
+    the closed-measure constraint matrix.  The entries are the cached
+    ``sys.stencil`` triplets, summed in their stored order.
     """
-    S, m = sys.num_states, sys.m
-    A = np.zeros((sys.total_vars, m * S))
-    states = np.arange(S)
-    for i in range(m):
-        mc = sys.controls[i]
-        Ai = len(mc)
-        base = sys.var_offsets[i]
-        for a in range(Ai):
-            rows = base + states * Ai + a
-            diag, terms = drift_stencil(sys.grid, mc.xi[a])
-            np.add.at(A, (rows, i * S + states), lam + diag)
-            for nbr, w in terms:
-                np.add.at(A, (rows, i * S + nbr), w)
-            for j in range(m):
-                if mc.eta[a, j] != 0.0:
-                    np.add.at(A, (rows, j * S + states), mc.eta[a, j])
-    return A
+    st = sys.stencil
+    ncols = sys.m * sys.num_states
+    return _accumulate(st.rows, st.cols, st.values(lam),
+                       sys.total_vars, ncols)
 
 
 def policy_matrix(sys: DiscreteSystem, lam: float, policy: Policy) -> np.ndarray:
-    """Rows of ``linearized_matrix`` selected by a policy, as (mS, mS)."""
-    S = sys.num_states
-    A = linearized_matrix(sys, lam)
-    rows = np.empty(sys.m * S, dtype=int)
+    """Rows of ``linearized_matrix`` selected by a policy, as (mS, mS).
+
+    Only the stencil triplets of the selected rows are accumulated, in
+    the same order, so the result equals ``linearized_matrix(...)[rows]``
+    bit for bit without building the full matrix.
+    """
+    S, n = sys.num_states, sys.m * sys.num_states
+    states = np.arange(S)
+    field_row = np.full(sys.total_vars, -1)
     for i in range(sys.m):
         Ai = sys.num_controls(i)
-        rows[i * S:(i + 1) * S] = (sys.var_offsets[i]
-                                   + np.arange(S) * Ai + policy[i])
-    return A[rows]
+        field_row[sys.var_offsets[i] + states * Ai + policy[i]] = i * S + states
+    st = sys.stencil
+    out_rows = field_row[st.rows]
+    keep = out_rows >= 0
+    return _accumulate(out_rows[keep], st.cols[keep], st.values(lam)[keep],
+                       n, n)
+
+
+def _accumulate(rows, cols, vals, nrows, ncols) -> np.ndarray:
+    """Dense (nrows, ncols) sum of COO triplets, added in array order."""
+    flat = np.bincount(rows * ncols + cols, weights=vals,
+                       minlength=nrows * ncols)
+    return flat.reshape(nrows, ncols)
 
 
 def policy_cost(sys: DiscreteSystem, policy: Policy) -> np.ndarray:

@@ -238,7 +238,8 @@ def _polish_face_point(sys, A_face, b_face, senses, c, raw):
 
 
 def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
-                        tol: float = 1e-9) -> MatherSet:
+                        tol: float = 1e-9,
+                        min_value: Optional[float] = None) -> MatherSet:
     """Representatives of the optimal face of the Mather LP.
 
     Samples ``count`` random linear objectives over the face polytope
@@ -247,9 +248,12 @@ def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
     instances with at most 30 weight variables the face (with the value
     row at equality) is additionally enumerated exactly from bases; the
     enumerated vertex set then replaces the samples and the report
-    records whether sampling had found every vertex.
+    records whether sampling had found every vertex.  ``min_value`` is
+    the Mather LP minimum of ``sys`` when the caller has already solved
+    it; ``None`` solves it here.
     """
-    _, min_value = mather_lp(sys)
+    if min_value is None:
+        _, min_value = mather_lp(sys)
     base = assemble_closed_constraints(sys, 0.0)
     ncols = base.A.shape[1]
     A_face = np.vstack([base.A, sys.cost_flat()[None, :]])

@@ -25,6 +25,13 @@ and normalizes Tu = v - min v.  A fixed point of T solves the ergodic
 system exactly with c = -lam * min v; existence does not come with an
 iteration guarantee, so the damped iteration reports failure instead of
 accepting a stalled run.
+
+The sweeps are warm-started: each mode's frozen scalar system is built
+once per system (``DiscreteSystem.uncoupled``; only its cost changes
+between sweeps, so its stencil is computed once), and each sweep's Howard iteration starts from the greedy
+policy of the previous sweep's v.  Howard's method is a semismooth Newton
+iteration, so from that start it needs one or two evaluations where a
+cold start needs about N/4.
 """
 
 from __future__ import annotations
@@ -36,10 +43,9 @@ from typing import Optional
 
 import numpy as np
 
-from .discretize import (ControlSet, DiscreteSystem, ModeControls, Policy,
-                         ValueField, bellman_policy, bellman_residual,
-                         control_values, drift_stencil, policy_cost,
-                         policy_matrix)
+from .discretize import (DiscreteSystem, Policy, ValueField, bellman_policy,
+                         bellman_residual, control_values, drift_stencil,
+                         policy_cost, policy_matrix)
 from .errors import (BadValue, NoConvergence, NotASubsolution,
                      NotASupersolution, SingularSystem)
 
@@ -135,7 +141,12 @@ def value_iterate(sys: DiscreteSystem, lam: float, u0: Optional[ValueField],
 
 
 def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy) -> ValueField:
-    """Exact value of a stationary policy (dense solve at desk scale)."""
+    """Exact value of a stationary policy (dense solve at desk scale).
+
+    The matrix is the policy's rows of the cached ``sys.stencil``, the
+    same triplets that ``linearized_matrix`` and the measure constraints
+    are summed from.
+    """
     if lam <= 0.0:
         raise BadValue("policy_evaluate requires lam > 0")
     A = policy_matrix(sys, lam, policy)
@@ -221,43 +232,30 @@ def comparison_check(sys: DiscreteSystem, lam: float, sub: ValueField,
 # ergodic problem
 # ---------------------------------------------------------------------------
 
-def _frozen_scalar_system(sys: DiscreteSystem, lam: float, u: ValueField,
-                          i: int) -> DiscreteSystem:
-    """One mode's equation with the coupling slot frozen at u.
-
-    Moving the constant terms into the cost gives a one-mode system whose
-    solution is the v_i of the map T:
-    cost'(x, a) = L_i(x, a) - eta_a . u(x) + lam * u_i(x).
-    """
-    mc = sys.controls[i]
-    cost = (sys.cost[i] - (u.T @ mc.eta.T) + lam * u[i][:, None])
-    frozen = ModeControls(mode=0, xi=mc.xi.copy(),
-                          eta=np.zeros((len(mc), 1)),
-                          labels=list(mc.labels),
-                          cost_fn=lambda _x, _c=cost: _c)
-    return DiscreteSystem(grid=sys.grid, m=1, controls=ControlSet([frozen]),
-                          cost=[cost], label=f"{sys.label}:frozen{i}",
-                          drift_bound=sys.drift_bound)
-
-
 def ergodic_map(sys: DiscreteSystem, lam: float, u: ValueField,
-                inner_tol: float = 1e-12):
+                inner_tol: float = 1e-12, v0: Optional[ValueField] = None):
     """One application of T: solve the frozen scalar systems, normalize.
 
-    Returns (v, Tu, c_est) with Tu = v - min v per mode and
-    c_est = -lam * min_x v_i.
+    Mode i's scalar system is ``sys.uncoupled[i]`` with the coupling slot
+    frozen at u, i.e. with the cost
+    cost'(x, a) = L_i(x, a) - eta_a . u(x) + lam * u_i(x);
+    its solution is the v_i of the map T.  Returns (v, Tu, c_est) with
+    Tu = v - min v per mode and c_est = -lam * min_x v_i.  ``v0``, when
+    given, is the starting field of the inner Howard iterations (mode i
+    starts from the greedy policy of v0[i]); ``None`` starts them cold
+    from the zero field.
     """
     if lam <= 0.0:
         raise BadValue("ergodic map requires lam > 0")
-    S = sys.num_states
-    v = np.empty((sys.m, S))
-    for i in range(sys.m):
-        scalar = _frozen_scalar_system(sys, lam, u, i)
-        vi, _, _ = policy_iterate(scalar, lam, tol=inner_tol)
+    v = np.empty((sys.m, sys.num_states))
+    for i, scalar in enumerate(sys.uncoupled):
+        eta = sys.controls[i].eta
+        scalar.cost[0] = sys.cost[i] - (u.T @ eta.T) + lam * u[i][:, None]
+        start = None if v0 is None else v0[i][None, :]
+        vi, _, _ = policy_iterate(scalar, lam, tol=inner_tol, u0=start)
         v[i] = vi[0]
     mins = v.min(axis=1)
-    tu = v - mins[:, None]
-    return v, tu, -lam * mins
+    return v, v - mins[:, None], -lam * mins
 
 
 def ergodic_solve(sys: DiscreteSystem, lam: float, tol: float = 1e-8,
@@ -267,23 +265,27 @@ def ergodic_solve(sys: DiscreteSystem, lam: float, tol: float = 1e-8,
     Iterates u <- (1 - damping) u + damping Tu until |Tu - u| <= tol in
     sup norm, then reports c = -lam * min v from the final sweep together
     with the direct residual |H_discrete[u] - c| (checked against 10*tol
-    by the caller's tests; recorded here).  Non-convergence raises: the
-    fixed point exists but nothing guarantees this iteration finds it.
+    by the caller's tests; recorded here).  Each sweep after the first
+    warm-starts its inner solves from the previous sweep's v.
+    Non-convergence raises: the fixed point exists but nothing guarantees
+    this iteration finds it.  The ``NoConvergence`` carries the list of
+    per-sweep gaps |Tu - u| as ``.diagnostics``.
     """
     if not (0.0 < damping <= 1.0):
         raise BadValue("damping must lie in (0, 1]")
     if lam <= 0.0:
         raise BadValue("ergodic_solve requires lam > 0")
     u = np.zeros((sys.m, sys.num_states))
+    v, gaps = None, []
     for outer in range(1, max_outer + 1):
-        _, tu, c_est = ergodic_map(sys, lam, u)
+        v, tu, c_est = ergodic_map(sys, lam, u, v0=v)
         gap = float(np.max(np.abs(tu - u)))
+        gaps.append(gap)
         if gap <= tol:
-            final = tu
             residual = float(np.max(np.abs(
-                bellman_residual(sys, 0.0, final) - c_est[:, None])))
-            return ErgodicResult(c=c_est, u=final, outer_iterations=outer,
+                bellman_residual(sys, 0.0, tu) - c_est[:, None])))
+            return ErgodicResult(c=c_est, u=tu, outer_iterations=outer,
                                  residual=residual)
         u = (1.0 - damping) * u + damping * tu
     raise NoConvergence(f"ergodic iteration gap above {tol} after "
-                        f"{max_outer} sweeps")
+                        f"{max_outer} sweeps", diagnostics=gaps)

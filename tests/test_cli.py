@@ -132,9 +132,11 @@ def _count_calls(monkeypatch, func):
 def test_full_computes_each_stage_once(tmp_path, monkeypatch):
     ergodic = _count_calls(monkeypatch, dl.solver.ergodic_solve)
     sweeps = _count_calls(monkeypatch, dl.limits.discount_sweep)
+    mather = _count_calls(monkeypatch, dl.limits.mather_lp)
     assert run_experiment(_small_spec("full", tmp_path)).status == 0
     assert len(ergodic) == 1
     assert len(sweeps) == 1
+    assert len(mather) == 1
 
 
 def test_full_sections_match_single_pipelines(tmp_path):
@@ -266,6 +268,38 @@ def test_thread_cap_env(tmp_path):
     out = subprocess.run([_sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "2"
+
+
+def test_manifest_records_thread_setting(tmp_path):
+    import hashlib, os, subprocess
+    env = dict(os.environ)
+    env["DISCOUNTLAB_THREADS"] = "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    hashes = []
+    # the cap takes effect only when discountlab loads before numpy
+    for first, expect in (("discountlab", "1"), ("numpy", None)):
+        out = tmp_path / first
+        config = tmp_path / f"{first}.cfg"
+        config.write_text("instance = constant-coupling\npipeline = solve\n"
+                          f"output_dir = {out}\n")
+        code = (f"import sys, {first}\nfrom discountlab.cli import main\n"
+                f"sys.exit(main(['run', {str(config)!r}]))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == {"OMP_NUM_THREADS": expect,
+                                       "OPENBLAS_NUM_THREADS": expect,
+                                       "MKL_NUM_THREADS": expect}
+        # the setting stays out of result.json and so out of its hash
+        result_bytes = (out / "result.json").read_bytes()
+        assert b"NUM_THREADS" not in result_bytes
+        assert manifest["determinism_sha256"] == \
+            hashlib.sha256(result_bytes).hexdigest()
+        hashes.append(manifest["determinism_sha256"])
+    assert hashes[0] == hashes[1]
 
 
 def test_exit_status_one_on_audit_failure(tmp_path):

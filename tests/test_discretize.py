@@ -4,7 +4,8 @@ import pytest
 import discountlab as dl
 from discountlab.discretize import (ControlSet, bellman_policy,
                                     control_values, default_eta_spec,
-                                    linearized_matrix, sample_controls,
+                                    drift_stencil, linearized_matrix,
+                                    policy_matrix, sample_controls,
                                     system_from_json, system_to_json)
 from discountlab.errors import (BadDimension, BadResolution,
                                 CouplingOutsideCone, MissingCost)
@@ -165,6 +166,45 @@ def test_adjoint_consistency_bit_identical(instance_a, instance_b):
                     [control_values(sys_, lam, e, i).T.reshape(-1)
                      for i in range(sys_.m)])
                 assert np.array_equal(applied, A[:, j * S + y] - cost_flat)
+
+
+def _reference_linearized(sys_, lam):
+    """linearized_matrix built row by row from drift_stencil and eta, each
+    entry summed in the order diagonal, upwind terms, couplings."""
+    S = sys_.num_states
+    A = np.zeros((sys_.total_vars, sys_.m * S))
+    for r in range(sys_.total_vars):
+        i, x, a = sys_.var_tuple(r)
+        mc = sys_.controls[i]
+        diag, terms = drift_stencil(sys_.grid, mc.xi[a])
+        A[r, i * S + x] += lam + diag
+        for nbr, w in terms:
+            A[r, i * S + nbr[x]] += w
+        for j in range(sys_.m):
+            if mc.eta[a, j] != 0.0:
+                A[r, j * S + x] += mc.eta[a, j]
+    return A
+
+
+@pytest.mark.parametrize("zoo_id", ["constant-coupling", "linear-B",
+                                    "quadratic-plc", "eikonal-f"])
+def test_stencil_matches_row_by_row_reference(zoo_id):
+    sys_ = dl.standard_system(zoo_id)
+    again = dl.standard_system(zoo_id)
+    assert again.stencil is not sys_.stencil
+    rng = np.random.default_rng(11)
+    S = sys_.num_states
+    for lam in (0.0, 0.01, 0.5):
+        A = linearized_matrix(sys_, lam)
+        assert np.array_equal(A, _reference_linearized(sys_, lam))
+        assert np.array_equal(linearized_matrix(again, lam), A)
+        for _ in range(5):
+            policy = np.stack([rng.integers(0, sys_.num_controls(i), S)
+                               for i in range(sys_.m)])
+            rows = np.concatenate(
+                [[sys_.var_index(i, x, policy[i, x]) for x in range(S)]
+                 for i in range(sys_.m)])
+            assert np.array_equal(policy_matrix(sys_, lam, policy), A[rows])
 
 
 def test_policy_tie_break_lowest_index(instance_a):

@@ -3,7 +3,9 @@ import pytest
 
 import discountlab as dl
 from discountlab.discretize import bellman_policy
-from discountlab.errors import (BadValue, NotASubsolution, NotASupersolution)
+from discountlab import solver
+from discountlab.errors import (BadValue, NoConvergence, NotASubsolution,
+                                NotASupersolution)
 from discountlab.solver import policy_evaluate
 
 
@@ -173,3 +175,51 @@ def test_ergodic_solve_linear_b(instance_linear_b):
     direct = dl.bellman_residual(instance_linear_b, 0.0, res.u) \
         - res.c[:, None]
     assert np.max(np.abs(direct)) <= 1e-8
+
+
+def _cold_ergodic(sys_, lam, tol, damping=0.5, max_outer=5000):
+    """The damped iteration of T with every inner solve started cold."""
+    u = np.zeros((sys_.m, sys_.num_states))
+    for _ in range(max_outer):
+        _, tu, c = dl.ergodic_map(sys_, lam, u)
+        if np.max(np.abs(tu - u)) <= tol:
+            return c, tu
+        u = (1.0 - damping) * u + damping * tu
+    raise AssertionError("cold-start iteration did not converge")
+
+
+@pytest.mark.parametrize("zoo_id, lam", [
+    ("constant-coupling", 0.25), ("linear-B", 0.05), ("quadratic-plc", 0.05),
+    ("eikonal-f", 0.01)])
+def test_ergodic_warm_start_matches_cold_start(zoo_id, lam):
+    sys_ = dl.standard_system(zoo_id)
+    res = dl.ergodic_solve(sys_, lam, tol=1e-10)
+    c, u = _cold_ergodic(sys_, lam, tol=1e-10)
+    assert np.array_equal(res.c, c)
+    assert np.max(np.abs(res.u - u)) <= 1e-12
+
+
+def test_ergodic_warm_start_evaluation_count(monkeypatch):
+    # a cold start needs about N/4 evaluations per sweep (992 for 30
+    # sweeps here); warm-started Howard steps need one to three
+    calls = []
+    evaluate = solver.policy_evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "policy_evaluate", counted)
+    sys_ = dl.standard_system("eikonal-f", N=128)
+    res = dl.ergodic_solve(sys_, 0.01, tol=1e-9)
+    assert abs(res.c[0] + 1.0) <= 1e-9
+    assert len(calls) <= 3 * res.outer_iterations
+
+
+def test_ergodic_no_convergence_carries_gap_history(eikonal32):
+    with pytest.raises(NoConvergence) as info:
+        dl.ergodic_solve(eikonal32, 0.01, tol=1e-9, max_outer=3)
+    gaps = info.value.diagnostics
+    assert len(gaps) == 3
+    assert np.all(np.isfinite(gaps))
+    assert gaps[-1] > 1e-9
