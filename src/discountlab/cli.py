@@ -418,6 +418,12 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
         return ExitReport(2, "", False, f"output_dir not writable: {exc}")
     try:
         run = _Run(spec, *_build_system(spec), out)
+        if not (0 <= spec.probe_mode < run.sys.m
+                and 0 <= spec.probe_state < run.sys.num_states):
+            raise BadValue(f"probe (mode {spec.probe_mode}, state "
+                           f"{spec.probe_state}) outside the system's "
+                           f"{run.sys.m} modes and {run.sys.num_states} "
+                           f"states")
         sections, passed = _PIPELINE_FNS[spec.pipeline](run)
     except DiscountLabError as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)},

@@ -22,15 +22,16 @@ lam + sum_j eta_{a,j} >= lam: a strictly diagonally dominant M-matrix for
 every lam > 0.  That certificate is what makes every downstream identity
 exact, and it is re-verified at assembly.
 
-The same stencil coefficients drive three consumers: the pointwise
-Bellman residual, the per-policy linear solves, and (transposed) the
-closed-measure constraint matrix.  ``DiscreteSystem.stencil`` is the
-single source for the matrix form: the lam-independent coefficients,
-built once per system as COO triplets, plus the diagonal slots where lam
-is added.  ``linearized_matrix`` accumulates all of them and
-``policy_matrix`` only the rows a policy selects, in one and the same
-order, so the transpose used by the measure module is bit-identical to
-the operator used by the solver.
+The same stencil coefficients drive three consumers: the Bellman
+residual, the per-policy linear solves, and (transposed) the
+closed-measure constraint matrix.  ``DiscreteSystem.stencil`` is their
+single source: the lam-independent coefficients, built once per system
+as COO triplets, plus the diagonal slots where lam is added.
+``control_values`` applies all of them to a field, ``linearized_matrix``
+accumulates all of them and ``policy_matrix`` only the rows a policy
+selects (``policy_rows``), in one and the same order, so the transpose
+used by the measure module is bit-identical to the operator used by the
+solver.
 """
 
 from __future__ import annotations
@@ -450,46 +451,46 @@ def upwind_directional(u: ValueField, grid: TorusGrid, mode: int,
     return float(val)
 
 
-def directional_derivative(u_i: np.ndarray, grid: TorusGrid, xi) -> np.ndarray:
-    """Vectorized xi . D_h over all states for one mode's values."""
-    diag, terms = drift_stencil(grid, xi)
-    val = diag * u_i
-    for nbr, w in terms:
-        val = val + w * u_i[nbr]
-    return val
+def control_values(sys: DiscreteSystem, lam: float, u: ValueField) -> list:
+    """Per mode i, the (A_i, S) array of
+    lam*u_i + xi_a . D_h u_i + eta_a . u - L_i(., a).
+
+    Computed for all modes at once from ``sys.stencil``: each row
+    (i, x, a) sums its triplets' terms in stored order (diagonal, upwind
+    neighbors, each nonzero coupling), so it equals the matching row of
+    ``linearized_matrix`` applied to u, minus the cost.
+    """
+    st = sys.stencil
+    terms = st.values(lam) * u.reshape(-1)[st.cols]
+    flat = np.bincount(st.rows, weights=terms, minlength=sys.total_vars) \
+        - sys.cost_flat()
+    S = sys.num_states
+    return [flat[off:off + S * sys.num_controls(i)].reshape(S, -1).T
+            for i, off in enumerate(sys.var_offsets)]
 
 
-def control_values(sys: DiscreteSystem, lam: float, u: ValueField, i: int):
-    """(A, S) array of lam*u_i + xi_a . D_h u_i + eta_a . u - L_i(., a)."""
-    mc = sys.controls[i]
-    out = np.empty((len(mc), sys.num_states))
-    for a in range(len(mc)):
-        diag, terms = drift_stencil(sys.grid, mc.xi[a])
-        vals = (lam + diag) * u[i]
-        for nbr, w in terms:
-            vals = vals + w * u[i][nbr]
-        vals = vals + mc.eta[a] @ u
-        out[a] = vals - sys.cost[i][:, a]
-    return out
+def greedy_policy(vals: list) -> Policy:
+    """Argmax control of each mode's ``control_values`` array, per state;
+    ties go to the lowest index."""
+    return np.stack([np.argmax(v, axis=0) for v in vals])
+
+
+def values_at(vals: list, policy: Policy) -> ValueField:
+    """Entries of each mode's ``control_values`` array at a policy."""
+    states = np.arange(policy.shape[1])
+    return np.stack([v[p, states] for v, p in zip(vals, policy)])
 
 
 def bellman_residual(sys: DiscreteSystem, lam: float, u: ValueField) -> ValueField:
     """Residual lam*u_i(x) + max_a [...] of the discrete system."""
-    res = np.empty((sys.m, sys.num_states))
-    for i in range(sys.m):
-        res[i] = np.max(control_values(sys, lam, u, i), axis=0)
-    return res
+    return np.stack([np.max(v, axis=0) for v in control_values(sys, lam, u)])
 
 
 def bellman_policy(sys: DiscreteSystem, lam: float, u: ValueField):
     """Residual together with the argmax policy (ties to lowest index)."""
-    res = np.empty((sys.m, sys.num_states))
-    pol = np.empty((sys.m, sys.num_states), dtype=int)
-    for i in range(sys.m):
-        vals = control_values(sys, lam, u, i)
-        pol[i] = np.argmax(vals, axis=0)
-        res[i] = vals[pol[i], np.arange(sys.num_states)]
-    return res, pol
+    vals = control_values(sys, lam, u)
+    pol = greedy_policy(vals)
+    return values_at(vals, pol), pol
 
 
 def linearized_matrix(sys: DiscreteSystem, lam: float) -> np.ndarray:
@@ -515,12 +516,9 @@ def policy_matrix(sys: DiscreteSystem, lam: float, policy: Policy) -> np.ndarray
     the same order, so the result equals ``linearized_matrix(...)[rows]``
     bit for bit without building the full matrix.
     """
-    S, n = sys.num_states, sys.m * sys.num_states
-    states = np.arange(S)
+    n = sys.m * sys.num_states
     field_row = np.full(sys.total_vars, -1)
-    for i in range(sys.m):
-        Ai = sys.num_controls(i)
-        field_row[sys.var_offsets[i] + states * Ai + policy[i]] = i * S + states
+    field_row[policy_rows(sys, policy)] = np.arange(n)
     st = sys.stencil
     out_rows = field_row[st.rows]
     keep = out_rows >= 0
@@ -535,13 +533,11 @@ def _accumulate(rows, cols, vals, nrows, ncols) -> np.ndarray:
     return flat.reshape(nrows, ncols)
 
 
-def policy_cost(sys: DiscreteSystem, policy: Policy) -> np.ndarray:
-    """Flat cost vector of a policy, field-ordered."""
-    S = sys.num_states
-    out = np.empty(sys.m * S)
-    for i in range(sys.m):
-        out[i * S:(i + 1) * S] = sys.cost[i][np.arange(S), policy[i]]
-    return out
+def policy_rows(sys: DiscreteSystem, policy: Policy) -> np.ndarray:
+    """Flat (i, x, a) row the policy selects at each field entry i*S + x."""
+    states = np.arange(sys.num_states)
+    return np.concatenate([off + states * sys.num_controls(i) + policy[i]
+                           for i, off in enumerate(sys.var_offsets)])
 
 
 # ---------------------------------------------------------------------------

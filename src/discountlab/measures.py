@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .discretize import (DiscreteSystem, Policy, ValueField,
-                         linearized_matrix, policy_matrix)
+                         linearized_matrix, policy_matrix, policy_rows)
 from .errors import BadValue, InfeasibleLP, SingularSystem, UnboundedLP
 from .lp import OPTIMAL, UNBOUNDED, LPProblem, lp_solve
 from .solver import policy_iterate
@@ -200,11 +200,7 @@ def occupation_from_policy(sys: DiscreteSystem, lam: float, policy: Policy,
         raise SingularSystem("occupation weights significantly negative")
     dense = np.maximum(dense, 0.0)
     flat = np.zeros(sys.total_vars)
-    S = sys.num_states
-    for i in range(sys.m):
-        Ai = sys.num_controls(i)
-        idx = sys.var_offsets[i] + np.arange(S) * Ai + policy[i]
-        flat[idx] = dense[i * S:(i + 1) * S]
+    flat[policy_rows(sys, policy)] = dense
     mu = MeasureVector.from_flat(sys, flat, lam)
     mu.validate(sys)
     return mu

@@ -28,24 +28,23 @@ accepting a stalled run.
 
 The sweeps are warm-started: each mode's frozen scalar system is built
 once per system (``DiscreteSystem.uncoupled``; only its cost changes
-between sweeps, so its stencil is computed once), and each sweep's Howard iteration starts from the greedy
-policy of the previous sweep's v.  Howard's method is a semismooth Newton
-iteration, so from that start it needs one or two evaluations where a
-cold start needs about N/4.
+between sweeps, so its stencil is computed once), and each sweep's
+Howard iteration starts from the greedy policy of the previous sweep's
+v.  Howard's method is a semismooth Newton iteration, so from that start
+it needs one or two evaluations where a cold start needs about N/4.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .discretize import (DiscreteSystem, Policy, ValueField, bellman_policy,
+from .discretize import (DiscreteSystem, Policy, ValueField,
                          bellman_residual, control_values, drift_stencil,
-                         policy_cost, policy_matrix)
+                         greedy_policy, policy_matrix, policy_rows, values_at)
 from .errors import (BadValue, NoConvergence, NotASubsolution,
                      NotASupersolution, SingularSystem)
 
@@ -65,9 +64,6 @@ class SolveDiagnostics:
                 "contraction_estimate": self.contraction_estimate,
                 "wall_time": self.wall_time}
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
 
 @dataclass
 class ErgodicResult:
@@ -75,14 +71,6 @@ class ErgodicResult:
     u: ValueField
     outer_iterations: int
     residual: float
-
-    def to_dict(self):
-        return {"c": self.c.tolist(), "u": self.u.tolist(),
-                "residual": self.residual,
-                "outer_iterations": self.outer_iterations}
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def value_iterate(sys: DiscreteSystem, lam: float, u0: Optional[ValueField],
@@ -150,7 +138,7 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy) -> ValueFie
     if lam <= 0.0:
         raise BadValue("policy_evaluate requires lam > 0")
     A = policy_matrix(sys, lam, policy)
-    rhs = policy_cost(sys, policy)
+    rhs = sys.cost_flat()[policy_rows(sys, policy)]
     try:
         flat = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
@@ -176,35 +164,27 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
         raise BadValue("policy_iterate requires lam > 0")
     start = time.perf_counter()
     base = np.zeros((sys.m, sys.num_states)) if u0 is None else np.asarray(u0)
-    _, policy = bellman_policy(sys, lam, base)
+    policy = greedy_policy(control_values(sys, lam, base))
     last_norm = float("inf")
-    states = np.arange(sys.num_states)
     for it in range(1, max_iter + 1):
         u = policy_evaluate(sys, lam, policy)
-        residual, greedy = bellman_policy(sys, lam, u)
-        last_norm = float(np.max(np.abs(residual)))
+        vals = control_values(sys, lam, u)
+        greedy = greedy_policy(vals)
+        best = values_at(vals, greedy)
+        last_norm = float(np.max(np.abs(best)))
         if last_norm <= tol:
             diag = SolveDiagnostics(it, last_norm, float("nan"),
                                     time.perf_counter() - start)
             return u, policy, diag
-        switched = False
-        new_policy = policy.copy()
-        for i in range(sys.m):
-            vals = control_values(sys, lam, u, i)
-            incumbent = vals[policy[i], states]
-            best = vals[greedy[i], states]
-            take = best > incumbent + IMPROVE_TOL
-            if np.any(take):
-                new_policy[i][take] = greedy[i][take]
-                switched = True
-        if not switched:
+        take = best > values_at(vals, policy) + IMPROVE_TOL
+        if not np.any(take):
             diag = SolveDiagnostics(it, last_norm, float("nan"),
                                     time.perf_counter() - start)
             if last_norm <= max(10.0 * tol, 10.0 * IMPROVE_TOL):
                 return u, policy, diag
             raise NoConvergence(
                 f"stable policy with residual {last_norm}", diagnostics=diag)
-        policy = new_policy
+        policy = np.where(take, greedy, policy)
     diag = SolveDiagnostics(max_iter, last_norm, float("nan"),
                             time.perf_counter() - start)
     raise NoConvergence("policy iteration exceeded max_iter", diagnostics=diag)

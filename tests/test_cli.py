@@ -315,6 +315,20 @@ def test_exit_status_one_on_audit_failure(tmp_path):
     assert doc["sections"]["sweep"]["divergent"] is True
 
 
+@pytest.mark.parametrize("probe", [dict(probe_state=100),
+                                   dict(probe_state=-1),
+                                   dict(probe_mode=-1)],
+                         ids=["state-100", "state-minus-1", "mode-minus-1"])
+def test_out_of_range_probe_is_a_usage_error(tmp_path, probe):
+    spec = ExperimentSpec(instance="eikonal-f", pipeline="solve",
+                          output_dir=str(tmp_path), **probe)
+    report = run_experiment(spec)
+    assert report.status == 2 and not report.passed
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["error"]["type"] == "BadValue"
+    assert "probe" in doc["error"]["message"]
+
+
 def test_selection_and_mather_pipelines(tmp_path):
     for pipeline in ("selection", "mather"):
         spec = ExperimentSpec(instance="eikonal-f", pipeline=pipeline,

@@ -163,8 +163,7 @@ def test_adjoint_consistency_bit_identical(instance_a, instance_b):
                 e = np.zeros((sys_.m, S))
                 e[j, y] = 1.0
                 applied = np.concatenate(
-                    [control_values(sys_, lam, e, i).T.reshape(-1)
-                     for i in range(sys_.m)])
+                    [v.T.reshape(-1) for v in control_values(sys_, lam, e)])
                 assert np.array_equal(applied, A[:, j * S + y] - cost_flat)
 
 
@@ -205,6 +204,43 @@ def test_stencil_matches_row_by_row_reference(zoo_id):
                 [[sys_.var_index(i, x, policy[i, x]) for x in range(S)]
                  for i in range(sys_.m)])
             assert np.array_equal(policy_matrix(sys_, lam, policy), A[rows])
+
+
+def _reference_control_values(sys_, lam, u):
+    """control_values computed row by row: for each (i, x, a) the sum of
+    (lam + diag) u_i(x), then the upwind terms, then each nonzero
+    eta_{a,j} u_j(x), in that order, minus the cost."""
+    out = [np.empty((sys_.num_controls(i), sys_.num_states))
+           for i in range(sys_.m)]
+    for r in range(sys_.total_vars):
+        i, x, a = sys_.var_tuple(r)
+        mc = sys_.controls[i]
+        diag, terms = drift_stencil(sys_.grid, mc.xi[a])
+        val = (lam + diag) * u[i, x]
+        for nbr, w in terms:
+            val += w * u[i, nbr[x]]
+        for j in range(sys_.m):
+            if mc.eta[a, j] != 0.0:
+                val += mc.eta[a, j] * u[j, x]
+        out[i][a, x] = val - sys_.cost[i][x, a]
+    return out
+
+
+@pytest.mark.parametrize("zoo_id", ["constant-coupling", "linear-B",
+                                    "quadratic-plc", "eikonal-f"])
+def test_control_values_match_row_by_row_reference(zoo_id):
+    sys_ = dl.standard_system(zoo_id)
+    rng = np.random.default_rng(12)
+    for lam in (0.0, 0.01, 0.5):
+        for _ in range(3):
+            u = rng.standard_normal((sys_.m, sys_.num_states))
+            vals = control_values(sys_, lam, u)
+            ref = _reference_control_values(sys_, lam, u)
+            assert len(vals) == sys_.m
+            for v, r in zip(vals, ref):
+                assert np.array_equal(v, r)
+            res, _ = bellman_policy(sys_, lam, u)
+            assert np.array_equal(res, dl.bellman_residual(sys_, lam, u))
 
 
 def test_policy_tie_break_lowest_index(instance_a):

@@ -73,8 +73,8 @@ def test_occupation_suboptimal_policy_dominates(instance_b):
     vals_pol = np.zeros((2, 8), dtype=int)
     from discountlab.discretize import control_values
     u0 = np.zeros((2, 8))
-    for i in range(2):
-        vals_pol[i] = np.argmin(control_values(instance_b, lam, u0, i), axis=0)
+    for i, vals in enumerate(control_values(instance_b, lam, u0)):
+        vals_pol[i] = np.argmin(vals, axis=0)
     u_bad = dl.policy_evaluate(instance_b, lam, vals_pol)
     _, gp_value = dl.green_poisson(instance_b, lam, 0, 0)
     mu_bad = dl.occupation_from_policy(instance_b, lam, vals_pol, 0, 0)

@@ -89,6 +89,22 @@ def test_policy_iteration_values_nonincreasing(instance_b):
     assert np.max(np.abs(dl.bellman_residual(instance_b, lam, prev))) <= 1e-9
 
 
+def test_policy_iterate_one_residual_per_step(instance_b, monkeypatch):
+    # the initial greedy policy and one residual per Howard step, from
+    # which the norm, the greedy policy and the incumbent are all read
+    calls = []
+    real = solver.control_values
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "control_values", counted)
+    _, _, diag = dl.policy_iterate(instance_b, 0.5)
+    assert diag.iterations >= 2
+    assert len(calls) == diag.iterations + 1
+
+
 def test_small_lambda_policy_iteration(instance_b):
     u, _, diag = dl.policy_iterate(instance_b, 1e-3, tol=1e-10)
     assert diag.final_residual <= 1e-9
