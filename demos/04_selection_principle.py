@@ -48,7 +48,7 @@ from discountlab.errors import UnboundedLP
 from discountlab.limits import MatherSet
 
 zero_only = MatherSet([nu for nu in mset.representatives
-                       if nu.total_mass() == 0.0], ["lp-vertex"], 0.0)
+                       if nu.total_mass() == 0.0], 0.0)
 try:
     dl.selection_solve(tiny, zero_only, 0, 0)
 except UnboundedLP as exc:

@@ -301,12 +301,10 @@ def _pipe_structure(run):
 def _pipe_solve(run):
     spec = run.spec
     u, _, diag = solver.policy_iterate(run.sys, spec.lam, tol=spec.tol)
-    diagnostics = diag.to_dict()
-    del diagnostics["wall_time"]   # timing lives in manifest.json
     sections = {"lambda": spec.lam,
                 "sup_norm": float(np.max(np.abs(u))),
                 "value_at_probe": float(u[spec.probe_mode, spec.probe_state]),
-                "diagnostics": diagnostics}
+                "diagnostics": diag.to_dict()}
     return sections, diag.final_residual <= 10 * spec.tol
 
 

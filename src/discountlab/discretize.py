@@ -43,8 +43,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (BadDimension, BadResolution, CouplingOutsideCone,
-                     MissingCost)
+from .errors import (BadDimension, BadResolution, BadValue,
+                     CouplingOutsideCone, MissingCost)
 from .model import (HamiltonianModel, LagrangianTable, in_coupling_cone,
                     product_grid)
 
@@ -185,7 +185,7 @@ def sample_controls(model_or_table, mode: int, xi_radius: float,
     from table lookups; a control without a finite cost is rejected.
     """
     if xi_count < 1:
-        raise ValueError("xi_count must be >= 1")
+        raise BadValue("xi_count must be >= 1")
     if isinstance(model_or_table, LagrangianTable):
         return _controls_from_table_grid(model_or_table, mode, xi_radius,
                                          xi_count, eta_spec)
@@ -235,23 +235,6 @@ def _controls_from_table_grid(table: LagrangianTable, mode: int,
     return ModeControls(mode=mode, xi=xi_rows, eta=eta_rows,
                         labels=_labels("table", mode, xi_rows, eta_rows),
                         cost_fn=_table_cost_fn(table, np.stack(cols, axis=-1)))
-
-
-def controls_from_table(table: LagrangianTable) -> ModeControls:
-    """Control list for one mode read off a numeric Lagrangian table.
-
-    Uses every (xi, eta) grid pair whose value is finite at all stored x.
-    """
-    finite = np.all(np.isfinite(table.values), axis=0)
-    pairs = np.nonzero(finite)
-    if len(pairs[0]) == 0:
-        raise MissingCost("table has no control with finite cost at every x")
-    xi_rows = table.xi_grid[pairs[0]]
-    eta_rows = table.eta_grid[pairs[1]]
-    return ModeControls(mode=table.mode, xi=xi_rows, eta=eta_rows,
-                        labels=_labels("table", table.mode, xi_rows, eta_rows),
-                        cost_fn=_table_cost_fn(
-                            table, table.values[:, pairs[0], pairs[1]]))
 
 
 # ---------------------------------------------------------------------------

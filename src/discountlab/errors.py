@@ -69,6 +69,10 @@ class UnboundedLP(DiscountLabError):
         self.ray = ray
 
 
+class EnumerationTooLarge(DiscountLabError):
+    """Exhaustive basis enumeration would exceed its basis budget."""
+
+
 class InfeasibleLP(DiscountLabError):
     """A linear program expected to be feasible was certified infeasible."""
 

@@ -30,10 +30,10 @@ import numpy as np
 
 from .discretize import (ControlSet, DiscreteSystem, ModeControls, ValueField,
                          linearized_matrix)
-from .errors import BadValue, DivergentSweep
+from .errors import BadValue, DivergentSweep, EnumerationTooLarge
 from .lp import (OPTIMAL, LPProblem, enumerate_basic_solutions, lp_solve)
 from .measures import MeasureVector, assemble_closed_constraints, \
-    green_poisson, subsolution_lp
+    green_poisson, subsolution_lp, validate_lam0_rows
 from .solver import ergodic_solve, policy_iterate
 
 DIVERGENCE_BOUND = 1e6
@@ -185,56 +185,47 @@ def mather_lp(sys: DiscreteSystem):
 @dataclass
 class MatherSet:
     representatives: list        # MeasureVector, lam_tag = 0
-    labels: list
     min_value: float
     exhaustive: bool = False
     sampling_found_all: Optional[bool] = None
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "min_value": self.min_value,
-            "exhaustive": self.exhaustive,
-            "sampling_found_all": self.sampling_found_all,
-            "representatives": [json.loads(nu.to_json())
-                                for nu in self.representatives],
-            "labels": self.labels})
 
-
-def _dedup(measures, labels, tol=FACE_DEDUP_TOL):
-    kept, kept_labels = [], []
-    for nu, lab in zip(measures, labels):
-        if all(nu.tv_distance(other) > tol for other in kept):
-            kept.append(nu)
-            kept_labels.append(lab)
-    return kept, kept_labels
+def _dedup(rows):
+    """Greedy first-kept pass over flat weight rows: a row is kept unless
+    it lies within ``FACE_DEDUP_TOL`` in total variation of a row kept
+    before it."""
+    kept = []
+    alive = np.ones(len(rows), dtype=bool)
+    while alive.any():
+        j = int(np.argmax(alive))
+        kept.append(j)
+        alive[j:] &= np.abs(rows[j:] - rows[j]).sum(axis=1) > FACE_DEDUP_TOL
+    return rows[kept]
 
 
 SUPPORT_FLOOR = 1e-7
 
 
-def _polish_face_point(sys, A_face, b_face, senses, c, raw):
+def _polish_face_point(A_face, b_face, senses, c, raw):
     """Re-solve the face LP restricted to the significant support.
 
     Vertices of the tolerance-relaxed face can carry junk mass of order
     tol / cost on states with small positive cost; such entries are
     harmless for values but poisonous as <nu, u> <= 0 rows because those
     rows are scale invariant.  Restricting to the heavy support and
-    re-solving yields an exactly closed measure or proves the support
-    spurious (in which case the sample is dropped).
+    re-solving yields an exactly closed measure (as flat weights) or
+    proves the support spurious (``None``: the sample is dropped).
     """
     cols = np.nonzero(raw > SUPPORT_FLOOR)[0]
-    zero = MeasureVector.from_flat(sys, np.zeros(A_face.shape[1]), 0.0)
+    flat = np.zeros(A_face.shape[1])
     if len(cols) == 0:
-        return zero
+        return flat
     problem = LPProblem(c=c[cols], A=A_face[:, cols], b=b_face, senses=senses)
     sol = lp_solve(problem)
     if sol.status != OPTIMAL:
         return None
-    flat = np.zeros(A_face.shape[1])
     flat[cols] = np.maximum(sol.x, 0.0)
-    nu = MeasureVector.from_flat(sys, flat, 0.0)
-    nu.validate(sys)
-    return nu
+    return flat
 
 
 def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
@@ -245,12 +236,16 @@ def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
     Samples ``count`` random linear objectives over the face polytope
     {closed, mass <= 1, <nu, L> <= min + tol}, polishes each sample onto
     its significant support, and deduplicates in total variation.  On
-    instances with at most 30 weight variables the face (with the value
-    row at equality) is additionally enumerated exactly from bases; the
-    enumerated vertex set then replaces the samples and the report
-    records whether sampling had found every vertex.  ``min_value`` is
-    the Mather LP minimum of ``sys`` when the caller has already solved
-    it; ``None`` solves it here.
+    instances with at most ``ORACLE_VAR_LIMIT`` weight variables the face
+    (with the value row at equality) is additionally enumerated exactly
+    from bases; the enumerated vertex set then replaces the samples and
+    the report records whether sampling had found every vertex.  When
+    the face has more bases than the enumeration budget, the samples are
+    kept and the set is not exhaustive.  Samples and
+    vertices stay flat weight rows, checked against the lam = 0 rule one
+    array at a time; only the kept rows become ``MeasureVector``s.
+    ``min_value`` is the Mather LP minimum of ``sys`` when the caller has
+    already solved it; ``None`` solves it here.
     """
     if min_value is None:
         _, min_value = mather_lp(sys)
@@ -261,44 +256,44 @@ def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
     senses = list(base.senses) + ["<="]
 
     rng = np.random.default_rng(seed)
-    sampled, labels = [], []
+    sampled = []
     for _ in range(count):
         problem = LPProblem(c=rng.standard_normal(ncols), A=A_face,
                             b=b_face, senses=senses)
         sol = lp_solve(problem)
         if sol.status != OPTIMAL:
             continue
-        nu = _polish_face_point(sys, A_face, b_face, senses, problem.c,
-                                np.maximum(sol.x, 0.0))
-        if nu is None:
-            continue
-        sampled.append(nu)
-        labels.append("random-objective")
-    sampled, labels = _dedup(sampled, labels)
+        flat = _polish_face_point(A_face, b_face, senses, problem.c,
+                                  np.maximum(sol.x, 0.0))
+        if flat is not None:
+            sampled.append(flat)
+    sampled = np.array(sampled).reshape(-1, ncols)
+    validate_lam0_rows(sampled)
+    reps = sampled = _dedup(sampled)
+    exhaustive, found_all = False, None
 
     if ncols <= ORACLE_VAR_LIMIT:
-        # exact face: closed rows, mass row slacked, value row at equality
-        n_eq = base.A.shape[0] - 1  # closed rows (mass row is last)
-        A_std = np.zeros((base.A.shape[0] + 1, ncols + 1))
-        A_std[:base.A.shape[0], :ncols] = base.A
-        A_std[n_eq, ncols] = 1.0          # mass slack
-        A_std[-1, :ncols] = sys.cost_flat()
-        b_std = np.concatenate([base.b, [min_value]])
-        vertices = enumerate_basic_solutions(A_std, b_std, tol=1e-8)
-        exact, exact_labels = [], []
-        for v in vertices:
-            nu = MeasureVector.from_flat(sys, np.maximum(v[:ncols], 0.0), 0.0)
-            nu.validate(sys)
-            exact.append(nu)
-            exact_labels.append("lp-vertex")
-        exact, exact_labels = _dedup(exact, exact_labels)
-        found_all = all(any(nu.tv_distance(s) <= FACE_DEDUP_TOL
-                            for s in sampled) for nu in exact)
-        return MatherSet(representatives=exact, labels=exact_labels,
-                         min_value=min_value, exhaustive=True,
-                         sampling_found_all=found_all)
-    return MatherSet(representatives=sampled, labels=labels,
-                     min_value=min_value, exhaustive=False)
+        # exact face: the value row (last) at equality, and a slack
+        # column on the mass row (second to last)
+        mass_slack = np.zeros((len(b_face), 1))
+        mass_slack[-2] = 1.0
+        try:
+            vertices = enumerate_basic_solutions(
+                np.hstack([A_face, mass_slack]),
+                np.concatenate([base.b, [min_value]]), tol=1e-8)
+        except EnumerationTooLarge:
+            pass        # too many bases: the samples stand alone
+        else:
+            exact = vertices[:, :ncols]
+            validate_lam0_rows(exact)
+            reps = _dedup(exact)
+            exhaustive = True
+            tv = np.abs(reps[:, None, :] - sampled[None, :, :]).sum(axis=2)
+            found_all = bool(np.all(np.any(tv <= FACE_DEDUP_TOL, axis=1)))
+    return MatherSet(representatives=[MeasureVector.from_flat(sys, row, 0.0)
+                                      for row in reps],
+                     min_value=min_value, exhaustive=exhaustive,
+                     sampling_found_all=found_all)
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalBreakdown
+from .errors import EnumerationTooLarge, NumericalBreakdown
 
 FEAS_TOL = 1e-9
 CS_TOL = 1e-8
 PIVOT_TOL = 1e-12
 OPT_TOL = 1e-9
 REFACTOR_EVERY = 150
+MAX_BASES = 3_000_000       # most column subsets one enumeration solves
+ENUM_CHUNK = 65536          # column subsets solved per vectorized batch
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -207,14 +209,6 @@ class _Tableau:
         self.kept_rows = np.arange(A.shape[0])
         self.ray = None
         self.pivots_since_refactor = 0
-        self._reduce_to_basis()
-
-    def _reduce_to_basis(self):
-        for r in range(len(self.basis)):
-            piv = self.T[r, self.basis[r]]
-            if abs(piv - 1.0) > 1e-14 or np.any(
-                    np.abs(np.delete(self.T[:, self.basis[r]], r)) > 1e-14):
-                self._pivot(r, self.basis[r])
 
     def _pivot(self, row, col):
         piv = self.T[row, col]
@@ -370,26 +364,27 @@ def independent_rows(A: np.ndarray, b: Optional[np.ndarray] = None,
 
 
 def enumerate_basic_solutions(A: np.ndarray, b: np.ndarray,
-                              tol: float = 1e-9,
-                              max_bases: int = 3_000_000,
-                              chunk: int = 65536):
-    """All basic feasible solutions of {A x = b, x >= 0}.
+                              tol: float = 1e-9) -> np.ndarray:
+    """All basic feasible solutions of {A x = b, x >= 0}, one per row.
 
     Rows are reduced to an independent subset first, then every
     size-rank column subset is solved in vectorized chunks; singular and
     near-singular bases are rejected by determinant and residual checks.
-    Returns the raw vertex list (duplicates from degenerate bases
-    included; callers deduplicate).
+    Returns a (k, n) array with one raw vertex per feasible basis, in the
+    lexicographic order of the column subsets (duplicates from degenerate
+    bases included; callers deduplicate), and (0, n) when no basis is
+    feasible.  Raises ``EnumerationTooLarge`` when there are more than
+    ``MAX_BASES`` column subsets.
     """
     A, b, _ = independent_rows(A, b)
     r, n = A.shape
-    if math.comb(n, r) > max_bases:
-        raise ValueError(f"enumeration too large: C({n},{r}) bases")
-    vertices = []
+    if math.comb(n, r) > MAX_BASES:
+        raise EnumerationTooLarge(f"enumeration too large: C({n},{r}) bases")
+    blocks = [np.zeros((0, n))]
     combos = combinations(range(n), r)
     while True:
         block = np.fromiter(
-            (c for cols in islice(combos, chunk)
+            (c for cols in islice(combos, ENUM_CHUNK)
              for c in cols), dtype=int)
         if block.size == 0:
             break
@@ -409,19 +404,17 @@ def enumerate_basic_solutions(A: np.ndarray, b: np.ndarray,
             * np.max(np.abs(xB), axis=1, keepdims=True)
         feas = (np.min(xB, axis=1) >= -tol) \
             & (np.max(resid / row_scale, axis=1) <= 1e-9)
-        good_cols = block[ok][feas]
-        good_x = xB[feas]
-        for cols, xb in zip(good_cols, good_x):
-            x = np.zeros(n)
-            x[cols] = np.maximum(xb, 0.0)
-            vertices.append(x)
-    return vertices
+        x = np.zeros((int(feas.sum()), n))
+        np.put_along_axis(x, block[ok][feas], np.maximum(xB[feas], 0.0),
+                          axis=1)
+        blocks.append(x)
+    return np.concatenate(blocks)
 
 
 def enumeration_minimum(A, b, c, tol: float = 1e-9):
     """min c.x over basic feasible solutions, or None when infeasible."""
     verts = enumerate_basic_solutions(A, b, tol=tol)
-    if not verts:
+    if len(verts) == 0:
         return None, None
     values = [float(np.asarray(c) @ v) for v in verts]
     k = int(np.argmin(values))

@@ -95,16 +95,13 @@ class MeasureVector:
         return out
 
     def validate(self, sys: DiscreteSystem):
-        for i, w in enumerate(self.weights):
-            if float(np.min(w, initial=0.0)) < 0.0:
-                raise BadValue(f"negative weight in mode {i}")
         if self.lam_tag > 0.0:
+            _check_nonnegative(self.flat())
             norm = self.discount_mass(sys)
             if abs(norm - 1.0) > MASS_TOL:
                 raise BadValue(f"discounted mass {norm} != 1")
         else:
-            if self.total_mass() > 1.0 + ZERO_MASS_TOL:
-                raise BadValue(f"mass {self.total_mass()} exceeds 1")
+            validate_lam0_rows(self.flat()[None, :])
 
     def tv_distance(self, other: "MeasureVector") -> float:
         return float(sum(np.abs(a - b).sum()
@@ -117,6 +114,20 @@ class MeasureVector:
                 entries.append({"mode": int(i), "x": int(x), "a": int(a),
                                 "weight": float(w[x, a])})
         return json.dumps({"lambda_tag": self.lam_tag, "entries": entries})
+
+
+def _check_nonnegative(rows: np.ndarray):
+    if float(np.min(rows, initial=0.0)) < 0.0:
+        raise BadValue("negative weight")
+
+
+def validate_lam0_rows(rows: np.ndarray):
+    """The lam = 0 validity rule on flat weight rows, one measure per row:
+    every weight >= 0 and every total mass <= 1 + ZERO_MASS_TOL."""
+    _check_nonnegative(rows)
+    mass = float(np.max(rows.sum(axis=1), initial=0.0))
+    if mass > 1.0 + ZERO_MASS_TOL:
+        raise BadValue(f"mass {mass} exceeds 1")
 
 
 # ---------------------------------------------------------------------------

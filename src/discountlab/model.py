@@ -256,7 +256,7 @@ def check_monotone(model: HamiltonianModel, sample_count: int,
     decreases H_i, and adding alpha to a foreign mode never increases H_j.
     """
     if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+        raise EmptySampleSet("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
     m, n = model.m, model.n
     violations, witnesses = [], []
@@ -294,7 +294,7 @@ def check_convex(model: HamiltonianModel, sample_count: int,
                  seed: int = 0) -> StructureReport:
     """Midpoint-convexity of (p, u) -> H_i(x, p, u) on random pairs."""
     if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+        raise EmptySampleSet("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
     m, n = model.m, model.n
     violations, witnesses = [], []

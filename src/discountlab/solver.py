@@ -36,7 +36,6 @@ it needs one or two evaluations where a cold start needs about N/4.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,13 +55,11 @@ class SolveDiagnostics:
     iterations: int
     final_residual: float
     contraction_estimate: float
-    wall_time: float
 
     def to_dict(self):
         return {"iterations": self.iterations,
                 "final_residual": self.final_residual,
-                "contraction_estimate": self.contraction_estimate,
-                "wall_time": self.wall_time}
+                "contraction_estimate": self.contraction_estimate}
 
 
 @dataclass
@@ -83,7 +80,6 @@ def value_iterate(sys: DiscreteSystem, lam: float, u0: Optional[ValueField],
         raise BadValue("value_iterate requires lam > 0 and tol > 0")
     S = sys.num_states
     u = np.zeros((sys.m, S)) if u0 is None else np.array(u0, dtype=float)
-    start = time.perf_counter()
 
     # frozen per-control data: s_a, upwind gathers, off-mode couplings
     per_mode = []
@@ -118,12 +114,10 @@ def value_iterate(sys: DiscreteSystem, lam: float, u0: Optional[ValueField],
             contraction = norm / prev_norm
         prev_norm = norm
         if norm <= tol:
-            diag = SolveDiagnostics(sweep, norm, contraction,
-                                    time.perf_counter() - start)
+            diag = SolveDiagnostics(sweep, norm, contraction)
             return u, diag
     diag = SolveDiagnostics(max_iter, prev_norm if prev_norm is not None
-                            else float("inf"), contraction,
-                            time.perf_counter() - start)
+                            else float("inf"), contraction)
     raise NoConvergence(f"value iteration stalled at residual {diag.final_residual}",
                         diagnostics=diag)
 
@@ -162,7 +156,6 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
     """
     if lam <= 0.0:
         raise BadValue("policy_iterate requires lam > 0")
-    start = time.perf_counter()
     base = np.zeros((sys.m, sys.num_states)) if u0 is None else np.asarray(u0)
     policy = greedy_policy(control_values(sys, lam, base))
     last_norm = float("inf")
@@ -173,20 +166,17 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
         best = values_at(vals, greedy)
         last_norm = float(np.max(np.abs(best)))
         if last_norm <= tol:
-            diag = SolveDiagnostics(it, last_norm, float("nan"),
-                                    time.perf_counter() - start)
+            diag = SolveDiagnostics(it, last_norm, float("nan"))
             return u, policy, diag
         take = best > values_at(vals, policy) + IMPROVE_TOL
         if not np.any(take):
-            diag = SolveDiagnostics(it, last_norm, float("nan"),
-                                    time.perf_counter() - start)
+            diag = SolveDiagnostics(it, last_norm, float("nan"))
             if last_norm <= max(10.0 * tol, 10.0 * IMPROVE_TOL):
                 return u, policy, diag
             raise NoConvergence(
                 f"stable policy with residual {last_norm}", diagnostics=diag)
         policy = np.where(take, greedy, policy)
-    diag = SolveDiagnostics(max_iter, last_norm, float("nan"),
-                            time.perf_counter() - start)
+    diag = SolveDiagnostics(max_iter, last_norm, float("nan"))
     raise NoConvergence("policy iteration exceeded max_iter", diagnostics=diag)
 
 

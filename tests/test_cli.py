@@ -339,3 +339,33 @@ def test_selection_and_mather_pipelines(tmp_path):
         assert report.status == 0, (pipeline, report.error)
         doc = json.loads((tmp_path / pipeline / "result.json").read_text())
         assert doc["pass"] is True
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(instance="eikonal-f", grid_points=10),
+    dict(instance="constant-coupling", grid_points=5),
+    dict(instance="linear-B", grid_points=5)],
+    ids=["eikonal-f-10", "constant-coupling-5", "linear-B-5"])
+def test_oversize_exact_face_keeps_the_samples(tmp_path, overrides):
+    # 30 weight variables: within the exact-face limit, but C(31, 11)
+    # bases exceed the enumeration budget, so the sampled set stands
+    spec = ExperimentSpec(pipeline="selection", output_dir=str(tmp_path),
+                          **overrides)
+    report = run_experiment(spec)
+    assert report.status == 0, report.error
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["sections"]["mather"]["exhaustive"] is False
+    assert doc["sections"]["mather"]["representatives"] >= 1
+
+
+@pytest.mark.parametrize("pipeline, overrides, error", [
+    ("structure", dict(samples=0), "EmptySampleSet"),
+    ("solve", dict(xi_count=-1), "BadValue")],
+    ids=["samples-0", "xi-count-minus-1"])
+def test_bad_counts_are_usage_errors(tmp_path, pipeline, overrides, error):
+    spec = ExperimentSpec(instance="constant-coupling", pipeline=pipeline,
+                          output_dir=str(tmp_path), **overrides)
+    report = run_experiment(spec)
+    assert report.status == 2 and not report.passed
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["error"]["type"] == error

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import discountlab as dl
+from discountlab import limits
 from discountlab.errors import BadValue, DivergentSweep, UnboundedLP
+from discountlab.lp import enumerate_basic_solutions
 from discountlab.limits import (closedness_residual, ergodic_normalize,
                                 mather_from_sweep, stencil_norm)
 
@@ -117,6 +119,65 @@ def test_face_two_minimizers():
         assert nu.pair_cost(sys_) <= 1e-8
 
 
+def _object_dedup_reference(sys_, vertices):
+    """Per-vertex reference: each raw vertex becomes a validated
+    MeasureVector, kept unless within FACE_DEDUP_TOL in total variation of
+    a measure kept before it."""
+    kept = []
+    for v in vertices:
+        nu = dl.MeasureVector.from_flat(sys_, np.maximum(v[:sys_.total_vars],
+                                                         0.0), 0.0)
+        nu.validate(sys_)
+        if all(nu.tv_distance(o) > limits.FACE_DEDUP_TOL for o in kept):
+            kept.append(nu)
+    return kept
+
+
+@pytest.mark.parametrize("fixture", ["tiny_eikonal_normalized",
+                                     "instance_a_shifted", None],
+                         ids=["tiny-eikonal", "constant-coupling-zero",
+                              "eikonal-two-wells"])
+def test_face_representatives_match_object_reference(fixture, request,
+                                                     monkeypatch):
+    sys_ = request.getfixturevalue(fixture) if fixture else \
+        dl.standard_system("eikonal-f", N=8, f_const=1.0, f_freq=2)
+    raw = []
+
+    def recording(A, b, tol):
+        raw.append(enumerate_basic_solutions(A, b, tol=tol))
+        return raw[-1]
+
+    monkeypatch.setattr(limits, "enumerate_basic_solutions", recording)
+    mset = dl.mather_face_samples(sys_, 8, seed=13)
+    assert mset.exhaustive and len(raw) == 1
+    reference = _object_dedup_reference(sys_, raw[0])
+    assert len(mset.representatives) == len(reference)
+    for nu, ref in zip(mset.representatives, reference):
+        assert np.array_equal(nu.flat(), ref.flat())
+        nu.validate(sys_)
+
+
+def test_face_rejects_vertex_outside_lam0_rule(tiny_eikonal_normalized,
+                                               monkeypatch):
+    n = tiny_eikonal_normalized.total_vars
+    heavy = np.zeros((1, n + 1))
+    heavy[0, 0] = 1.1                       # mass 1.1 > 1
+    monkeypatch.setattr(limits, "enumerate_basic_solutions",
+                        lambda A, b, tol: heavy)
+    with pytest.raises(BadValue):
+        dl.mather_face_samples(tiny_eikonal_normalized, 4, seed=14)
+
+
+def test_face_rejects_polished_sample_outside_lam0_rule(
+        tiny_eikonal_normalized, monkeypatch):
+    negative = np.zeros(tiny_eikonal_normalized.total_vars)
+    negative[0] = -1e-3
+    monkeypatch.setattr(limits, "_polish_face_point",
+                        lambda *args: negative)
+    with pytest.raises(BadValue):
+        dl.mather_face_samples(tiny_eikonal_normalized, 4, seed=15)
+
+
 def test_face_representatives_exactly_closed(eikonal32_normalized):
     mset = dl.mather_face_samples(eikonal32_normalized, 10, seed=5)
     rng = np.random.default_rng(0)
@@ -142,7 +203,7 @@ def test_selection_empty_mset_rejected(instance_a_shifted):
     from discountlab.limits import MatherSet
     with pytest.raises(BadValue):
         dl.selection_solve(instance_a_shifted,
-                           MatherSet([], [], 0.0), 0, 0)
+                           MatherSet([], 0.0), 0, 0)
 
 
 def test_selection_unbounded_when_rows_do_not_pin(eikonal32_normalized):
@@ -153,14 +214,14 @@ def test_selection_unbounded_when_rows_do_not_pin(eikonal32_normalized):
         eikonal32_normalized, np.zeros(eikonal32_normalized.total_vars), 0.0)
     with pytest.raises(UnboundedLP):
         dl.selection_solve(eikonal32_normalized,
-                           MatherSet([zero], ["lp-vertex"], 0.0), 0, 0)
+                           MatherSet([zero], 0.0), 0, 0)
 
 
 def test_selection_monotone_in_rows(eikonal32_normalized):
     mset = dl.mather_face_samples(eikonal32_normalized, 10, seed=7)
     point = [nu for nu in mset.representatives if nu.total_mass() > 0.5]
     from discountlab.limits import MatherSet
-    small = MatherSet(point, ["lp-vertex"], 0.0)
+    small = MatherSet(point, 0.0)
     _, v_small = dl.selection_solve(eikonal32_normalized, small, 3, 0)
     _, v_full = dl.selection_solve(eikonal32_normalized, mset, 3, 0)
     assert v_full <= v_small + 1e-10

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 
+from discountlab import lp
+from discountlab.errors import EnumerationTooLarge
 from discountlab.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem,
-                            enumerate_basic_solutions, enumeration_minimum,
-                            independent_rows, lp_solve)
+                            _Standardized, enumerate_basic_solutions,
+                            enumeration_minimum, independent_rows, lp_solve)
 
 
 def test_one_pivot_lp():
@@ -115,12 +118,43 @@ def test_enumerate_simplex_vertices():
     verts = enumerate_basic_solutions(A, np.array([1.0]))
     uniq = {tuple(np.round(v, 9)) for v in verts}
     assert uniq == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
+    # one row per basis, in the lexicographic order of the column subsets
+    assert isinstance(verts, np.ndarray)
+    assert np.array_equal(verts, np.eye(3))
 
 
 def test_enumeration_infeasible_returns_none():
     val, vert = enumeration_minimum(np.array([[1.0, 1.0]]),
                                     np.array([-1.0]), np.array([1.0, 1.0]))
     assert val is None and vert is None
+    verts = enumerate_basic_solutions(np.array([[1.0, 1.0]]),
+                                      np.array([-1.0]))
+    assert isinstance(verts, np.ndarray) and verts.shape == (0, 2)
+
+
+def test_enumeration_over_basis_budget_raises(monkeypatch):
+    # C(3, 1) = 3 column subsets against a budget of 2
+    monkeypatch.setattr(lp, "MAX_BASES", 2)
+    with pytest.raises(EnumerationTooLarge):
+        enumerate_basic_solutions(np.array([[1.0, 1.0, 1.0]]),
+                                  np.array([1.0]))
+
+
+def test_standardized_starting_basis_is_identity():
+    # slacks enter the basis only on rows that were not sign-flipped and
+    # artificials are appended after the flip, so the simplex starts from
+    # unit columns with no pivoting
+    rng = np.random.default_rng(79)
+    for _ in range(40):
+        m = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 8))
+        p = LPProblem(c=rng.standard_normal(n),
+                      A=rng.standard_normal((m, n)),
+                      b=rng.standard_normal(m),
+                      senses=list(rng.choice(["=", "<="], m)),
+                      free=rng.random(n) < 0.3)
+        std = _Standardized(p)
+        assert np.array_equal(std.A[:, std.basis], np.eye(m))
 
 
 def test_certification_under_row_scaling():
