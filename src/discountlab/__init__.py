@@ -19,8 +19,8 @@ from .limits import (MatherSet, SweepResult, convergence_report,
                      selection_solve, shift_costs)
 from .lp import LPProblem, LPSolution, lp_solve
 from .measures import (MeasureVector, assemble_closed_constraints,
-                       duality_audit, green_poisson, occupation_from_policy,
-                       subsolution_lp, support_audit)
+                       duality_audit, field_duality_audit, green_poisson,
+                       occupation_from_policy, subsolution_lp, support_audit)
 from .model import (CoercivityProfile, HamiltonianModel, LagrangianTable,
                     StructureReport, check_convex, check_coupling_domain,
                     check_erg_condition, check_monotone,

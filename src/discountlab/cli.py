@@ -33,7 +33,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, wraps
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +220,25 @@ def _build_system(spec: ExperimentSpec):
     return system_from_json(path.read_text()), None
 
 
+def _stage(method):
+    """A cached ``_Run`` stage that records its wall time in ``stages``
+    once, less the time of the stages it triggered (those record their
+    own)."""
+    name = method.__name__
+
+    @wraps(method)
+    def timed(run):
+        outer, run._nested_s = run._nested_s, 0.0
+        started = time.perf_counter()
+        value = method(run)
+        wall = time.perf_counter() - started
+        run.stages.append({"name": name, "wall_s": wall - run._nested_s})
+        run._nested_s = outer + wall
+        return value
+
+    return cached_property(timed)
+
+
 class _Run:
     """One run's system and shared stages, each computed at most once.
 
@@ -227,28 +246,26 @@ class _Run:
     the system, and the sweep, the Mather measures and the selection
     limit are all read off that one normalized system.  Stages that
     produce a table record it in ``tables``; ``run_experiment`` writes
-    whatever was recorded.
+    whatever was recorded, and the stage times go to ``manifest.json``.
     """
 
     def __init__(self, spec: ExperimentSpec, sys_, mdl, out: Path):
         self.spec, self.sys, self.model, self.out = spec, sys_, mdl, out
         self.tables = {}
+        self.stages = []
+        self._nested_s = 0.0
 
-    @cached_property
+    @_stage
     def audits(self):
-        """Per-point three-way duality audits at ``lam``."""
-        spec, sys_ = self.spec, self.sys
-        u, _, _ = solver.policy_iterate(sys_, spec.lam, tol=1e-10)
-        audits = [measures.duality_audit(sys_, spec.lam, z, k,
-                                         solver_value=float(u[k, z]))
-                  for k in range(sys_.m) for z in range(sys_.num_states)]
+        """Three-way duality audits at ``lam`` at every point."""
+        audits = measures.field_duality_audit(self.sys, self.spec.lam)
         self.tables["duality"] = (
             ("mode", "state", "solver", "measure_lp", "subsolution_lp"),
             [(a.k, a.z, a.solver_value, a.measure_value, a.subsolution_value)
              for a in audits])
         return audits
 
-    @cached_property
+    @_stage
     def ergodic(self):
         """(cost-shifted system, ErgodicResult) from one ergodic solve."""
         spec = self.spec
@@ -256,17 +273,17 @@ class _Run:
                                         tol=spec.ergodic_tol,
                                         damping=spec.damping)
 
-    @cached_property
+    @property
     def work(self):
         """The system the limit stages run on."""
         return self.ergodic[0] if self.spec.normalize else self.sys
 
-    @cached_property
+    @_stage
     def mather(self):
         """(Mather measure, minimum) of the Mather LP on ``work``."""
         return limits.mather_lp(self.work)
 
-    @cached_property
+    @_stage
     def sweep(self):
         spec = self.spec
         sweep = limits.discount_sweep(self.work, spec.lambda_start,
@@ -277,6 +294,15 @@ class _Run:
         emit_plotdata(sweep, self.out / "sweep.dat",
                       probe=(spec.probe_mode, spec.probe_state))
         return sweep
+
+    @_stage
+    def selection(self):
+        """(Mather face representatives, selection field) on ``work``."""
+        spec = self.spec
+        mset = limits.mather_face_samples(self.work, spec.face_samples,
+                                          spec.seed, tol=spec.face_tol,
+                                          min_value=self.mather[1])
+        return mset, limits.selection_field(self.work, mset)
 
     def ergodic_constant(self):
         return self.ergodic[1].c.tolist() if self.spec.normalize else None
@@ -347,11 +373,8 @@ def _pipe_mather(run):
 
 
 def _pipe_selection(run):
-    spec, work, sweep = run.spec, run.work, run.sweep
-    mset = limits.mather_face_samples(work, spec.face_samples, spec.seed,
-                                      tol=spec.face_tol,
-                                      min_value=run.mather[1])
-    field = limits.selection_field(work, mset)
+    work, sweep = run.work, run.sweep
+    mset, field = run.selection
     report = limits.convergence_report(work, sweep, field, mset)
     sections = {"mather": {"min_value": mset.min_value,
                            "exhaustive": mset.exhaustive,
@@ -444,6 +467,7 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
                              "python": sys.version.split()[0]},
                 "seed": spec.seed,
                 "threads": _THREADS,
+                "stages": run.stages,
                 "wall_time_s": time.perf_counter() - started,
                 "determinism_sha256": hashlib.sha256(result_bytes).hexdigest()}
     (out / "manifest.json").write_text(dumps_precise(manifest) + "\n")

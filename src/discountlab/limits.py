@@ -15,9 +15,11 @@ objectives and, on tiny instances, enumerated exactly from bases.
 
 The selection principle characterizes the limit field pointwise as the
 largest subsolution value at (z, k) among fields that pair
-nonpositively with every Mather representative.  ``selection_field``
-assembles that pointwise maximum by one LP per grid point, which the
-sweep limit must reproduce.
+nonpositively with every Mather representative.  That set of fields has
+a greatest element, the limit itself, so ``selection_field`` finds the
+whole field from one LP that maximizes the sum of its entries;
+``selection_solve`` keeps the one-LP-per-point maximum as its oracle.
+The sweep limit must reproduce the field.
 """
 
 from __future__ import annotations
@@ -300,23 +302,28 @@ def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
 # selection principle
 # ---------------------------------------------------------------------------
 
+def _mather_rows(mset: MatherSet):
+    if not mset.representatives:
+        raise BadValue("selection requires at least one Mather representative")
+    return [(nu, 0.0) for nu in mset.representatives]
+
+
 def selection_solve(sys: DiscreteSystem, mset: MatherSet, z: int, k: int):
     """Largest subsolution value at (z, k) among fields pairing <= 0 with
     every Mather representative.  Unbounded when the rows fail to pin the
-    additive freedom (raised with the ray attached)."""
-    if not mset.representatives:
-        raise BadValue("selection requires at least one Mather representative")
-    rows = [(nu, 0.0) for nu in mset.representatives]
-    return subsolution_lp(sys, 0.0, z, k, extra_rows=rows)
+    additive freedom (raised with the ray attached).  One LP per point:
+    the oracle for ``selection_field``."""
+    return subsolution_lp(sys, 0.0, z, k, extra_rows=_mather_rows(mset))
 
 
 def selection_field(sys: DiscreteSystem, mset: MatherSet) -> ValueField:
-    """Pointwise selection values, one LP per (mode, state)."""
-    out = np.empty((sys.m, sys.num_states))
-    for k in range(sys.m):
-        for z in range(sys.num_states):
-            _, out[k, z] = selection_solve(sys, mset, z, k)
-    return out
+    """The selection limit from one LP: the greatest field among the
+    subsolutions pairing <= 0 with every Mather representative, found by
+    maximizing the sum of its entries.  By the selection theorem that set
+    has a greatest element, so each entry equals ``selection_solve`` at
+    its point.  Raises ``UnboundedLP`` like ``selection_solve``."""
+    field, _ = subsolution_lp(sys, 0.0, extra_rows=_mather_rows(mset))
+    return field
 
 
 @dataclass

@@ -12,6 +12,13 @@ the final point is re-solved from the final basis, and the primal
 feasibility and complementary slackness residuals are checked against
 fixed bounds before the solution is handed back.
 
+Every Optimal solution also hands back its final basis, and ``lp_solve``
+accepts one as a start.  An optimal basis stays dual feasible whatever
+the right-hand side, so a problem that differs only in ``b`` starts
+phase 2 from it and is optimal after 0 pivots whenever the basis is
+primal feasible for the new ``b``.  A basis that is singular or primal
+infeasible for the problem takes the cold two-phase path instead.
+
 Problems here are desk scale (a few hundred rows and columns), where a
 dense tableau is simpler and faster than anything clever, and exact
 vertex answers feed the basis enumeration used as an independent oracle.
@@ -31,6 +38,7 @@ from .errors import EnumerationTooLarge, NumericalBreakdown
 FEAS_TOL = 1e-9
 CS_TOL = 1e-8
 PIVOT_TOL = 1e-12
+DRIFT_PIVOT_REL = 1e-12     # pivot / column max below this: re-checked
 OPT_TOL = 1e-9
 REFACTOR_EVERY = 150
 MAX_BASES = 3_000_000       # most column subsets one enumeration solves
@@ -80,26 +88,39 @@ class LPSolution:
     feasibility_residual: float = math.nan
     slackness_residual: float = math.nan
     ray: Optional[np.ndarray] = None
+    # Final basis of an Optimal solution: the standard-form column basic
+    # in each constraint row, -1 on a row dropped as redundant.
+    basis: Optional[np.ndarray] = None
 
 
-def lp_solve(problem: LPProblem, max_iterations: Optional[int] = None) -> LPSolution:
-    """Two-phase dense primal simplex with certified returns."""
+def lp_solve(problem: LPProblem, basis: Optional[np.ndarray] = None,
+             max_iterations: Optional[int] = None) -> LPSolution:
+    """Two-phase dense primal simplex with certified returns.
+
+    ``basis`` is the ``LPSolution.basis`` of a problem with the same
+    constraint matrix, senses and costs.  Phase 2 then starts from it,
+    skipping phase 1; when it is singular or not primal feasible for this
+    ``b``, the cold two-phase path runs instead.  ``None`` is the cold
+    path.
+    """
     std = _Standardized(problem)
     m, n = std.A.shape
     budget = max_iterations or (200 * (m + n) + 20000)
     bland_after = 2 * (m + n)
-    state = _Tableau(std.A, std.b, std.basis, bland_after)
+    state = None if basis is None else _warm_tableau(std, basis, bland_after)
 
     iterations = 0
-    if std.needs_phase1:
-        cost1 = np.zeros(std.A.shape[1])
-        cost1[std.artificial] = 1.0
-        status, iterations = state.run(cost1, budget)
-        if status == UNBOUNDED:
-            raise NumericalBreakdown("phase 1 reported unbounded")
-        if state.objective(cost1) > FEAS_TOL:
-            return LPSolution(INFEASIBLE, None, math.nan, None, iterations)
-        state.purge_artificials(std.artificial)
+    if state is None:
+        state = _Tableau(std.A, std.b, std.basis, bland_after)
+        if std.needs_phase1:
+            cost1 = np.zeros(std.A.shape[1])
+            cost1[std.artificial] = 1.0
+            status, iterations = state.run(cost1, budget)
+            if status == UNBOUNDED:
+                raise NumericalBreakdown("phase 1 reported unbounded")
+            if state.objective(cost1) > FEAS_TOL:
+                return LPSolution(INFEASIBLE, None, math.nan, None, iterations)
+            state.purge_artificials(std.artificial)
 
     status, it2 = state.run(std.c, budget, start_iter=iterations)
     iterations = it2
@@ -116,8 +137,35 @@ def lp_solve(problem: LPProblem, max_iterations: Optional[int] = None) -> LPSolu
         raise NumericalBreakdown(
             f"certification failed: feasibility {feas:.3e}, slackness {cs:.3e}")
     obj = float(problem.c @ x)
+    final = np.full(len(std.b), -1)
+    final[state.kept_rows] = state.basis
     return LPSolution(OPTIMAL, x, obj, dual, iterations,
-                      feasibility_residual=feas, slackness_residual=cs)
+                      feasibility_residual=feas, slackness_residual=cs,
+                      basis=final)
+
+
+def _warm_tableau(std: "_Standardized", basis, bland_after):
+    """Phase-2 tableau refactorized on a handed-back basis, or ``None``
+    when that basis is singular or primal infeasible for ``std.b``,
+    including on a row it drops as redundant."""
+    basis = np.asarray(basis)
+    rows, cols = std.A.shape
+    real = cols - int(std.artificial.sum())     # artificials come last
+    if basis.shape != (rows,) or not np.issubdtype(basis.dtype, np.integer) \
+            or np.any(basis < -1) or np.any(basis >= real):
+        raise ValueError("basis does not fit this problem's standard form")
+    kept = np.nonzero(basis >= 0)[0]
+    state = _Tableau(std.A, std.b, np.maximum(basis, 0), bland_after)
+    state.restrict(kept, std.artificial)
+    try:
+        state.refactor()
+    except NumericalBreakdown:
+        return None
+    dropped = np.nonzero(basis < 0)[0]
+    residual = std.A[np.ix_(dropped, state.basis)] @ state.rhs - std.b[dropped]
+    if float(np.max(np.abs(residual), initial=0.0)) > FEAS_TOL:
+        return None
+    return state
 
 
 class _Standardized:
@@ -274,6 +322,13 @@ class _Tableau:
                 leave = int(ties[np.argmin(self.basis[ties])])
             else:
                 leave = int(ties[np.argmax(col[ties])])
+            if col[leave] < DRIFT_PIVOT_REL * np.max(np.abs(col)) \
+                    and self.pivots_since_refactor:
+                # Pivot drift can lift an entry that is 0 on the current
+                # basis to a tiny positive one; pivoting on it makes the
+                # basis singular.  Recompute the tableau before trusting it.
+                self.refactor()
+                continue
             if col[leave] < PIVOT_TOL:
                 raise NumericalBreakdown("pivot below tolerance under Bland's rule")
             self._pivot(leave, enter)
@@ -301,15 +356,19 @@ class _Tableau:
                 self._pivot(r, best)
             else:
                 drop.append(r)
-        if drop:
-            keep = np.setdiff1d(np.arange(len(self.basis)), drop)
-            self.T = self.T[keep]
-            self.rhs = self.rhs[keep]
-            self.basis = self.basis[keep]
-            self.kept_rows = self.kept_rows[keep]
-            self.A0 = self.A0[keep]
-            self.b0 = self.b0[keep]
-        # artificials never price back in
+        keep = np.setdiff1d(np.arange(len(self.basis)), drop) if drop \
+            else slice(None)
+        self.restrict(keep, artificial)
+
+    def restrict(self, keep, artificial):
+        """Keep only the tableau rows ``keep``; artificials never price
+        back in."""
+        self.T = self.T[keep]
+        self.rhs = self.rhs[keep]
+        self.basis = self.basis[keep]
+        self.kept_rows = self.kept_rows[keep]
+        self.A0 = self.A0[keep]
+        self.b0 = self.b0[keep]
         self.T[:, artificial] = 0.0
         self.A0[:, artificial] = 0.0
 

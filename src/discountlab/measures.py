@@ -20,13 +20,35 @@ solver linearizes, the three numbers
     max u_k(z) over subsolution fields,
 
 agree exactly in finite dimensions; ``duality_audit`` checks the
-agreement to fixed tolerances and is the package's central oracle.
+agreement at one point to fixed tolerances and is the package's central
+oracle.
+
+``field_duality_audit`` obtains the three numbers at every point from
+two cold LPs:
+
+- the solver value is read off one policy iteration;
+- the subsolution maximum is read off the greatest subsolution, one LP
+  with objective -sum u.  For lam > 0 the subsolutions have a greatest
+  element (the solution), so every entry of that optimum is the
+  pointwise maximum;
+- the measure minimum is one LP per point seed e_(k,z), each started
+  from the optimal basis of the LP seeded with sum e_(k,z).  That basis
+  is dual feasible for every seed, so each seed's LP is optimal after 0
+  pivots whenever the basis is primal feasible for it, and is certified
+  exactly as a cold solve would be.
+
+Each point's check is still a certificate.  For a closed measure mu
+seeded at (k, z) and a subsolution u, pairing mu against the relations
+A u <= L gives u_k(z) = <A^T mu, u> = <mu, A u> <= <mu, L> (weak
+duality).  So the measure value bounds the field's entry from above,
+and a spread within the tolerance proves the identity at that point
+just as the per-point LPs do.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -166,12 +188,18 @@ def assemble_closed_constraints(sys: DiscreteSystem, lam: float,
     return LPProblem(c=np.zeros(ncols), A=M, b=b, senses=senses)
 
 
-def _measure_lp(sys: DiscreteSystem, lam: float, z: int, k: int):
+def _measure_problem(sys: DiscreteSystem, lam: float, z: int,
+                     k: int) -> LPProblem:
     if lam <= 0.0:
         raise BadValue("green_poisson requires lam > 0")
     problem = assemble_closed_constraints(sys, lam, z, k)
     problem.c = sys.cost_flat()
-    sol = lp_solve(problem)
+    return problem
+
+
+def _measure_lp(sys: DiscreteSystem, lam: float, problem: LPProblem,
+                basis=None):
+    sol = lp_solve(problem, basis=basis)
     if sol.status != OPTIMAL:
         raise SingularSystem(f"measure LP returned {sol.status}")
     mu = MeasureVector.from_flat(sys, np.maximum(sol.x, 0.0), lam)
@@ -186,7 +214,7 @@ def green_poisson(sys: DiscreteSystem, lam: float, z: int, k: int):
     system (point-mass seeds always generate a feasible occupation), so
     a non-Optimal status signals corrupted data.
     """
-    mu, sol = _measure_lp(sys, lam, z, k)
+    mu, sol = _measure_lp(sys, lam, _measure_problem(sys, lam, z, k))
     return mu, sol.objective_value
 
 
@@ -221,15 +249,23 @@ def occupation_from_policy(sys: DiscreteSystem, lam: float, policy: Policy,
 # subsolution LP (the dual side)
 # ---------------------------------------------------------------------------
 
-def subsolution_lp(sys: DiscreteSystem, lam: float, z: int, k: int,
+def subsolution_lp(sys: DiscreteSystem, lam: float,
+                   z: Optional[int] = None, k: Optional[int] = None,
                    extra_rows: Optional[Sequence] = None):
     """max u_k(z) over fields satisfying every per-control relation <= cost.
+
+    With no point given the objective is sum u over every (k, z), and the
+    optimum is the greatest field of the set, whenever the set has one:
+    a field below it somewhere has a smaller sum.  Returns (field, value),
+    the value being u_k(z) or the sum.
 
     ``extra_rows`` is a list of (measure, bound) pairs adding
     <measure, u> <= bound.  Unboundedness (possible at lam = 0 when
     nothing pins the additive freedom) raises ``UnboundedLP`` with the
     improving ray attached.
     """
+    if (z is None) != (k is None):
+        raise BadValue("give both z and k, or neither")
     A = linearized_matrix(sys, lam)
     b = sys.cost_flat()
     senses = ["<="] * A.shape[0]
@@ -240,8 +276,11 @@ def subsolution_lp(sys: DiscreteSystem, lam: float, z: int, k: int,
         rhs.append(np.array([bound]))
         senses.append("<=")
     nfields = sys.m * sys.num_states
-    c = np.zeros(nfields)
-    c[k * sys.num_states + z] = -1.0
+    if z is None:
+        c = -np.ones(nfields)
+    else:
+        c = np.zeros(nfields)
+        c[k * sys.num_states + z] = -1.0
     problem = LPProblem(c=c, A=np.vstack(rows), b=np.concatenate(rhs),
                         senses=senses, free=np.ones(nfields, dtype=bool))
     sol = lp_solve(problem)
@@ -282,25 +321,61 @@ class DualityReport:
             "passed": self.passed})
 
 
-def duality_audit(sys: DiscreteSystem, lam: float, z: int, k: int,
-                  solver_value: Optional[float] = None,
-                  tol: float = DUALITY_TOL) -> DualityReport:
-    """Three-way agreement: solver value, measure-LP min, subsolution max."""
-    if lam <= 0.0:
-        raise BadValue("duality audit requires lam > 0")
-    if solver_value is None:
-        u, _, _ = policy_iterate(sys, lam, tol=1e-10)
-        solver_value = float(u[k, z])
-    mu, sol = _measure_lp(sys, lam, z, k)
-    measure_value = sol.objective_value
-    _, sub_value = subsolution_lp(sys, lam, z, k)
+def _duality_report(z, k, lam, solver_value, measure_sol, sub_value, tol):
+    measure_value = measure_sol.objective_value
     passed = (abs(solver_value - measure_value) <= tol
               and abs(solver_value - sub_value) <= tol)
     return DualityReport(z=z, k=k, lam=lam, solver_value=solver_value,
                          measure_value=measure_value,
                          subsolution_value=sub_value,
-                         slackness_residual=sol.slackness_residual,
+                         slackness_residual=measure_sol.slackness_residual,
                          passed=passed)
+
+
+def duality_audit(sys: DiscreteSystem, lam: float, z: int, k: int,
+                  solver_value: Optional[float] = None,
+                  tol: float = DUALITY_TOL) -> DualityReport:
+    """Three-way agreement: solver value, measure-LP min, subsolution max.
+
+    One point, two cold LPs of its own: the oracle for
+    ``field_duality_audit``.
+    """
+    if lam <= 0.0:
+        raise BadValue("duality audit requires lam > 0")
+    if solver_value is None:
+        u, _, _ = policy_iterate(sys, lam, tol=1e-10)
+        solver_value = float(u[k, z])
+    _, sol = _measure_lp(sys, lam, _measure_problem(sys, lam, z, k))
+    _, sub_value = subsolution_lp(sys, lam, z, k)
+    return _duality_report(z, k, lam, solver_value, sol, sub_value, tol)
+
+
+def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
+    """``duality_audit`` at every (z, k), mode-major, from two cold LPs.
+
+    The subsolution side is one LP for the greatest subsolution.  The
+    measure side is one LP seeded with the sum of all point masses; its
+    optimal basis then certifies each point's own measure LP through
+    ``lp_solve(..., basis=...)``, which falls back to a cold solve for a
+    seed the basis does not fit.
+    """
+    if lam <= 0.0:
+        raise BadValue("duality audit requires lam > 0")
+    problem = _measure_problem(sys, lam, 0, 0)
+    u, _, _ = policy_iterate(sys, lam, tol=1e-10)
+    sub, _ = subsolution_lp(sys, lam)
+    summed = lp_solve(replace(problem, b=np.ones_like(problem.b)))
+    if summed.status != OPTIMAL:
+        raise SingularSystem(f"summed-seed measure LP returned "
+                             f"{summed.status}")
+    points = [(z, k) for k in range(sys.m) for z in range(sys.num_states)]
+    reports = []
+    for (z, k), seed in zip(points, np.eye(len(problem.b))):
+        _, sol = _measure_lp(sys, lam, replace(problem, b=seed),
+                             basis=summed.basis)
+        reports.append(_duality_report(z, k, lam, float(u[k, z]), sol,
+                                       float(sub[k, z]), DUALITY_TOL))
+    return reports
 
 
 @dataclass

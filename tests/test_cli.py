@@ -118,7 +118,7 @@ def _count_calls(monkeypatch, func):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return func(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -137,6 +137,37 @@ def test_full_computes_each_stage_once(tmp_path, monkeypatch):
     assert len(ergodic) == 1
     assert len(sweeps) == 1
     assert len(mather) == 1
+
+
+def test_duality_solves_one_lp_per_field(tmp_path, monkeypatch):
+    subsolution = _count_calls(monkeypatch, dl.measures.subsolution_lp)
+    lps = _count_calls(monkeypatch, dl.lp.lp_solve)
+    spec = ExperimentSpec(instance="quadratic-plc", pipeline="duality",
+                          grid_points=8, output_dir=str(tmp_path))
+    assert run_experiment(spec).status == 0
+    warm = [kwargs for _, kwargs in lps if kwargs.get("basis") is not None]
+    assert len(subsolution) == 1
+    assert len(lps) - len(warm) == 2
+    assert len(warm) == 2 * 8          # one per point: m * S
+
+
+_STAGES = {"structure": [], "solve": [], "duality": ["audits"],
+           "sweep": ["ergodic", "sweep"], "ergodic": ["ergodic"],
+           "mather": ["ergodic", "sweep", "mather"],
+           "selection": ["ergodic", "sweep", "mather", "selection"],
+           "full": ["audits", "ergodic", "sweep", "mather", "selection"]}
+
+
+def test_manifest_times_each_stage_once(tmp_path):
+    for pipeline in PIPELINES:
+        out = tmp_path / pipeline
+        assert run_experiment(_small_spec(pipeline, out)).status == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = [stage["name"] for stage in manifest["stages"]]
+        assert sorted(names) == sorted(_STAGES[pipeline]), pipeline
+        walls = [stage["wall_s"] for stage in manifest["stages"]]
+        assert all(0.0 <= w for w in walls)
+        assert sum(walls) <= manifest["wall_time_s"]
 
 
 def test_full_sections_match_single_pipelines(tmp_path):
@@ -327,6 +358,14 @@ def test_out_of_range_probe_is_a_usage_error(tmp_path, probe):
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["error"]["type"] == "BadValue"
     assert "probe" in doc["error"]["message"]
+
+
+def test_mather_probe_in_second_mode(tmp_path):
+    # the measure LP at the last rung used to break down at this probe
+    spec = ExperimentSpec(instance="quadratic-plc", pipeline="mather",
+                          probe_mode=1, output_dir=str(tmp_path))
+    report = run_experiment(spec)
+    assert report.status == 0 and report.passed, report.error
 
 
 def test_selection_and_mather_pipelines(tmp_path):

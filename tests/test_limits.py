@@ -189,10 +189,19 @@ def test_face_representatives_exactly_closed(eikonal32_normalized):
         assert abs(float(u @ (M @ nu.flat()))) <= 1e-7
 
 
+def _assert_field_matches_per_point(sys_, mset, field):
+    """The one-LP selection field against the one-LP-per-point oracle."""
+    for k in range(sys_.m):
+        for z in range(sys_.num_states):
+            _, value = dl.selection_solve(sys_, mset, z, k)
+            assert abs(field[k, z] - value) <= 1e-12, (k, z)
+
+
 def test_selection_constant_coupling_shifted(instance_a_shifted):
     mset = dl.mather_face_samples(instance_a_shifted, 6, seed=6)
     sweep = dl.discount_sweep(instance_a_shifted, 0.5, 0.5, 16, tol=1e-12)
     field = dl.selection_field(instance_a_shifted, mset)
+    _assert_field_matches_per_point(instance_a_shifted, mset, field)
     assert np.max(np.abs(field)) <= 1e-9
     rep = dl.convergence_report(instance_a_shifted, sweep, field, mset)
     assert rep.passed
@@ -215,6 +224,11 @@ def test_selection_unbounded_when_rows_do_not_pin(eikonal32_normalized):
     with pytest.raises(UnboundedLP):
         dl.selection_solve(eikonal32_normalized,
                            MatherSet([zero], 0.0), 0, 0)
+    with pytest.raises(UnboundedLP) as info:
+        dl.selection_field(eikonal32_normalized, MatherSet([zero], 0.0))
+    ray = info.value.ray
+    assert ray is not None
+    assert np.allclose(ray / np.max(np.abs(ray)), 1.0, atol=1e-9)
 
 
 def test_selection_monotone_in_rows(eikonal32_normalized):
@@ -231,6 +245,7 @@ def test_selection_matches_sweep_eikonal(eikonal32_normalized):
     sweep = dl.discount_sweep(eikonal32_normalized, 0.5, 0.5, 18, tol=1e-10)
     mset = dl.mather_face_samples(eikonal32_normalized, 12, seed=8)
     field = dl.selection_field(eikonal32_normalized, mset)
+    _assert_field_matches_per_point(eikonal32_normalized, mset, field)
     rep = dl.convergence_report(eikonal32_normalized, sweep, field, mset)
     assert rep.passed
     assert rep.limit_vs_selection_gap <= 1e-5
@@ -241,9 +256,17 @@ def test_selection_matches_sweep_quadratic(instance_b_normalized):
     sweep = dl.discount_sweep(instance_b_normalized, 0.5, 0.5, 18, tol=1e-10)
     mset = dl.mather_face_samples(instance_b_normalized, 12, seed=9)
     field = dl.selection_field(instance_b_normalized, mset)
+    _assert_field_matches_per_point(instance_b_normalized, mset, field)
     rep = dl.convergence_report(instance_b_normalized, sweep, field, mset)
     assert rep.passed
     assert rep.limit_vs_selection_gap <= 1e-5
+
+
+def test_selection_field_matches_per_point_linear_b(instance_linear_b):
+    normalized, _ = ergodic_normalize(instance_linear_b, lam=0.05, tol=1e-12)
+    mset = dl.mather_face_samples(normalized, 12, seed=13)
+    field = dl.selection_field(normalized, mset)
+    _assert_field_matches_per_point(normalized, mset, field)
 
 
 def test_convergence_report_json_keys(instance_a_shifted):

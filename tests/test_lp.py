@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,100 @@ def test_mixed_senses_and_free_vars_against_enumeration():
         c_std = np.concatenate([c, np.zeros(m - 1)])
         val, _ = enumeration_minimum(A_std, b, c_std)
         assert abs(sol.objective_value - val) <= 1e-9
+
+
+ZOO = ("constant-coupling", "linear-B", "quadratic-plc", "eikonal-f")
+
+
+def _measure_problems(name):
+    """The lam = 0.5 measure LP of a zoo instance: one problem per point
+    seed, and one seeded with the sum of all point masses."""
+    import discountlab as dl
+    sys_ = dl.standard_system(name)
+    base = dl.assemble_closed_constraints(sys_, 0.5, 0, 0)
+    base.c = sys_.cost_flat()
+    seeds = [replace(base, b=e) for e in np.eye(len(base.b))]
+    return seeds, replace(base, b=np.ones_like(base.b))
+
+
+def _assert_certified(sol):
+    assert sol.status == OPTIMAL
+    assert sol.feasibility_residual <= lp.FEAS_TOL
+    assert sol.slackness_residual <= lp.CS_TOL
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_warm_and_cold_certify_the_same_optimum(name):
+    seeds, summed = _measure_problems(name)
+    basis = lp_solve(summed).basis
+    for problem in seeds:
+        cold = lp_solve(problem)
+        warm = lp_solve(problem, basis=basis)
+        _assert_certified(cold)
+        _assert_certified(warm)
+        assert warm.iterations == 0
+        assert abs(warm.objective_value - cold.objective_value) <= 1e-12
+        # restarting from its own optimal basis is a 0-pivot round trip
+        again = lp_solve(problem, basis=cold.basis)
+        assert again.iterations == 0
+        assert np.array_equal(again.basis, cold.basis)
+
+
+def _random_lp(rng, m=4, n=9):
+    A = rng.standard_normal((m, n))
+    return LPProblem(c=rng.uniform(0.05, 1.0, n), A=A,
+                     b=A @ rng.uniform(0.1, 1.0, n), senses=["="] * m)
+
+
+def test_warm_start_falls_back_to_the_cold_path():
+    # an optimal basis of one right-hand side that is primal infeasible
+    # for another, and a singular one: both solve cold and certify
+    rng = np.random.default_rng(80)
+    checked = 0
+    while checked < 5:
+        first = _random_lp(rng)
+        basis = lp_solve(first).basis
+        second = replace(first, b=first.A @ rng.uniform(0.1, 1.0, 9))
+        if np.min(np.linalg.solve(first.A[:, basis], second.b)) >= -1e-3:
+            continue            # the basis still fits: no fallback to see
+        checked += 1
+        for start in (basis, np.full_like(basis, basis[0])):
+            warm, cold = lp_solve(second, basis=start), lp_solve(second)
+            _assert_certified(warm)
+            assert warm.iterations == cold.iterations > 0
+            assert np.array_equal(warm.x, cold.x)
+            assert np.array_equal(warm.basis, cold.basis)
+
+
+def test_basis_must_fit_the_standard_form():
+    problem = LPProblem(c=[1.0, 1.0], A=[[1.0, 2.0]], b=[2.0], senses=["="])
+    for bad in (np.array([0, 1]), np.array([5]), np.array([0.0])):
+        with pytest.raises(ValueError):
+            lp_solve(problem, basis=bad)
+
+
+def test_cold_path_keeps_its_pivot_counts():
+    # measured before the warm start and the drift re-check were added
+    counts = {"constant-coupling": (8, 8), "linear-B": (26, 26),
+              "quadratic-plc": (65, 62), "eikonal-f": (50, 50)}
+    for name, (seeded, summed) in counts.items():
+        seeds, total = _measure_problems(name)
+        assert lp_solve(seeds[0]).iterations == seeded, name
+        assert lp_solve(total).iterations == summed, name
+
+
+def test_warm_start_checks_the_rows_its_basis_dropped():
+    # a duplicated row is dropped as redundant; a right-hand side that is
+    # inconsistent on it must come back infeasible, as it does cold
+    first = LPProblem(c=[1.0, 2.0], A=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 1.0],
+                      senses=["=", "="])
+    basis = lp_solve(first).basis
+    assert -1 in basis
+    second = replace(first, b=[1.0, 2.0])
+    assert lp_solve(second).status == INFEASIBLE
+    assert lp_solve(second, basis=basis).status == INFEASIBLE
+    consistent = replace(first, b=[2.0, 2.0])
+    warm = lp_solve(consistent, basis=basis)
+    _assert_certified(warm)
+    assert warm.iterations == 0
+    assert warm.objective_value == lp_solve(consistent).objective_value

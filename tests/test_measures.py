@@ -241,3 +241,33 @@ def test_pair_field_matches_coefficients(instance_b, rng):
     direct = mu.pair_field(u)
     via_coeffs = float(mu.field_coefficients(instance_b) @ u.reshape(-1))
     assert abs(direct - via_coeffs) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["constant-coupling", "linear-B",
+                                  "quadratic-plc", "eikonal-f"])
+def test_field_duality_audit_matches_per_point_oracle(name):
+    sys_ = dl.standard_system(name)
+    reports = dl.field_duality_audit(sys_, 0.5)
+    points = [(z, k) for k in range(sys_.m) for z in range(sys_.num_states)]
+    assert [(r.z, r.k) for r in reports] == points
+    for rep in reports:
+        oracle = dl.duality_audit(sys_, 0.5, rep.z, rep.k)
+        assert rep.passed == oracle.passed
+        assert rep.solver_value == oracle.solver_value
+        assert abs(rep.measure_value - oracle.measure_value) <= 1e-12
+        assert abs(rep.subsolution_value - oracle.subsolution_value) <= 1e-12
+
+
+def test_field_duality_audit_rejects_zero_lambda(instance_a):
+    with pytest.raises(BadValue):
+        dl.field_duality_audit(instance_a, 0.0)
+
+
+def test_green_poisson_survives_pivot_drift(instance_b_normalized):
+    # at this lam a degenerate pivot used to land on an entry that is 0 on
+    # the current basis but read 5.7e-9 after drift, making the basis
+    # singular at the next refactorization
+    lam = 0.5 * 2.0 ** -17
+    u, _, _ = dl.policy_iterate(instance_b_normalized, lam, tol=1e-10)
+    _, value = dl.green_poisson(instance_b_normalized, lam, 0, 1)
+    assert abs(value - u[1, 0]) <= 1e-9
