@@ -33,7 +33,7 @@ for lam, field, gap in zip(sweep.lambdas, sweep.fields,
 print(f"uniform bound {sweep.uniform_bound:.4f}, "
       f"divergent = {sweep.divergent}")
 
-nu, min_value = dl.mather_lp(normalized)
+nu, min_value, _ = dl.mather_lp(normalized)
 print(f"\nMather LP minimum {min_value:.2e} (zero on a normalized instance)")
 
 scaled = dl.mather_from_sweep(normalized, sweep, 0, 0)

@@ -4,10 +4,10 @@ At lambda = 0 the system typically has a continuum of solutions (any
 additive shift of a weak-KAM field can solve it), yet the discounted
 family converges to exactly one of them.  The selection principle
 characterizes that limit pointwise: the largest subsolution value
-subject to pairing nonpositively with every Mather measure.  On a tiny
-instance the Mather face is enumerated exactly from LP bases, and the
-two pipelines (sweep limit versus selection LPs) must agree at every
-grid point.
+subject to pairing nonpositively with every Mather measure.  The Mather
+face is enumerated exactly from LP bases over its support, and the two
+pipelines (sweep limit versus selection LPs) must agree at every grid
+point.
 
 Run:  python demos/04_selection_principle.py
 """
@@ -18,14 +18,14 @@ import discountlab as dl
 
 tiny = dl.standard_system("eikonal-f", N=4)
 tiny, erg = dl.ergodic_normalize(tiny, lam=0.01, tol=1e-12)
-print(f"tiny instance: {tiny.total_vars} measure variables "
-      f"(exhaustive enumeration territory), costs "
+print(f"tiny instance: {tiny.total_vars} measure variables, costs "
       f"{np.round(tiny.cost[0][:, 1], 6).tolist()} at xi = 0")
 
 mset = dl.mather_face_samples(tiny, 16, seed=0)
 print(f"\nMather face: min value {mset.min_value:.2e}, "
       f"{len(mset.representatives)} vertices (exhaustive = {mset.exhaustive}, "
-      f"sampling found all = {mset.sampling_found_all})")
+      f"sampling found all = {mset.sampling_found_all}, support "
+      f"{mset.support_columns[0]} of {mset.support_columns[1]} columns)")
 for nu in mset.representatives:
     atoms = [(int(x), int(a), round(float(w), 6))
              for x, a in zip(*np.nonzero(nu.weights[0]))

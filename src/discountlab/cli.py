@@ -280,7 +280,7 @@ class _Run:
 
     @_stage
     def mather(self):
-        """(Mather measure, minimum) of the Mather LP on ``work``."""
+        """(Mather measure, minimum, dual) of the Mather LP on ``work``."""
         return limits.mather_lp(self.work)
 
     @_stage
@@ -301,7 +301,7 @@ class _Run:
         spec = self.spec
         mset = limits.mather_face_samples(self.work, spec.face_samples,
                                           spec.seed, tol=spec.face_tol,
-                                          min_value=self.mather[1])
+                                          mather=self.mather)
         return mset, limits.selection_field(self.work, mset)
 
     def ergodic_constant(self):
@@ -356,7 +356,7 @@ def _pipe_sweep(run):
 
 def _pipe_mather(run):
     spec, work, sweep = run.spec, run.work, run.sweep
-    _, min_value = run.mather
+    min_value = run.mather[1]
     scaled = limits.mather_from_sweep(work, sweep, spec.probe_state,
                                       spec.probe_mode)
     resid = limits.closedness_residual(work, scaled)
@@ -378,6 +378,8 @@ def _pipe_selection(run):
     report = limits.convergence_report(work, sweep, field, mset)
     sections = {"mather": {"min_value": mset.min_value,
                            "exhaustive": mset.exhaustive,
+                           "sampling_found_all": mset.sampling_found_all,
+                           "support_columns": mset.support_columns,
                            "representatives": len(mset.representatives)},
                 "report": json.loads(report.to_json())}
     return sections, report.passed

@@ -11,7 +11,12 @@ to minimizers of <nu, L> over the lam = 0 closed measures (the Mather
 measures; the zero measure is always feasible, so the minimum is <= 0
 and equals 0 exactly on normalized instances).  The optimal face is a
 polytope; its vertices are approximated by re-minimizing random linear
-objectives and, on tiny instances, enumerated exactly from bases.
+objectives and enumerated exactly from bases over the face's support.
+Mather measures live where the critical subsolution is tight, so most
+weight columns are 0 on the whole face and are pruned first: those with
+a positive reduced cost under the Mather LP's dual (complementary
+slackness), then those whose maximum over the face is 0 (one LP per
+remaining column, each warm-started from the previous one's basis).
 
 The selection principle characterizes the limit field pointwise as the
 largest subsolution value at (z, k) among fields that pair
@@ -32,7 +37,8 @@ import numpy as np
 
 from .discretize import (ControlSet, DiscreteSystem, ModeControls, ValueField,
                          linearized_matrix)
-from .errors import BadValue, DivergentSweep, EnumerationTooLarge
+from .errors import (BadValue, DivergentSweep, EnumerationTooLarge,
+                     InfeasibleLP)
 from .lp import (OPTIMAL, LPProblem, enumerate_basic_solutions, lp_solve)
 from .measures import MeasureVector, assemble_closed_constraints, \
     green_poisson, subsolution_lp, validate_lam0_rows
@@ -40,7 +46,7 @@ from .solver import ergodic_solve, policy_iterate
 
 DIVERGENCE_BOUND = 1e6
 FACE_DEDUP_TOL = 1e-7
-ORACLE_VAR_LIMIT = 30
+SUPPORT_TOL = 1e-9         # reduced cost or face weight above this: > 0
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +178,8 @@ def mather_lp(sys: DiscreteSystem):
 
     Always feasible (nu = 0), so the minimum is <= 0; it is >= 0 exactly
     when the system is normalized (a zero-constant ergodic certificate
-    exists).
+    exists).  Returns (nu, minimum, dual), ``dual`` holding one entry per
+    row of ``assemble_closed_constraints(sys, 0.0)``.
     """
     problem = assemble_closed_constraints(sys, 0.0)
     problem.c = sys.cost_flat()
@@ -181,7 +188,7 @@ def mather_lp(sys: DiscreteSystem):
         raise BadValue(f"Mather LP returned {sol.status}")
     nu = MeasureVector.from_flat(sys, np.maximum(sol.x, 0.0), 0.0)
     nu.validate(sys)
-    return nu, sol.objective_value
+    return nu, sol.objective_value, sol.dual
 
 
 @dataclass
@@ -190,6 +197,8 @@ class MatherSet:
     min_value: float
     exhaustive: bool = False
     sampling_found_all: Optional[bool] = None
+    # (kept, total) weight columns of the exact face after pruning
+    support_columns: Optional[tuple] = None
 
 
 def _dedup(rows):
@@ -230,32 +239,77 @@ def _polish_face_point(A_face, b_face, senses, c, raw):
     return flat
 
 
+def exact_face(sys: DiscreteSystem, min_value: float):
+    """The optimal face of the Mather LP as (A, b) of {x >= 0 : A x = b}:
+    the lam = 0 closedness rows, the mass row with a slack (the last
+    column) and the value row <nu, L> = ``min_value`` (the last row)."""
+    base = assemble_closed_constraints(sys, 0.0)
+    A = np.vstack([base.A, sys.cost_flat()[None, :]])
+    slack = np.zeros((len(A), 1))
+    slack[-2] = 1.0
+    return np.hstack([A, slack]), np.concatenate([base.b, [min_value]])
+
+
+def face_support(A_exact, b_exact, dual):
+    """Weight columns of the exact face that are positive at some point
+    of it, in increasing order; every other column is 0 on the whole
+    face.
+
+    ``dual`` is an optimal dual of the Mather LP.  A column whose reduced
+    cost under it is positive is 0 at every optimum (complementary
+    slackness) and is dropped unsolved.  Every other column j is kept
+    when it is positive in an earlier LP optimum, and otherwise when
+    max x_j over the face is positive.  Those LPs differ only in their
+    costs, so each one starts from the basis the previous one handed back.
+    """
+    rows, cols = A_exact.shape
+    weights = cols - 1                                  # the slack is last
+    reduced = A_exact[-1, :weights] - A_exact[:-1, :weights].T @ dual
+    candidates = np.nonzero(reduced <= SUPPORT_TOL)[0]
+    positive = np.zeros(weights, dtype=bool)
+    basis = None
+    for j in candidates:
+        if positive[j]:
+            continue
+        c = np.zeros(cols)
+        c[j] = -1.0
+        sol = lp_solve(LPProblem(c=c, A=A_exact, b=b_exact,
+                                 senses=["="] * rows), basis=basis)
+        if sol.status != OPTIMAL:
+            raise InfeasibleLP(f"face support LP returned {sol.status}")
+        basis = sol.basis
+        positive |= sol.x[:weights] > SUPPORT_TOL
+    return candidates[positive[candidates]]
+
+
 def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
-                        tol: float = 1e-9,
-                        min_value: Optional[float] = None) -> MatherSet:
+                        tol: float = 1e-9, mather=None) -> MatherSet:
     """Representatives of the optimal face of the Mather LP.
 
     Samples ``count`` random linear objectives over the face polytope
     {closed, mass <= 1, <nu, L> <= min + tol}, polishes each sample onto
-    its significant support, and deduplicates in total variation.  On
-    instances with at most ``ORACLE_VAR_LIMIT`` weight variables the face
-    (with the value row at equality) is additionally enumerated exactly
-    from bases; the enumerated vertex set then replaces the samples and
-    the report records whether sampling had found every vertex.  When
-    the face has more bases than the enumeration budget, the samples are
-    kept and the set is not exhaustive.  Samples and
-    vertices stay flat weight rows, checked against the lam = 0 rule one
-    array at a time; only the kept rows become ``MeasureVector``s.
-    ``min_value`` is the Mather LP minimum of ``sys`` when the caller has
-    already solved it; ``None`` solves it here.
+    its significant support, and deduplicates in total variation.  The
+    face (with the value row at equality, ``exact_face``) is then
+    enumerated exactly from bases over its support only: the weight
+    columns ``face_support`` finds positive somewhere on it, by a
+    reduced-cost filter under the Mather LP's dual and one warm-started
+    LP per surviving column.  The pruned columns are 0 on the whole face,
+    so the vertex set is that of the full face.  The enumerated vertex
+    set replaces the samples and the report records whether sampling had
+    found every vertex.  When the support still has more bases than the
+    enumeration budget, the samples are kept and the set is not
+    exhaustive.  Samples and vertices stay flat weight rows, checked
+    against the lam = 0 rule one array at a time; only the kept rows
+    become ``MeasureVector``s.  ``mather`` is the ``mather_lp(sys)``
+    result when the caller has already solved it; ``None`` solves it
+    here.
     """
-    if min_value is None:
-        _, min_value = mather_lp(sys)
-    base = assemble_closed_constraints(sys, 0.0)
-    ncols = base.A.shape[1]
-    A_face = np.vstack([base.A, sys.cost_flat()[None, :]])
-    b_face = np.concatenate([base.b, [min_value + tol]])
-    senses = list(base.senses) + ["<="]
+    _, min_value, dual = mather_lp(sys) if mather is None else mather
+    A_exact, b_exact = exact_face(sys, min_value)
+    A_face = np.ascontiguousarray(A_exact[:, :-1])
+    ncols = A_face.shape[1]
+    b_face = np.concatenate([b_exact[:-1], [min_value + tol]])
+    senses = ["="] * (len(b_face) - 2) + ["<=", "<="]
 
     rng = np.random.default_rng(seed)
     sampled = []
@@ -274,28 +328,25 @@ def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
     reps = sampled = _dedup(sampled)
     exhaustive, found_all = False, None
 
-    if ncols <= ORACLE_VAR_LIMIT:
-        # exact face: the value row (last) at equality, and a slack
-        # column on the mass row (second to last)
-        mass_slack = np.zeros((len(b_face), 1))
-        mass_slack[-2] = 1.0
-        try:
-            vertices = enumerate_basic_solutions(
-                np.hstack([A_face, mass_slack]),
-                np.concatenate([base.b, [min_value]]), tol=1e-8)
-        except EnumerationTooLarge:
-            pass        # too many bases: the samples stand alone
-        else:
-            exact = vertices[:, :ncols]
-            validate_lam0_rows(exact)
-            reps = _dedup(exact)
-            exhaustive = True
-            tv = np.abs(reps[:, None, :] - sampled[None, :, :]).sum(axis=2)
-            found_all = bool(np.all(np.any(tv <= FACE_DEDUP_TOL, axis=1)))
+    support = face_support(A_exact, b_exact, dual)
+    try:
+        vertices = enumerate_basic_solutions(
+            A_exact[:, np.append(support, ncols)], b_exact, tol=1e-8)
+    except EnumerationTooLarge:
+        pass        # too many bases: the samples stand alone
+    else:
+        exact = np.zeros((len(vertices), ncols))
+        exact[:, support] = vertices[:, :-1]
+        validate_lam0_rows(exact)
+        reps = _dedup(exact)
+        exhaustive = True
+        tv = np.abs(reps[:, None, :] - sampled[None, :, :]).sum(axis=2)
+        found_all = bool(np.all(np.any(tv <= FACE_DEDUP_TOL, axis=1)))
     return MatherSet(representatives=[MeasureVector.from_flat(sys, row, 0.0)
                                       for row in reps],
                      min_value=min_value, exhaustive=exhaustive,
-                     sampling_found_all=found_all)
+                     sampling_found_all=found_all,
+                     support_columns=(len(support), ncols))
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,11 @@ def lp_solve(problem: LPProblem, basis: Optional[np.ndarray] = None,
     """Two-phase dense primal simplex with certified returns.
 
     ``basis`` is the ``LPSolution.basis`` of a problem with the same
-    constraint matrix, senses and costs.  Phase 2 then starts from it,
-    skipping phase 1; when it is singular or not primal feasible for this
-    ``b``, the cold two-phase path runs instead.  ``None`` is the cold
-    path.
+    constraint matrix and senses.  Phase 2 then starts from it, skipping
+    phase 1: after 0 pivots when the costs are the same too, else from a
+    feasible vertex instead of from scratch.  When the basis is singular
+    or not primal feasible for this ``b``, the cold two-phase path runs
+    instead.  ``None`` is the cold path.
     """
     std = _Standardized(problem)
     m, n = std.A.shape
@@ -169,56 +170,45 @@ def _warm_tableau(std: "_Standardized", basis, bland_after):
 
 
 class _Standardized:
-    """Original problem mapped to equality standard form."""
+    """Original problem mapped to equality standard form.
+
+    Columns: each original column in order, a free one followed by its
+    negated copy; then one slack per '<=' row, in row order; then one
+    artificial per row that has no slack left in the basis.  Rows with a
+    negative right-hand side are negated (slack entry included) before
+    the artificials are appended.
+    """
 
     def __init__(self, p: LPProblem):
         rows, cols = p.A.shape
-        col_blocks = []
-        c_blocks = []
-        self.var_map = []   # (orig_index, sign)
-        for j in range(cols):
-            col_blocks.append(p.A[:, j:j + 1])
-            c_blocks.append(p.c[j])
-            self.var_map.append((j, 1.0))
-            if p.free[j]:
-                col_blocks.append(-p.A[:, j:j + 1])
-                c_blocks.append(-p.c[j])
-                self.var_map.append((j, -1.0))
-        A = np.hstack(col_blocks)
-        c = np.array(c_blocks, dtype=float)
+        doubled = 1 + p.free.astype(int)
+        self.orig = np.repeat(np.arange(cols), doubled)   # original column
+        self.sign = np.ones(len(self.orig))
+        self.sign[np.cumsum(doubled)[p.free] - 1] = -1.0  # negated copies
+        slack_rows = np.flatnonzero([s == "<=" for s in p.senses])
+        slacks = np.zeros((rows, len(slack_rows)))
+        slacks[slack_rows, np.arange(len(slack_rows))] = 1.0
+        A = np.hstack([p.A[:, self.orig] * self.sign, slacks])
+        c = np.concatenate([p.c[self.orig] * self.sign,
+                            np.zeros(len(slack_rows))])
         b = p.b.astype(float).copy()
 
-        slack_of_row = {}
-        slack_cols = []
-        for r in range(rows):
-            if p.senses[r] == "<=":
-                col = np.zeros((rows, 1))
-                col[r, 0] = 1.0
-                slack_of_row[r] = A.shape[1] + len(slack_cols)
-                slack_cols.append(col)
-        if slack_cols:
-            A = np.hstack([A] + slack_cols)
-            c = np.concatenate([c, np.zeros(len(slack_cols))])
-
-        self.row_sign = np.ones(rows)
-        for r in range(rows):
-            if b[r] < 0.0:
-                A[r] *= -1.0
-                b[r] *= -1.0
-                self.row_sign[r] = -1.0
+        flip = b < 0.0
+        A[flip] *= -1.0
+        b[flip] *= -1.0
+        self.row_sign = np.where(flip, -1.0, 1.0)
 
         basis = np.full(rows, -1, dtype=int)
-        for r, j in slack_of_row.items():
-            if self.row_sign[r] > 0:
-                basis[r] = j
+        kept = ~flip[slack_rows]
+        basis[slack_rows[kept]] = len(self.orig) + np.nonzero(kept)[0]
         need_art = np.nonzero(basis < 0)[0]
-        self.artificial = np.zeros(A.shape[1] + len(need_art), dtype=bool)
+        n_real = A.shape[1]
+        self.artificial = np.zeros(n_real + len(need_art), dtype=bool)
+        self.artificial[n_real:] = True
         if len(need_art):
             art_cols = np.zeros((rows, len(need_art)))
-            for k, r in enumerate(need_art):
-                art_cols[r, k] = 1.0
-                basis[r] = A.shape[1] + k
-                self.artificial[A.shape[1] + k] = True
+            art_cols[need_art, np.arange(len(need_art))] = 1.0
+            basis[need_art] = n_real + np.arange(len(need_art))
             A = np.hstack([A, art_cols])
             c = np.concatenate([c, np.zeros(len(need_art))])
         self.needs_phase1 = bool(len(need_art))
@@ -226,15 +216,13 @@ class _Standardized:
         self.n_orig = cols
 
     def to_original(self, x_std) -> np.ndarray:
-        x = np.zeros(self.n_orig)
-        for k, (j, sign) in enumerate(self.var_map):
-            x[j] += sign * x_std[k]
-        return x
+        n = len(self.orig)
+        return np.bincount(self.orig, weights=self.sign * x_std[:n],
+                           minlength=self.n_orig)
 
     def dual_to_original(self, y_kept, kept_rows) -> np.ndarray:
         y = np.zeros(len(self.row_sign))
-        for pos, r in enumerate(kept_rows):
-            y[r] = self.row_sign[r] * y_kept[pos]
+        y[kept_rows] = self.row_sign[kept_rows] * y_kept
         return y
 
 

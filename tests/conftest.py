@@ -1,5 +1,13 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, as in the benchmark worker: the wall-clock gates of the
+# acceptance criteria must not depend on BLAS threads waiting for a busy
+# core.  numpy reads these only when it loads, so they are set before it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 import discountlab as dl
 

@@ -126,7 +126,7 @@ def test_criterion_06_mather_measures(instances):
                                     lam=0.01, tol=1e-12)
     b_n, _ = dl.ergodic_normalize(instances["B"], lam=0.05, tol=1e-12)
     for name, sys_ in (("eikonal-f/32", eik_n), ("quadratic-plc", b_n)):
-        _, min_value = dl.mather_lp(sys_)
+        _, min_value, _ = dl.mather_lp(sys_)
         sweep = dl.discount_sweep(sys_, 0.5, 0.5, 18, tol=1e-10)
         nu = dl.mather_from_sweep(sys_, sweep, 0, 0)
         lam_min = sweep.lambdas[-1]

@@ -380,14 +380,18 @@ def test_selection_and_mather_pipelines(tmp_path):
         assert doc["pass"] is True
 
 
-@pytest.mark.parametrize("overrides", [
+OVERSIZE_FACES = pytest.mark.parametrize("overrides", [
     dict(instance="eikonal-f", grid_points=10),
     dict(instance="constant-coupling", grid_points=5),
     dict(instance="linear-B", grid_points=5)],
     ids=["eikonal-f-10", "constant-coupling-5", "linear-B-5"])
-def test_oversize_exact_face_keeps_the_samples(tmp_path, overrides):
-    # 30 weight variables: within the exact-face limit, but C(31, 11)
-    # bases exceed the enumeration budget, so the sampled set stands
+
+
+@OVERSIZE_FACES
+def test_oversize_exact_face_keeps_the_samples(tmp_path, overrides,
+                                               monkeypatch):
+    # no basis fits the enumeration budget, so the sampled set stands
+    monkeypatch.setattr(dl.lp, "MAX_BASES", 0)
     spec = ExperimentSpec(pipeline="selection", output_dir=str(tmp_path),
                           **overrides)
     report = run_experiment(spec)
@@ -395,6 +399,23 @@ def test_oversize_exact_face_keeps_the_samples(tmp_path, overrides):
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["sections"]["mather"]["exhaustive"] is False
     assert doc["sections"]["mather"]["representatives"] >= 1
+
+
+@OVERSIZE_FACES
+def test_pruned_exact_face_fits_the_default_budget(tmp_path, overrides):
+    # 30 weight variables: C(31, 11) bases over every column, but only
+    # the face's support is enumerated
+    spec = ExperimentSpec(pipeline="selection", output_dir=str(tmp_path),
+                          **overrides)
+    report = run_experiment(spec)
+    assert report.status == 0, report.error
+    mather = json.loads((tmp_path / "result.json").read_text())[
+        "sections"]["mather"]
+    assert mather["exhaustive"] is True
+    assert mather["sampling_found_all"] is True
+    kept, total = mather["support_columns"]
+    assert total == 30 and kept < total
+    assert mather["representatives"] >= 1
 
 
 @pytest.mark.parametrize("pipeline, overrides, error", [

@@ -6,7 +6,8 @@ from discountlab import limits
 from discountlab.errors import BadValue, DivergentSweep, UnboundedLP
 from discountlab.lp import enumerate_basic_solutions
 from discountlab.limits import (closedness_residual, ergodic_normalize,
-                                mather_from_sweep, stencil_norm)
+                                face_support, mather_from_sweep,
+                                stencil_norm)
 
 
 def test_sweep_constant_coupling_closed_form(instance_a):
@@ -50,7 +51,7 @@ def test_sweep_bounded_after_normalization(eikonal32_normalized,
 def test_mather_lp_zero_on_normalized(eikonal32_normalized,
                                       instance_b_normalized):
     for sys_ in (eikonal32_normalized, instance_b_normalized):
-        nu, min_value = dl.mather_lp(sys_)
+        nu, min_value, _ = dl.mather_lp(sys_)
         assert -1e-8 <= min_value <= 1e-12
         assert nu.total_mass() <= 1.0 + 1e-12
 
@@ -58,7 +59,7 @@ def test_mather_lp_zero_on_normalized(eikonal32_normalized,
 def test_mather_lp_detects_negative_cost_circuit():
     # cost dips to -1 at the grid minimizer: the point mass there wins
     sys_ = dl.standard_system("eikonal-f", N=8, f_const=0.0)
-    nu, min_value = dl.mather_lp(sys_)
+    nu, min_value, _ = dl.mather_lp(sys_)
     assert abs(min_value + 1.0) <= 1e-8
     w = nu.weights[0]
     assert abs(w[4, 1] - 1.0) <= 1e-9       # x = 0.5, xi = 0
@@ -89,11 +90,16 @@ def test_mather_from_sweep_concentrates(eikonal32_normalized):
         5 * lam_min * (1 + stencil_norm(eikonal32_normalized))
 
 
-def test_face_zero_only_for_positive_total_coupling(instance_a_shifted):
+def test_face_zero_only_for_positive_total_coupling(
+        instance_a_shifted, constant_coupling_unpruned_face):
     mset = dl.mather_face_samples(instance_a_shifted, 8, seed=2)
     assert mset.exhaustive
     assert len(mset.representatives) == 1
     assert mset.representatives[0].total_mass() == 0.0
+    # every closed measure is 0, so no column survives the pruning
+    assert mset.support_columns == (0, instance_a_shifted.total_vars)
+    assert len(constant_coupling_unpruned_face) == 1
+    assert np.all(constant_coupling_unpruned_face == 0.0)
 
 
 def test_face_tiny_instance_sampling_finds_all(tiny_eikonal_normalized):
@@ -141,29 +147,88 @@ def test_face_representatives_match_object_reference(fixture, request,
                                                      monkeypatch):
     sys_ = request.getfixturevalue(fixture) if fixture else \
         dl.standard_system("eikonal-f", N=8, f_const=1.0, f_freq=2)
-    raw = []
+    raw, support = [], []
 
     def recording(A, b, tol):
         raw.append(enumerate_basic_solutions(A, b, tol=tol))
         return raw[-1]
 
+    def recording_support(*args):
+        support.append(face_support(*args))
+        return support[-1]
+
     monkeypatch.setattr(limits, "enumerate_basic_solutions", recording)
+    monkeypatch.setattr(limits, "face_support", recording_support)
     mset = dl.mather_face_samples(sys_, 8, seed=13)
-    assert mset.exhaustive and len(raw) == 1
-    reference = _object_dedup_reference(sys_, raw[0])
+    assert mset.exhaustive and len(raw) == 1 and len(support) == 1
+    # the enumeration ran on the support columns plus the mass slack:
+    # scatter its vertices back to full width
+    full = np.zeros((len(raw[0]), sys_.total_vars))
+    full[:, support[0]] = raw[0][:, :-1]
+    reference = _object_dedup_reference(sys_, full)
     assert len(mset.representatives) == len(reference)
     for nu, ref in zip(mset.representatives, reference):
         assert np.array_equal(nu.flat(), ref.flat())
         nu.validate(sys_)
 
 
+def unpruned_face(sys_):
+    """The oracle: every basis of the exact face over all its columns,
+    checked against the lam = 0 rule and deduplicated."""
+    _, min_value, _ = dl.mather_lp(sys_)
+    A, b = limits.exact_face(sys_, min_value)
+    raw = enumerate_basic_solutions(A, b, tol=1e-8)[:, :-1]
+    dl.measures.validate_lam0_rows(raw)
+    return limits._dedup(raw)
+
+
+@pytest.fixture(scope="session")
+def constant_coupling_unpruned_face(instance_a_shifted):
+    """About 103k raw vertices for 1 representative: enumerated once."""
+    return unpruned_face(instance_a_shifted)
+
+
+def _eikonal_normalized(N):
+    sys_ = dl.standard_system("eikonal-f", N=N)
+    return ergodic_normalize(sys_, lam=0.01, tol=1e-12)[0]
+
+
+@pytest.mark.parametrize("case", [
+    "tiny-eikonal", "constant-coupling-zero", "eikonal-two-wells",
+    "eikonal-f-6", "eikonal-f-8"])
+def test_pruned_face_matches_unpruned_enumeration(case, request):
+    # every face of at most 24 columns the tests build
+    if case == "tiny-eikonal":
+        sys_ = request.getfixturevalue("tiny_eikonal_normalized")
+    elif case == "constant-coupling-zero":
+        sys_ = request.getfixturevalue("instance_a_shifted")
+    elif case == "eikonal-two-wells":
+        sys_ = dl.standard_system("eikonal-f", N=8, f_const=1.0, f_freq=2)
+    else:
+        sys_ = _eikonal_normalized(int(case[-1]))
+    assert sys_.total_vars <= 24
+    reference = request.getfixturevalue("constant_coupling_unpruned_face") \
+        if case == "constant-coupling-zero" else unpruned_face(sys_)
+    mset = dl.mather_face_samples(sys_, 8, seed=16)
+    assert mset.exhaustive
+    kept, total = mset.support_columns
+    assert total == sys_.total_vars and kept < total
+    pruned = np.array([nu.flat() for nu in mset.representatives])
+    # same vertex set, representatives in the same order
+    assert pruned.shape == reference.shape
+    assert np.max(np.abs(pruned - reference), initial=0.0) <= 1e-12
+
+
 def test_face_rejects_vertex_outside_lam0_rule(tiny_eikonal_normalized,
                                                monkeypatch):
-    n = tiny_eikonal_normalized.total_vars
-    heavy = np.zeros((1, n + 1))
-    heavy[0, 0] = 1.1                       # mass 1.1 > 1
-    monkeypatch.setattr(limits, "enumerate_basic_solutions",
-                        lambda A, b, tol: heavy)
+    def heavy(A, b, tol):
+        # one vertex at the enumerated width (support plus mass slack),
+        # with mass 1.1 > 1 on the first support column
+        vertex = np.zeros((1, A.shape[1]))
+        vertex[0, 0] = 1.1
+        return vertex
+
+    monkeypatch.setattr(limits, "enumerate_basic_solutions", heavy)
     with pytest.raises(BadValue):
         dl.mather_face_samples(tiny_eikonal_normalized, 4, seed=14)
 

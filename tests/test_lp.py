@@ -286,3 +286,117 @@ def test_warm_start_checks_the_rows_its_basis_dropped():
     _assert_certified(warm)
     assert warm.iterations == 0
     assert warm.objective_value == lp_solve(consistent).objective_value
+
+
+class _LoopStandardized:
+    """The column-by-column standard form the kernel used to build: the
+    reference that the array construction must reproduce bit for bit."""
+
+    def __init__(self, p):
+        rows, cols = p.A.shape
+        col_blocks, c_blocks = [], []
+        self.var_map = []
+        for j in range(cols):
+            col_blocks.append(p.A[:, j:j + 1])
+            c_blocks.append(p.c[j])
+            self.var_map.append((j, 1.0))
+            if p.free[j]:
+                col_blocks.append(-p.A[:, j:j + 1])
+                c_blocks.append(-p.c[j])
+                self.var_map.append((j, -1.0))
+        A = np.hstack(col_blocks)
+        c = np.array(c_blocks, dtype=float)
+        b = p.b.astype(float).copy()
+        slack_of_row, slack_cols = {}, []
+        for r in range(rows):
+            if p.senses[r] == "<=":
+                col = np.zeros((rows, 1))
+                col[r, 0] = 1.0
+                slack_of_row[r] = A.shape[1] + len(slack_cols)
+                slack_cols.append(col)
+        if slack_cols:
+            A = np.hstack([A] + slack_cols)
+            c = np.concatenate([c, np.zeros(len(slack_cols))])
+        self.row_sign = np.ones(rows)
+        for r in range(rows):
+            if b[r] < 0.0:
+                A[r] *= -1.0
+                b[r] *= -1.0
+                self.row_sign[r] = -1.0
+        basis = np.full(rows, -1, dtype=int)
+        for r, j in slack_of_row.items():
+            if self.row_sign[r] > 0:
+                basis[r] = j
+        need_art = np.nonzero(basis < 0)[0]
+        self.artificial = np.zeros(A.shape[1] + len(need_art), dtype=bool)
+        if len(need_art):
+            art_cols = np.zeros((rows, len(need_art)))
+            for k, r in enumerate(need_art):
+                art_cols[r, k] = 1.0
+                basis[r] = A.shape[1] + k
+                self.artificial[A.shape[1] + k] = True
+            A = np.hstack([A, art_cols])
+            c = np.concatenate([c, np.zeros(len(need_art))])
+        self.needs_phase1 = bool(len(need_art))
+        self.A, self.b, self.c, self.basis = A, b, c, basis
+        self.n_orig = cols
+
+    def to_original(self, x_std):
+        x = np.zeros(self.n_orig)
+        for k, (j, sign) in enumerate(self.var_map):
+            x[j] += sign * x_std[k]
+        return x
+
+    def dual_to_original(self, y_kept, kept_rows):
+        y = np.zeros(len(self.row_sign))
+        for pos, r in enumerate(kept_rows):
+            y[r] = self.row_sign[r] * y_kept[pos]
+        return y
+
+
+def _zoo_lps(name):
+    """A measure LP ('=' rows), the Mather LP (a '<=' mass row) and the
+    subsolution LP (free columns, '<=' rows, negative right-hand sides
+    where a cost is negative) of a zoo instance."""
+    import discountlab as dl
+    sys_ = dl.standard_system(name)
+    measure = dl.assemble_closed_constraints(sys_, 0.5, 1, 0)
+    measure.c = sys_.cost_flat()
+    mather = dl.assemble_closed_constraints(sys_, 0.0)
+    mather.c = sys_.cost_flat()
+    A = dl.discretize.linearized_matrix(sys_, 0.5)
+    subsolution = LPProblem(c=-np.ones(A.shape[1]), A=A, b=sys_.cost_flat(),
+                            senses=["<="] * A.shape[0],
+                            free=np.ones(A.shape[1], dtype=bool))
+    return [measure, mather, subsolution]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+def test_standardized_arrays_match_the_column_loop():
+    rng = np.random.default_rng(80)
+    problems = [p for name in ZOO for p in _zoo_lps(name)]
+    assert any(p.free.any() and (p.b < 0).any() for p in problems)
+    for _ in range(40):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        problems.append(LPProblem(c=rng.standard_normal(n),
+                                  A=rng.standard_normal((m, n)),
+                                  b=rng.standard_normal(m),
+                                  senses=list(rng.choice(["=", "<="], m)),
+                                  free=rng.random(n) < 0.3))
+    for p in problems:
+        new, old = _Standardized(p), _LoopStandardized(p)
+        for field in ("A", "b", "c", "basis", "artificial", "row_sign"):
+            assert _same_bits(getattr(new, field), getattr(old, field)), field
+        assert new.needs_phase1 == old.needs_phase1
+        x_std = rng.standard_normal(new.A.shape[1])
+        assert _same_bits(new.to_original(x_std), old.to_original(x_std))
+        kept = np.sort(rng.choice(len(p.b), int(rng.integers(1, len(p.b) + 1)),
+                                  replace=False))
+        y_kept = rng.standard_normal(len(kept))
+        assert _same_bits(new.dual_to_original(y_kept, kept),
+                          old.dual_to_original(y_kept, kept))
