@@ -19,9 +19,20 @@ phase 2 from it and is optimal after 0 pivots whenever the basis is
 primal feasible for the new ``b``.  A basis that is singular or primal
 infeasible for the problem takes the cold two-phase path instead.
 
-Problems here are desk scale (a few hundred rows and columns), where a
-dense tableau is simpler and faster than anything clever, and exact
-vertex answers feed the basis enumeration used as an independent oracle.
+Problems here are desk scale (a few hundred rows and columns), so the
+tableau stays dense, and exact vertex answers feed the basis enumeration
+used as an independent oracle.  LPs with at least ``SLACK_AWARE_SLACKS``
+'<=' rows use the structure of their standard form: every slack and
+artificial column is a signed unit vector on a known row.  A basis is
+factorized by eliminating its unit columns exactly and LU-solving only
+the square block of its other columns on the rows they leave uncovered,
+and a pivot updates only the columns where the pivot row is nonzero.
+The subsolution LP, one '<=' row per control, keeps nearly every slack
+basic, so its 288-row basis on quadratic-plc N=8 solves a 16x16 block.
+LPs with fewer slacks run the plain dense code: on small tableaux the
+bookkeeping costs more than it saves, and the '=' rows of a measure LP
+leave no unit column in its basis once phase 1 is over and give dense
+pivot rows.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ PIVOT_TOL = 1e-12
 DRIFT_PIVOT_REL = 1e-12     # pivot / column max below this: re-checked
 OPT_TOL = 1e-9
 REFACTOR_EVERY = 150
+SLACK_AWARE_SLACKS = 64     # LPs with this many '<=' rows: unit-column path
 MAX_BASES = 3_000_000       # most column subsets one enumeration solves
 ENUM_CHUNK = 65536          # column subsets solved per vectorized batch
 
@@ -91,6 +103,12 @@ class LPSolution:
     # Final basis of an Optimal solution: the standard-form column basic
     # in each constraint row, -1 on a row dropped as redundant.
     basis: Optional[np.ndarray] = None
+    # Kernel work: basis factorizations (a failed warm start's included),
+    # the pivots of phase 1 (counted in ``iterations`` too), and whether
+    # any pivot was chosen by Bland's rule.
+    refactorizations: int = 0
+    phase1_iterations: int = 0
+    bland: bool = False
 
 
 def lp_solve(problem: LPProblem, basis: Optional[np.ndarray] = None,
@@ -109,30 +127,33 @@ def lp_solve(problem: LPProblem, basis: Optional[np.ndarray] = None,
     budget = max_iterations or (200 * (m + n) + 20000)
     bland_after = 2 * (m + n)
     state = None if basis is None else _warm_tableau(std, basis, bland_after)
+    failed_warm = int(basis is not None and state is None)
 
-    iterations = 0
+    phase1 = 0
     if state is None:
-        state = _Tableau(std.A, std.b, std.basis, bland_after)
+        state = _Tableau(std, bland_after)
         if std.needs_phase1:
             cost1 = np.zeros(std.A.shape[1])
             cost1[std.artificial] = 1.0
-            status, iterations = state.run(cost1, budget)
+            status, phase1 = state.run(cost1, budget)
             if status == UNBOUNDED:
                 raise NumericalBreakdown("phase 1 reported unbounded")
             if state.objective(cost1) > FEAS_TOL:
-                return LPSolution(INFEASIBLE, None, math.nan, None, iterations)
+                return LPSolution(INFEASIBLE, None, math.nan, None, phase1,
+                                  **state.counters(phase1, failed_warm))
             state.purge_artificials(std.artificial)
 
-    status, it2 = state.run(std.c, budget, start_iter=iterations)
-    iterations = it2
+    status, iterations = state.run(std.c, budget, start_iter=phase1)
+    counters = state.counters(phase1, failed_warm)
     if status == UNBOUNDED:
         ray = std.to_original(state.ray)
-        return LPSolution(UNBOUNDED, None, -math.inf, None, iterations, ray=ray)
+        return LPSolution(UNBOUNDED, None, -math.inf, None, iterations, ray=ray,
+                          **counters)
 
     x_std, y_kept = state.certify(std.A, std.b, std.c)
     x = std.to_original(x_std)
     dual = std.dual_to_original(y_kept, state.kept_rows)
-    feas = _primal_residual(problem, x)
+    feas = _primal_residual(problem, x, std.equality)
     cs = _slack_residual(std, x_std, y_kept, state.kept_rows)
     if feas > FEAS_TOL or cs > CS_TOL:
         raise NumericalBreakdown(
@@ -142,7 +163,7 @@ def lp_solve(problem: LPProblem, basis: Optional[np.ndarray] = None,
     final[state.kept_rows] = state.basis
     return LPSolution(OPTIMAL, x, obj, dual, iterations,
                       feasibility_residual=feas, slackness_residual=cs,
-                      basis=final)
+                      basis=final, **counters)
 
 
 def _warm_tableau(std: "_Standardized", basis, bland_after):
@@ -156,7 +177,7 @@ def _warm_tableau(std: "_Standardized", basis, bland_after):
             or np.any(basis < -1) or np.any(basis >= real):
         raise ValueError("basis does not fit this problem's standard form")
     kept = np.nonzero(basis >= 0)[0]
-    state = _Tableau(std.A, std.b, np.maximum(basis, 0), bland_after)
+    state = _Tableau(std, bland_after, np.maximum(basis, 0))
     state.restrict(kept, std.artificial)
     try:
         state.refactor()
@@ -176,7 +197,9 @@ class _Standardized:
     negated copy; then one slack per '<=' row, in row order; then one
     artificial per row that has no slack left in the basis.  Rows with a
     negative right-hand side are negated (slack entry included) before
-    the artificials are appended.
+    the artificials are appended.  ``unit_row`` gives, per column, the
+    one row where a slack or artificial column is nonzero (+1, or -1 for
+    the slack of a negated row), and -1 for every other column.
     """
 
     def __init__(self, p: LPProblem):
@@ -185,7 +208,8 @@ class _Standardized:
         self.orig = np.repeat(np.arange(cols), doubled)   # original column
         self.sign = np.ones(len(self.orig))
         self.sign[np.cumsum(doubled)[p.free] - 1] = -1.0  # negated copies
-        slack_rows = np.flatnonzero([s == "<=" for s in p.senses])
+        self.equality = np.array([s == "=" for s in p.senses], dtype=bool)
+        slack_rows = np.flatnonzero(~self.equality)
         slacks = np.zeros((rows, len(slack_rows)))
         slacks[slack_rows, np.arange(len(slack_rows))] = 1.0
         A = np.hstack([p.A[:, self.orig] * self.sign, slacks])
@@ -212,6 +236,9 @@ class _Standardized:
             A = np.hstack([A, art_cols])
             c = np.concatenate([c, np.zeros(len(need_art))])
         self.needs_phase1 = bool(len(need_art))
+        self.slacks = len(slack_rows)
+        self.unit_row = np.concatenate(
+            [np.full(len(self.orig), -1), slack_rows, need_art])
         self.A, self.b, self.c, self.basis = A, b, c, basis
         self.n_orig = cols
 
@@ -233,18 +260,32 @@ class _Tableau:
     ``REFACTOR_EVERY`` pivots and before any optimality verdict, so
     accumulated pivot drift can neither stall Bland's rule on noise
     reduced costs nor produce a false optimum.
+
+    With ``SLACK_AWARE_SLACKS`` slack columns or more, the path is chosen
+    once, from the shape: factorizations go through ``_unit_block_solve``,
+    and a pivot subtracts its rank-1 update only on the columns where the
+    pivot row is nonzero.  Elsewhere the dense update subtracts an exact
+    0, so the tableau is the same up to the sign of zeros.
     """
 
-    def __init__(self, A, b, basis, bland_after):
-        self.A0 = A.astype(float).copy()
-        self.b0 = b.astype(float).copy()
-        self.T = A.astype(float).copy()
-        self.rhs = b.astype(float).copy()
-        self.basis = basis.astype(int).copy()
+    def __init__(self, std: "_Standardized", bland_after, basis=None):
+        self.A0 = std.A.copy()
+        self.b0 = std.b.copy()
+        self.T = std.A.copy()
+        self.rhs = std.b.copy()
+        self.basis = (std.basis if basis is None else basis).astype(int)
+        self.unit_row = std.unit_row
+        self.slack_aware = std.slacks >= SLACK_AWARE_SLACKS
         self.bland_after = bland_after
-        self.kept_rows = np.arange(A.shape[0])
+        self.kept_rows = np.arange(std.A.shape[0])
         self.ray = None
         self.pivots_since_refactor = 0
+        self.refactorizations = 0
+        self.bland = False
+
+    def counters(self, phase1, failed_warm):
+        return {"refactorizations": self.refactorizations + failed_warm,
+                "phase1_iterations": phase1, "bland": self.bland}
 
     def _pivot(self, row, col):
         piv = self.T[row, col]
@@ -252,19 +293,31 @@ class _Tableau:
         self.rhs[row] /= piv
         factors = self.T[:, col].copy()
         factors[row] = 0.0
-        self.T -= np.outer(factors, self.T[row])
+        if self.slack_aware:
+            nz = np.flatnonzero(self.T[row])
+            self.T[:, nz] -= np.outer(factors, self.T[row, nz])
+        else:
+            self.T -= np.outer(factors, self.T[row])
         self.rhs -= factors * self.rhs[row]
         self.T[:, col] = 0.0
         self.T[row, col] = 1.0
         self.basis[row] = col
         self.pivots_since_refactor += 1
 
+    def _solve(self, B, rhs, transpose=False):
+        """B^-1 rhs (B^-T rhs) for a basis matrix B on ``self.basis``."""
+        if self.slack_aware:
+            return _unit_block_solve(B, self.unit_row[self.basis], rhs,
+                                     transpose)
+        return np.linalg.solve(B.T if transpose else B, rhs)
+
     def refactor(self):
         """Rebuild the tableau from the original data on the current basis."""
+        self.refactorizations += 1
         B = self.A0[:, self.basis]
         try:
-            self.T = np.linalg.solve(B, self.A0)
-            self.rhs = np.linalg.solve(B, self.b0)
+            self.T = self._solve(B, self.A0)
+            self.rhs = self._solve(B, self.b0)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"refactorization failed: {exc}")
         for r, col in enumerate(self.basis):
@@ -320,6 +373,7 @@ class _Tableau:
             if col[leave] < PIVOT_TOL:
                 raise NumericalBreakdown("pivot below tolerance under Bland's rule")
             self._pivot(leave, enter)
+            self.bland |= it >= self.bland_after
             it += 1
             if it - start_iter > budget:
                 raise NumericalBreakdown(
@@ -350,7 +404,13 @@ class _Tableau:
 
     def restrict(self, keep, artificial):
         """Keep only the tableau rows ``keep``; artificials never price
-        back in."""
+        back in.  A unit column whose row is dropped is a zero column
+        from then on, like the artificials."""
+        if self.slack_aware:
+            new_row = np.full(len(self.rhs), -1)
+            new_row[keep] = np.arange(len(new_row[keep]))
+            self.unit_row = np.where(artificial | (self.unit_row < 0), -1,
+                                     new_row[self.unit_row])
         self.T = self.T[keep]
         self.rhs = self.rhs[keep]
         self.basis = self.basis[keep]
@@ -364,8 +424,8 @@ class _Tableau:
         """Fresh solve on the final basis: clean primal point and duals."""
         B = A[np.ix_(self.kept_rows, self.basis)]
         try:
-            xB = np.linalg.solve(B, b[self.kept_rows])
-            y = np.linalg.solve(B.T, c[self.basis])
+            xB = self._solve(B, b[self.kept_rows])
+            y = self._solve(B, c[self.basis], transpose=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"final basis is singular: {exc}")
         x = np.zeros(A.shape[1])
@@ -373,11 +433,45 @@ class _Tableau:
         return x, y
 
 
-def _primal_residual(p: LPProblem, x: np.ndarray) -> float:
+def _unit_block_solve(B, unit_row, rhs, transpose=False):
+    """B^-1 rhs, or B^-T rhs, for a square basis matrix B whose column p
+    is a signed unit vector on row ``unit_row[p]`` wherever that is >= 0.
+
+    The unit columns are eliminated exactly, by a division by their own
+    entry, and only the block of the other columns on the rows that no
+    unit column covers is LU-solved.  Two unit columns on one row make B
+    singular: ``NumericalBreakdown``.  A singular block raises
+    ``np.linalg.LinAlgError``, as ``np.linalg.solve`` on B would.
+    """
+    unit = unit_row >= 0
+    rows_u = unit_row[unit]
+    covered = np.zeros(len(unit_row), dtype=bool)
+    covered[rows_u] = True
+    if np.count_nonzero(covered) < len(rows_u):
+        raise NumericalBreakdown("two basic unit columns on one row")
+    rows_s = np.flatnonzero(~covered)
+    cols_u, cols_s = np.flatnonzero(unit), np.flatnonzero(~unit)
+    sign = B[rows_u, cols_u].reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
+    coupling = B[np.ix_(rows_u, cols_s)]
+    block = B[np.ix_(rows_s, cols_s)]
+    out = np.empty(np.shape(rhs))
+    if transpose:
+        out[rows_u] = rhs[cols_u] / sign
+        out[rows_s] = np.linalg.solve(block.T,
+                                      rhs[cols_s] - coupling.T @ out[rows_u])
+    else:
+        out[cols_s] = np.linalg.solve(block, rhs[rows_s])
+        out[cols_u] = (rhs[rows_u] - coupling @ out[cols_s]) / sign
+    return out
+
+
+def _primal_residual(p: LPProblem, x: np.ndarray, equality) -> float:
+    """Worst violation of ``p`` at ``x``; ``equality`` flags its '=' rows."""
     res = p.A @ x - p.b
-    worst = 0.0
-    for r, s in enumerate(p.senses):
-        worst = max(worst, abs(res[r]) if s == "=" else max(0.0, res[r]))
+    # '<=' rows count only their excess.  As in a max over the rows from
+    # 0.0, a NaN row is skipped (fmax) and a zero result is +0.0.
+    worst = max(0.0, float(np.fmax.reduce(
+        np.where(equality, np.abs(res), res), initial=0.0)))
     bound = np.min(x[~p.free], initial=0.0)
     return max(worst, -min(bound, 0.0))
 

@@ -1,13 +1,15 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from discountlab import lp
-from discountlab.errors import EnumerationTooLarge
+from discountlab.errors import EnumerationTooLarge, NumericalBreakdown
 from discountlab.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem,
-                            _Standardized, enumerate_basic_solutions,
-                            enumeration_minimum, independent_rows, lp_solve)
+                            _Standardized, _unit_block_solve,
+                            enumerate_basic_solutions, enumeration_minimum,
+                            independent_rows, lp_solve)
 
 
 def test_one_pivot_lp():
@@ -269,6 +271,159 @@ def test_cold_path_keeps_its_pivot_counts():
         seeds, total = _measure_problems(name)
         assert lp_solve(seeds[0]).iterations == seeded, name
         assert lp_solve(total).iterations == summed, name
+
+
+def _subsolution_problem(name, **kwargs):
+    """The problem that ``subsolution_lp(sys, 0.5)`` solves, and its
+    solution, read off the call itself."""
+    import discountlab as dl
+    from discountlab import measures
+    seen = []
+
+    def spy(problem, *args, **kw):
+        seen.append((problem, lp_solve(problem, *args, **kw)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "lp_solve", spy)
+        measures.subsolution_lp(dl.standard_system(name, **kwargs), 0.5)
+    (problem, sol), = seen
+    return problem, sol
+
+
+def test_subsolution_lp_keeps_its_pivot_counts():
+    # measured on the dense kernel; two of them (288 and 576 '<=' rows)
+    # run the slack-aware path, the others stay below SLACK_AWARE_SLACKS
+    counts = [("quadratic-plc", {}, 49), ("quadratic-plc", {"N": 16}, 103),
+              ("eikonal-f", {"N": 6}, 7), ("linear-B", {}, 28),
+              ("constant-coupling", {}, 32)]
+    for name, kwargs, pivots in counts:
+        _, sol = _subsolution_problem(name, **kwargs)
+        assert sol.iterations == pivots, (name, kwargs)
+
+
+def _random_unit_basis(rng, rows):
+    """A standard form with '=' rows (artificials), '<=' rows with either
+    sign of right-hand side (+1 and -1 slacks) and structural columns,
+    and a well-conditioned basis that mixes all of them."""
+    cols = rows // 4 + 2
+    problem = LPProblem(c=np.zeros(cols), A=rng.standard_normal((rows, cols)),
+                        b=rng.standard_normal(rows),
+                        senses=list(rng.choice(["=", "<="], rows)))
+    std = _Standardized(problem)
+    while True:
+        k = int(rng.integers(1, cols + 1))
+        structural = rng.choice(cols, k, replace=False)
+        units = [int(rng.choice(np.flatnonzero(std.unit_row == r)))
+                 for r in rng.choice(rows, rows - k, replace=False)]
+        basis = rng.permutation(np.concatenate([structural, units]))
+        B = std.A[:, basis]
+        if np.linalg.cond(B) < 1e6:
+            return B, std.unit_row[basis], std.artificial[basis].any()
+
+
+@pytest.mark.parametrize("rows", [8, 40, lp.SLACK_AWARE_SLACKS, 160])
+def test_unit_block_solve_matches_dense_solve(rows):
+    rng = np.random.default_rng(rows)
+    signs, artificials = set(), 0
+    for _ in range(5):
+        B, unit_row, artificial = _random_unit_basis(rng, rows)
+        artificials += artificial
+        unit = unit_row >= 0
+        signs.update(B[unit_row[unit], np.flatnonzero(unit)])
+        for rhs in (rng.standard_normal(rows),
+                    rng.standard_normal((rows, 7))):
+            for transpose in (False, True):
+                dense = np.linalg.solve(B.T if transpose else B, rhs)
+                block = _unit_block_solve(B, unit_row, rhs, transpose)
+                assert np.max(np.abs(block - dense)) \
+                    <= 1e-12 * np.max(np.abs(dense))
+    assert signs == {-1.0, 1.0} and artificials
+
+
+def test_two_unit_columns_on_one_row_take_the_cold_path():
+    problem, cold = _subsolution_problem("quadratic-plc")
+    std = _Standardized(problem)
+    assert len(std.b) >= lp.SLACK_AWARE_SLACKS
+    assert all(s == "<=" for s in problem.senses)
+    slack = np.flatnonzero(std.unit_row[cold.basis] >= 0)
+    bad = cold.basis.copy()
+    bad[slack[1]] = bad[slack[0]]           # one slack basic on two rows
+    with pytest.raises(NumericalBreakdown):
+        _unit_block_solve(std.A[:, bad], std.unit_row[bad], std.b)
+    warm = lp_solve(problem, basis=bad)
+    _assert_certified(warm)
+    assert warm.iterations == cold.iterations
+    assert np.array_equal(warm.x, cold.x)
+    assert np.array_equal(warm.basis, cold.basis)
+    assert warm.refactorizations == cold.refactorizations + 1
+
+
+def test_row_sparse_pivot_matches_the_dense_update(monkeypatch):
+    # every pivot of the cold subsolution LP, against the full update
+    problem, _ = _subsolution_problem("quadratic-plc")
+    pivot = lp._Tableau._pivot
+    skipped = []
+
+    def checked_pivot(tab, row, col):
+        assert tab.slack_aware
+        dense = copy.copy(tab)
+        dense.slack_aware = False
+        dense.T, dense.rhs, dense.basis = (tab.T.copy(), tab.rhs.copy(),
+                                           tab.basis.copy())
+        pivot(dense, row, col)
+        pivot(tab, row, col)
+        assert np.array_equal(tab.T, dense.T)
+        assert np.array_equal(tab.rhs, dense.rhs)
+        skipped.append(np.count_nonzero(tab.T[row] == 0.0))
+
+    monkeypatch.setattr(lp._Tableau, "_pivot", checked_pivot)
+    sol = lp_solve(problem)
+    _assert_certified(sol)
+    assert len(skipped) >= sol.iterations == 49
+    assert min(skipped) > 0
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_slack_aware_path_matches_the_dense_path(name, monkeypatch):
+    # the same LPs on each path, whatever their size
+    for problem in _zoo_lps(name):
+        monkeypatch.setattr(lp, "SLACK_AWARE_SLACKS", 0)
+        fast = lp_solve(problem)
+        monkeypatch.setattr(lp, "SLACK_AWARE_SLACKS", 10 ** 9)
+        dense = lp_solve(problem)
+        _assert_certified(fast)
+        assert fast.iterations == dense.iterations
+        assert np.array_equal(fast.basis, dense.basis)
+        scale = 1.0 + np.max(np.abs(dense.x))
+        assert np.max(np.abs(fast.x - dense.x)) <= 1e-12 * scale
+        assert np.max(np.abs(fast.dual - dense.dual)) \
+            <= 1e-12 * (1.0 + np.max(np.abs(dense.dual)))
+
+
+def _klee_minty(d):
+    A = np.tril(2.0 ** (1 + np.subtract.outer(np.arange(d), np.arange(d))), -1)
+    return LPProblem(c=-(2.0 ** np.arange(d - 1, -1, -1)), A=A + np.eye(d),
+                     b=5.0 ** np.arange(1, d + 1), senses=["<="] * d)
+
+
+def test_kernel_counters():
+    # Dantzig's rule visits all 2^d vertices of the Klee-Minty cube: 31
+    # pivots at d = 5 pass the Bland switch at 2 * (5 + 10)
+    for d, bland in ((4, False), (5, True)):
+        sol = lp_solve(_klee_minty(d))
+        assert sol.objective_value == -(5.0 ** d)
+        assert sol.iterations == 2 ** d - 1
+        assert sol.phase1_iterations == 0     # no artificials
+        assert sol.refactorizations == 1      # the optimality check
+        assert sol.bland is bland
+    seeds, summed = _measure_problems("linear-B")
+    cold = lp_solve(summed)
+    assert 0 < cold.phase1_iterations <= cold.iterations
+    warm = lp_solve(seeds[0], basis=cold.basis)
+    assert warm.iterations == warm.phase1_iterations == 0
+    assert warm.refactorizations == 1
+    assert not warm.bland
 
 
 def test_warm_start_checks_the_rows_its_basis_dropped():
