@@ -24,8 +24,8 @@ print(f"tiny instance: {tiny.total_vars} measure variables, costs "
 mset = dl.mather_face_samples(tiny, 16, seed=0)
 print(f"\nMather face: min value {mset.min_value:.2e}, "
       f"{len(mset.representatives)} vertices (exhaustive = {mset.exhaustive}, "
-      f"sampling found all = {mset.sampling_found_all}, support "
-      f"{mset.support_columns[0]} of {mset.support_columns[1]} columns)")
+      f"support {mset.support_columns[0]} of {mset.support_columns[1]} "
+      f"columns)")
 for nu in mset.representatives:
     atoms = [(int(x), int(a), round(float(w), 6))
              for x, a in zip(*np.nonzero(nu.weights[0]))

@@ -65,7 +65,6 @@ class ExperimentSpec:
     seed: int = 0
     samples: int = 1000
     face_samples: int = 12
-    face_tol: float = 1e-9
     normalize: bool = True
     erg_radius: float = 4.0
     probe_state: int = 0
@@ -300,8 +299,7 @@ class _Run:
         """(Mather face representatives, selection field) on ``work``."""
         spec = self.spec
         mset = limits.mather_face_samples(self.work, spec.face_samples,
-                                          spec.seed, tol=spec.face_tol,
-                                          mather=self.mather)
+                                          spec.seed, mather=self.mather)
         return mset, limits.selection_field(self.work, mset)
 
     def ergodic_constant(self):
@@ -378,7 +376,6 @@ def _pipe_selection(run):
     report = limits.convergence_report(work, sweep, field, mset)
     sections = {"mather": {"min_value": mset.min_value,
                            "exhaustive": mset.exhaustive,
-                           "sampling_found_all": mset.sampling_found_all,
                            "support_columns": mset.support_columns,
                            "representatives": len(mset.representatives)},
                 "report": json.loads(report.to_json())}

@@ -10,13 +10,15 @@ On the measure side, the rescaled optimal measures lam * mu^lam converge
 to minimizers of <nu, L> over the lam = 0 closed measures (the Mather
 measures; the zero measure is always feasible, so the minimum is <= 0
 and equals 0 exactly on normalized instances).  The optimal face is a
-polytope; its vertices are approximated by re-minimizing random linear
-objectives and enumerated exactly from bases over the face's support.
-Mather measures live where the critical subsolution is tight, so most
-weight columns are 0 on the whole face and are pruned first: those with
-a positive reduced cost under the Mather LP's dual (complementary
-slackness), then those whose maximum over the face is 0 (one LP per
-remaining column, each warm-started from the previous one's basis).
+polytope; its vertices are enumerated exactly from bases over the face's
+support.  Mather measures live where the critical subsolution is tight,
+so most weight columns are 0 on the whole face and are pruned first:
+those with a positive reduced cost under the Mather LP's dual
+(complementary slackness), then those whose maximum over the face is 0
+(one LP per remaining column, each warm-started from the previous one's
+basis).  Only when the support has too many bases to enumerate is the
+same pruned face sampled instead, by minimizing random linear
+objectives over it.
 
 The selection principle characterizes the limit field pointwise as the
 largest subsolution value at (z, k) among fields that pair
@@ -39,7 +41,8 @@ from .discretize import (ControlSet, DiscreteSystem, ModeControls, ValueField,
                          linearized_matrix)
 from .errors import (BadValue, DivergentSweep, EnumerationTooLarge,
                      InfeasibleLP)
-from .lp import (OPTIMAL, LPProblem, enumerate_basic_solutions, lp_solve)
+from .lp import (FEAS_TOL, OPTIMAL, LPProblem, enumerate_basic_solutions,
+                 lp_solve)
 from .measures import MeasureVector, assemble_closed_constraints, \
     green_poisson, subsolution_lp, validate_lam0_rows
 from .solver import ergodic_solve, policy_iterate
@@ -196,7 +199,6 @@ class MatherSet:
     representatives: list        # MeasureVector, lam_tag = 0
     min_value: float
     exhaustive: bool = False
-    sampling_found_all: Optional[bool] = None
     # (kept, total) weight columns of the exact face after pruning
     support_columns: Optional[tuple] = None
 
@@ -212,31 +214,6 @@ def _dedup(rows):
         kept.append(j)
         alive[j:] &= np.abs(rows[j:] - rows[j]).sum(axis=1) > FACE_DEDUP_TOL
     return rows[kept]
-
-
-SUPPORT_FLOOR = 1e-7
-
-
-def _polish_face_point(A_face, b_face, senses, c, raw):
-    """Re-solve the face LP restricted to the significant support.
-
-    Vertices of the tolerance-relaxed face can carry junk mass of order
-    tol / cost on states with small positive cost; such entries are
-    harmless for values but poisonous as <nu, u> <= 0 rows because those
-    rows are scale invariant.  Restricting to the heavy support and
-    re-solving yields an exactly closed measure (as flat weights) or
-    proves the support spurious (``None``: the sample is dropped).
-    """
-    cols = np.nonzero(raw > SUPPORT_FLOOR)[0]
-    flat = np.zeros(A_face.shape[1])
-    if len(cols) == 0:
-        return flat
-    problem = LPProblem(c=c[cols], A=A_face[:, cols], b=b_face, senses=senses)
-    sol = lp_solve(problem)
-    if sol.status != OPTIMAL:
-        return None
-    flat[cols] = np.maximum(sol.x, 0.0)
-    return flat
 
 
 def exact_face(sys: DiscreteSystem, min_value: float):
@@ -282,70 +259,61 @@ def face_support(A_exact, b_exact, dual):
     return candidates[positive[candidates]]
 
 
+def _sample_face(A, b, count: int, seed: int):
+    """Optimal points of ``count`` random objectives over {x >= 0 :
+    A x = b}, one per row; the last column (the mass slack) costs 0.
+    The LPs differ only in their costs, so each one starts from the
+    basis the previous one handed back."""
+    rng = np.random.default_rng(seed)
+    rows, basis = [], None
+    for _ in range(count):
+        c = np.append(rng.standard_normal(A.shape[1] - 1), 0.0)
+        sol = lp_solve(LPProblem(c=c, A=A, b=b, senses=["="] * len(b)),
+                       basis=basis)
+        if sol.status != OPTIMAL:
+            raise InfeasibleLP(f"face sampling LP returned {sol.status}")
+        basis = sol.basis
+        # lp_solve certifies x >= -FEAS_TOL: clear only that rounding
+        rows.append(np.where(sol.x < -FEAS_TOL, sol.x, np.maximum(sol.x, 0.0)))
+    return np.array(rows).reshape(-1, A.shape[1])
+
+
 def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
-                        tol: float = 1e-9, mather=None) -> MatherSet:
+                        mather=None) -> MatherSet:
     """Representatives of the optimal face of the Mather LP.
 
-    Samples ``count`` random linear objectives over the face polytope
-    {closed, mass <= 1, <nu, L> <= min + tol}, polishes each sample onto
-    its significant support, and deduplicates in total variation.  The
-    face (with the value row at equality, ``exact_face``) is then
-    enumerated exactly from bases over its support only: the weight
-    columns ``face_support`` finds positive somewhere on it, by a
-    reduced-cost filter under the Mather LP's dual and one warm-started
-    LP per surviving column.  The pruned columns are 0 on the whole face,
-    so the vertex set is that of the full face.  The enumerated vertex
-    set replaces the samples and the report records whether sampling had
-    found every vertex.  When the support still has more bases than the
-    enumeration budget, the samples are kept and the set is not
-    exhaustive.  Samples and vertices stay flat weight rows, checked
-    against the lam = 0 rule one array at a time; only the kept rows
-    become ``MeasureVector``s.  ``mather`` is the ``mather_lp(sys)``
-    result when the caller has already solved it; ``None`` solves it
-    here.
+    The face (``exact_face``, the value row at equality) is restricted to
+    its support: the weight columns ``face_support`` finds positive
+    somewhere on it, by a reduced-cost filter under the Mather LP's dual
+    and one warm-started LP per surviving column.  The pruned columns are
+    0 on the whole face, so its vertex set is that of the full face.  The
+    vertices are enumerated exactly from bases over the support, and the
+    set is exhaustive.  When the support has more bases than the
+    enumeration budget, ``count`` random objectives (``seed``) over the
+    same pruned face give the rows instead, and the set is not
+    exhaustive.  Either way the rows are scattered back to full width,
+    checked against the lam = 0 rule and deduplicated in total variation
+    one array at a time; only the kept rows become ``MeasureVector``s.
+    ``mather`` is the ``mather_lp(sys)`` result when the caller has
+    already solved it; ``None`` solves it here.
     """
     _, min_value, dual = mather_lp(sys) if mather is None else mather
     A_exact, b_exact = exact_face(sys, min_value)
-    A_face = np.ascontiguousarray(A_exact[:, :-1])
-    ncols = A_face.shape[1]
-    b_face = np.concatenate([b_exact[:-1], [min_value + tol]])
-    senses = ["="] * (len(b_face) - 2) + ["<=", "<="]
-
-    rng = np.random.default_rng(seed)
-    sampled = []
-    for _ in range(count):
-        problem = LPProblem(c=rng.standard_normal(ncols), A=A_face,
-                            b=b_face, senses=senses)
-        sol = lp_solve(problem)
-        if sol.status != OPTIMAL:
-            continue
-        flat = _polish_face_point(A_face, b_face, senses, problem.c,
-                                  np.maximum(sol.x, 0.0))
-        if flat is not None:
-            sampled.append(flat)
-    sampled = np.array(sampled).reshape(-1, ncols)
-    validate_lam0_rows(sampled)
-    reps = sampled = _dedup(sampled)
-    exhaustive, found_all = False, None
-
+    ncols = A_exact.shape[1] - 1                        # the slack is last
     support = face_support(A_exact, b_exact, dual)
+    A_support = A_exact[:, np.append(support, ncols)]
     try:
-        vertices = enumerate_basic_solutions(
-            A_exact[:, np.append(support, ncols)], b_exact, tol=1e-8)
-    except EnumerationTooLarge:
-        pass        # too many bases: the samples stand alone
-    else:
-        exact = np.zeros((len(vertices), ncols))
-        exact[:, support] = vertices[:, :-1]
-        validate_lam0_rows(exact)
-        reps = _dedup(exact)
+        vertices = enumerate_basic_solutions(A_support, b_exact, tol=1e-8)
         exhaustive = True
-        tv = np.abs(reps[:, None, :] - sampled[None, :, :]).sum(axis=2)
-        found_all = bool(np.all(np.any(tv <= FACE_DEDUP_TOL, axis=1)))
+    except EnumerationTooLarge:
+        vertices = _sample_face(A_support, b_exact, count, seed)
+        exhaustive = False
+    rows = np.zeros((len(vertices), ncols))
+    rows[:, support] = vertices[:, :-1]
+    validate_lam0_rows(rows)
     return MatherSet(representatives=[MeasureVector.from_flat(sys, row, 0.0)
-                                      for row in reps],
+                                      for row in _dedup(rows)],
                      min_value=min_value, exhaustive=exhaustive,
-                     sampling_found_all=found_all,
                      support_columns=(len(support), ncols))
 
 

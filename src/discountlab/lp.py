@@ -111,8 +111,8 @@ class LPSolution:
     bland: bool = False
 
 
-def lp_solve(problem: LPProblem, basis: Optional[np.ndarray] = None,
-             max_iterations: Optional[int] = None) -> LPSolution:
+def lp_solve(problem: LPProblem,
+             basis: Optional[np.ndarray] = None) -> LPSolution:
     """Two-phase dense primal simplex with certified returns.
 
     ``basis`` is the ``LPSolution.basis`` of a problem with the same
@@ -124,7 +124,7 @@ def lp_solve(problem: LPProblem, basis: Optional[np.ndarray] = None,
     """
     std = _Standardized(problem)
     m, n = std.A.shape
-    budget = max_iterations or (200 * (m + n) + 20000)
+    budget = 200 * (m + n) + 20000
     bland_after = 2 * (m + n)
     state = None if basis is None else _warm_tableau(std, basis, bland_after)
     failed_warm = int(basis is not None and state is None)

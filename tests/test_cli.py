@@ -31,6 +31,16 @@ def test_parse_rejects_unknown_key():
         parse_config("instance = a\npipeline = solve\nfrobnicate = 1\n")
 
 
+def test_face_tol_is_an_unknown_key(tmp_path):
+    # the exact face needs no relaxation, so the key is gone
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("instance = eikonal-f\npipeline = selection\n"
+                   f"face_tol = 1e-9\noutput_dir = {tmp_path / 'o'}\n")
+    with pytest.raises(UnknownKey):
+        parse_config(cfg.read_text())
+    assert main(["run", str(cfg)]) == 2
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as info:
         parse_config("instance = a\nthis line has no equals sign\n")
@@ -149,6 +159,16 @@ def test_duality_solves_one_lp_per_field(tmp_path, monkeypatch):
     assert len(subsolution) == 1
     assert len(lps) - len(warm) == 2
     assert len(warm) == 2 * 8          # one per point: m * S
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exhaustive_face_solves_no_sampling_lp(tmp_path, monkeypatch, seed):
+    # 1 Mather LP, 5 face-support LPs and 1 selection-field LP: the face
+    # is enumerated, so no sampling LP runs
+    lps = _count_calls(monkeypatch, dl.lp.lp_solve)
+    assert run_experiment(_small_spec("selection", tmp_path,
+                                      seed=seed)).status == 0
+    assert len(lps) == 7
 
 
 _STAGES = {"structure": [], "solve": [], "duality": ["audits"],
@@ -411,8 +431,9 @@ def test_pruned_exact_face_fits_the_default_budget(tmp_path, overrides):
     assert report.status == 0, report.error
     mather = json.loads((tmp_path / "result.json").read_text())[
         "sections"]["mather"]
+    # sampling on these faces is checked by
+    # test_limits.py::test_fallback_samples_match_the_exact_face
     assert mather["exhaustive"] is True
-    assert mather["sampling_found_all"] is True
     kept, total = mather["support_columns"]
     assert total == 30 and kept < total
     assert mather["representatives"] >= 1

@@ -4,7 +4,7 @@ import pytest
 import discountlab as dl
 from discountlab import limits
 from discountlab.errors import BadValue, DivergentSweep, UnboundedLP
-from discountlab.lp import enumerate_basic_solutions
+from discountlab.lp import enumerate_basic_solutions, lp_solve
 from discountlab.limits import (closedness_residual, ergodic_normalize,
                                 face_support, mather_from_sweep,
                                 stencil_norm)
@@ -103,9 +103,9 @@ def test_face_zero_only_for_positive_total_coupling(
 
 
 def test_face_tiny_instance_sampling_finds_all(tiny_eikonal_normalized):
+    # sampling is checked by test_fallback_samples_match_the_exact_face
     mset = dl.mather_face_samples(tiny_eikonal_normalized, 16, seed=3)
     assert mset.exhaustive
-    assert mset.sampling_found_all
     masses = sorted(round(nu.total_mass(), 6) for nu in mset.representatives)
     assert masses == [0.0, 1.0]
 
@@ -188,9 +188,9 @@ def constant_coupling_unpruned_face(instance_a_shifted):
     return unpruned_face(instance_a_shifted)
 
 
-def _eikonal_normalized(N):
-    sys_ = dl.standard_system("eikonal-f", N=N)
-    return ergodic_normalize(sys_, lam=0.01, tol=1e-12)[0]
+def _normalized(instance, lam=0.01, tol=1e-12, **kwargs):
+    sys_ = dl.standard_system(instance, **kwargs)
+    return ergodic_normalize(sys_, lam=lam, tol=tol)[0]
 
 
 @pytest.mark.parametrize("case", [
@@ -205,7 +205,7 @@ def test_pruned_face_matches_unpruned_enumeration(case, request):
     elif case == "eikonal-two-wells":
         sys_ = dl.standard_system("eikonal-f", N=8, f_const=1.0, f_freq=2)
     else:
-        sys_ = _eikonal_normalized(int(case[-1]))
+        sys_ = _normalized("eikonal-f", N=int(case[-1]))
     assert sys_.total_vars <= 24
     reference = request.getfixturevalue("constant_coupling_unpruned_face") \
         if case == "constant-coupling-zero" else unpruned_face(sys_)
@@ -217,6 +217,43 @@ def test_pruned_face_matches_unpruned_enumeration(case, request):
     # same vertex set, representatives in the same order
     assert pruned.shape == reference.shape
     assert np.max(np.abs(pruned - reference), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("case", [
+    "tiny-eikonal", "eikonal-f-6", "eikonal-f-8", "eikonal-two-wells",
+    "quadratic-plc", "linear-B", "eikonal-f-10", "constant-coupling-5",
+    "linear-B-5"])
+def test_fallback_samples_match_the_exact_face(case, request, monkeypatch):
+    # the last three are the oversize faces of test_cli, normalized as
+    # the selection pipeline does at its defaults
+    systems = {
+        "tiny-eikonal": lambda: request.getfixturevalue(
+            "tiny_eikonal_normalized"),
+        "eikonal-f-6": lambda: _normalized("eikonal-f", N=6),
+        "eikonal-f-8": lambda: _normalized("eikonal-f", N=8),
+        "eikonal-two-wells": lambda: dl.standard_system(
+            "eikonal-f", N=8, f_const=1.0, f_freq=2),
+        "quadratic-plc": lambda: request.getfixturevalue(
+            "instance_b_normalized"),
+        "linear-B": lambda: _normalized("linear-B", 0.05, 1e-12),
+        "eikonal-f-10": lambda: _normalized("eikonal-f", 0.05, 1e-10, N=10),
+        "constant-coupling-5": lambda: _normalized("constant-coupling",
+                                                   0.05, 1e-10, N=5),
+        "linear-B-5": lambda: _normalized("linear-B", 0.05, 1e-10, N=5)}
+    sys_ = systems[case]()
+    exact = dl.mather_face_samples(sys_, 12, seed=17)
+    assert exact.exhaustive
+    monkeypatch.setattr(dl.lp, "MAX_BASES", 0)
+    sampled = dl.mather_face_samples(sys_, 12, seed=17)
+    assert not sampled.exhaustive
+    assert sampled.support_columns == exact.support_columns
+    vertices = np.array([nu.flat() for nu in exact.representatives])
+    samples = np.array([nu.flat() for nu in sampled.representatives])
+    tv = np.abs(vertices[:, None, :] - samples[None, :, :]).sum(axis=2)
+    # every vertex is sampled, and every sample is a vertex
+    assert np.all(tv.min(axis=1) <= limits.FACE_DEDUP_TOL)
+    assert np.all(tv.min(axis=0) <= limits.FACE_DEDUP_TOL)
+    assert len(samples) == len(vertices)
 
 
 def test_face_rejects_vertex_outside_lam0_rule(tiny_eikonal_normalized,
@@ -235,12 +272,28 @@ def test_face_rejects_vertex_outside_lam0_rule(tiny_eikonal_normalized,
 
 def test_face_rejects_polished_sample_outside_lam0_rule(
         tiny_eikonal_normalized, monkeypatch):
-    negative = np.zeros(tiny_eikonal_normalized.total_vars)
-    negative[0] = -1e-3
-    monkeypatch.setattr(limits, "_polish_face_point",
-                        lambda *args: negative)
+    # no basis fits the budget, so sampled LP solutions give the rows;
+    # every LP solved after the support is found is a sampled one
+    sampling = []
+
+    def recording_support(*args):
+        support = face_support(*args)
+        sampling.append(True)
+        return support
+
+    def negative(problem, basis=None):
+        sol = lp_solve(problem, basis=basis)
+        if sampling:
+            sol.x = sol.x.copy()
+            sol.x[0] = -1e-3           # the first support column
+        return sol
+
+    monkeypatch.setattr(dl.lp, "MAX_BASES", 0)
+    monkeypatch.setattr(limits, "face_support", recording_support)
+    monkeypatch.setattr(limits, "lp_solve", negative)
     with pytest.raises(BadValue):
         dl.mather_face_samples(tiny_eikonal_normalized, 4, seed=15)
+    assert sampling
 
 
 def test_face_representatives_exactly_closed(eikonal32_normalized):
