@@ -18,6 +18,9 @@ the right-hand side, so a problem that differs only in ``b`` starts
 phase 2 from it and is optimal after 0 pivots whenever the basis is
 primal feasible for the new ``b``.  A basis that is singular or primal
 infeasible for the problem takes the cold two-phase path instead.
+``lp_solve_rhs`` does this for many right-hand sides at once: the basis
+is factorized and priced once, and each right-hand side costs one solve
+for its basic values and the same certification, bit for bit.
 
 Problems here are desk scale (a few hundred rows and columns), so the
 tableau stays dense, and exact vertex answers feed the basis enumeration
@@ -38,7 +41,7 @@ pivot rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, islice
 from typing import Optional
 
@@ -150,11 +153,61 @@ def lp_solve(problem: LPProblem,
         return LPSolution(UNBOUNDED, None, -math.inf, None, iterations, ray=ray,
                           **counters)
 
-    x_std, y_kept = state.certify(std.A, std.b, std.c)
+    B = std.A[np.ix_(state.kept_rows, state.basis)]
+    xB = state.basic_solve(B, std.b[state.kept_rows])
+    return _certified(problem, std, state, xB, state.duals(std, B),
+                      iterations, counters)
+
+
+def lp_solve_rhs(problem: LPProblem, basis, rhs) -> list:
+    """``lp_solve(replace(problem, b=col), basis=basis)`` for each column
+    ``col`` of the (rows, k) array ``rhs``, bit for bit; ``problem.b`` is
+    not used.
+
+    An optimal basis stays optimal for every right-hand side it keeps
+    primal feasible (Chvatal, *Linear Programming*, 1983, ch. 10), so the
+    standard form, the basis factorization, the duals and the pricing
+    are shared.  A column gets its own ``lp_solve`` when the basis does
+    not fit it or it fails certification, or when it has a negative entry
+    (which flips its row in the standard form); every column does when
+    the basis is singular or not optimal.
+    """
+    columns = [replace(problem, b=b) for b in np.asarray(rhs, dtype=float).T]
+    std = _Standardized(replace(problem, b=np.zeros(len(problem.b))))
+    state = _warm_tableau(std, basis, 2 * sum(std.A.shape))
+    if state is None or state.entering(std.c, 0) >= 0:
+        return [lp_solve(p, basis=basis) for p in columns]
+    B = std.A[np.ix_(state.kept_rows, state.basis)]
+    duals, counters = state.duals(std, B), state.counters(0, 0)
+
+    def on_basis(p):
+        """``p``'s 0-pivot solution on this basis, or ``None`` when the
+        basis does not fit ``p.b`` or fails certification."""
+        if np.any(p.b < 0.0):
+            return None         # a flipped row changes the standard form
+        xB = state.basic_solve(B, p.b[state.kept_rows])
+        if np.min(xB, initial=0.0) < -FEAS_TOL \
+                or _misses_dropped_rows(std, state, xB, p.b):
+            return None
+        try:
+            return _certified(p, std, state, xB, duals, 0, counters)
+        except NumericalBreakdown:
+            return None
+
+    return [on_basis(p) or lp_solve(p, basis=basis) for p in columns]
+
+
+def _certified(problem, std, state, xB, duals, iterations, counters):
+    """The Optimal solution with basic values ``xB`` on ``state``'s basis,
+    once its primal feasibility and complementary slackness residuals
+    pass; ``duals`` is the pair ``state.duals(std, B)``."""
+    y_kept, red = duals
+    x_std = np.zeros(std.A.shape[1])
+    x_std[state.basis] = xB
     x = std.to_original(x_std)
     dual = std.dual_to_original(y_kept, state.kept_rows)
     feas = _primal_residual(problem, x, std.equality)
-    cs = _slack_residual(std, x_std, y_kept, state.kept_rows)
+    cs = float(np.max(np.abs(x_std * red), initial=0.0))
     if feas > FEAS_TOL or cs > CS_TOL:
         raise NumericalBreakdown(
             f"certification failed: feasibility {feas:.3e}, slackness {cs:.3e}")
@@ -183,11 +236,21 @@ def _warm_tableau(std: "_Standardized", basis, bland_after):
         state.refactor()
     except NumericalBreakdown:
         return None
-    dropped = np.nonzero(basis < 0)[0]
-    residual = std.A[np.ix_(dropped, state.basis)] @ state.rhs - std.b[dropped]
-    if float(np.max(np.abs(residual), initial=0.0)) > FEAS_TOL:
+    if _misses_dropped_rows(std, state, state.rhs, std.b):
         return None
     return state
+
+
+def _misses_dropped_rows(std, state, xB, b) -> bool:
+    """Whether the basic point ``xB``, clamped at 0, misses right-hand
+    side ``b`` on a row that ``state`` dropped as redundant."""
+    if len(state.kept_rows) == len(b):
+        return False
+    dropped = np.ones(len(b), dtype=bool)
+    dropped[state.kept_rows] = False
+    residual = std.A[np.ix_(dropped, state.basis)] @ np.maximum(xB, 0.0) \
+        - b[dropped]
+    return float(np.max(np.abs(residual), initial=0.0)) > FEAS_TOL
 
 
 class _Standardized:
@@ -331,19 +394,23 @@ class _Tableau:
     def objective(self, c):
         return float(c[self.basis] @ self.rhs)
 
+    def entering(self, c, it):
+        """The column to enter at iteration ``it`` under costs ``c``, or -1
+        when no reduced cost is below -OPT_TOL."""
+        red = c - c[self.basis] @ self.T
+        red[self.basis] = 0.0
+        if it >= self.bland_after:
+            negs = np.nonzero(red < -OPT_TOL)[0]
+            return int(negs[0]) if len(negs) else -1
+        cand = int(np.argmin(red))
+        return cand if red[cand] < -OPT_TOL else -1
+
     def run(self, c, budget, start_iter=0):
         it = start_iter
         while True:
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self.refactor()
-            red = c - c[self.basis] @ self.T
-            red[self.basis] = 0.0
-            if it >= self.bland_after:
-                negs = np.nonzero(red < -OPT_TOL)[0]
-                enter = int(negs[0]) if len(negs) else -1
-            else:
-                cand = int(np.argmin(red))
-                enter = cand if red[cand] < -OPT_TOL else -1
+            enter = self.entering(c, it)
             if enter < 0:
                 if self.pivots_since_refactor == 0:
                     return OPTIMAL, it
@@ -420,17 +487,20 @@ class _Tableau:
         self.T[:, artificial] = 0.0
         self.A0[:, artificial] = 0.0
 
-    def certify(self, A, b, c):
-        """Fresh solve on the final basis: clean primal point and duals."""
-        B = A[np.ix_(self.kept_rows, self.basis)]
+    def basic_solve(self, B, rhs, transpose=False):
+        """Fresh solve on the basis matrix ``B`` (the kept rows and basic
+        columns of the standard form), not the tableau: B^-1 rhs, or
+        B^-T rhs."""
         try:
-            xB = self._solve(B, b[self.kept_rows])
-            y = self._solve(B, c[self.basis], transpose=True)
+            return self._solve(B, rhs, transpose)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"final basis is singular: {exc}")
-        x = np.zeros(A.shape[1])
-        x[self.basis] = xB
-        return x, y
+
+    def duals(self, std, B):
+        """Row duals y = B^-T c_B on the kept rows, and the reduced costs
+        c - A^T y over every standard-form column."""
+        y = self.basic_solve(B, std.c[self.basis], transpose=True)
+        return y, std.c - std.A[self.kept_rows].T @ y
 
 
 def _unit_block_solve(B, unit_row, rhs, transpose=False):
@@ -474,13 +544,6 @@ def _primal_residual(p: LPProblem, x: np.ndarray, equality) -> float:
         np.where(equality, np.abs(res), res), initial=0.0)))
     bound = np.min(x[~p.free], initial=0.0)
     return max(worst, -min(bound, 0.0))
-
-
-def _slack_residual(std: _Standardized, x_std, y_kept, kept_rows) -> float:
-    A = std.A[kept_rows]
-    red = std.c - A.T @ y_kept
-    comp = float(np.max(np.abs(x_std * red), initial=0.0))
-    return comp
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,12 @@ two cold LPs:
   with objective -sum u.  For lam > 0 the subsolutions have a greatest
   element (the solution), so every entry of that optimum is the
   pointwise maximum;
-- the measure minimum is one LP per point seed e_(k,z), each started
-  from the optimal basis of the LP seeded with sum e_(k,z).  That basis
-  is dual feasible for every seed, so each seed's LP is optimal after 0
-  pivots whenever the basis is primal feasible for it, and is certified
-  exactly as a cold solve would be.
+- the measure minimum is one LP seeded with sum e_(k,z).  Its optimal
+  basis is dual feasible for every seed, so it is optimal for each seed
+  e_(k,z) that it keeps primal feasible, B^-1 e_(k,z) >= 0.  One pass of
+  ``lp_solve_rhs`` certifies every seed from that one basis, exactly as
+  the seed's own LP would be certified, and solves a seed that the
+  basis does not fit as its own LP.
 
 Each point's check is still a certificate.  For a closed measure mu
 seeded at (k, z) and a subsolution u, pairing mu against the relations
@@ -56,7 +57,7 @@ import numpy as np
 from .discretize import (DiscreteSystem, Policy, ValueField,
                          linearized_matrix, policy_matrix, policy_rows)
 from .errors import BadValue, InfeasibleLP, SingularSystem, UnboundedLP
-from .lp import OPTIMAL, UNBOUNDED, LPProblem, lp_solve
+from .lp import OPTIMAL, UNBOUNDED, LPProblem, lp_solve, lp_solve_rhs
 from .solver import policy_iterate
 
 MASS_TOL = 1e-9
@@ -197,9 +198,12 @@ def _measure_problem(sys: DiscreteSystem, lam: float, z: int,
     return problem
 
 
-def _measure_lp(sys: DiscreteSystem, lam: float, problem: LPProblem,
-                basis=None):
-    sol = lp_solve(problem, basis=basis)
+def _measure_lp(sys: DiscreteSystem, lam: float, problem: LPProblem):
+    return _measure_of(sys, lam, lp_solve(problem))
+
+
+def _measure_of(sys: DiscreteSystem, lam: float, sol):
+    """The validated measure of a measure-LP solution, and the solution."""
     if sol.status != OPTIMAL:
         raise SingularSystem(f"measure LP returned {sol.status}")
     mu = MeasureVector.from_flat(sys, np.maximum(sol.x, 0.0), lam)
@@ -354,10 +358,10 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
     """``duality_audit`` at every (z, k), mode-major, from two cold LPs.
 
     The subsolution side is one LP for the greatest subsolution.  The
-    measure side is one LP seeded with the sum of all point masses; its
-    optimal basis then certifies each point's own measure LP through
-    ``lp_solve(..., basis=...)``, which falls back to a cold solve for a
-    seed the basis does not fit.
+    measure side is one LP seeded with the sum of all point masses; one
+    ``lp_solve_rhs`` pass over its optimal basis then certifies every
+    point's seed, and solves a seed the basis does not fit as its own LP.
+    Each seed's measure is validated as ``green_poisson``'s is.
     """
     if lam <= 0.0:
         raise BadValue("duality audit requires lam > 0")
@@ -369,10 +373,10 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
         raise SingularSystem(f"summed-seed measure LP returned "
                              f"{summed.status}")
     points = [(z, k) for k in range(sys.m) for z in range(sys.num_states)]
+    seeds = lp_solve_rhs(problem, summed.basis, np.eye(len(problem.b)))
     reports = []
-    for (z, k), seed in zip(points, np.eye(len(problem.b))):
-        _, sol = _measure_lp(sys, lam, replace(problem, b=seed),
-                             basis=summed.basis)
+    for (z, k), sol in zip(points, seeds):
+        _measure_of(sys, lam, sol)
         reports.append(_duality_report(z, k, lam, float(u[k, z]), sol,
                                        float(sub[k, z]), DUALITY_TOL))
     return reports

@@ -373,21 +373,22 @@ def coercivity_profile(model: HamiltonianModel, R: float,
 
     xs = product_grid(np.arange(sample_density) / sample_density, model.n)
     us = _ball_grid(model.m, R, sample_density)
-    beta = -math.inf
-    zero_p = np.zeros(model.n)
-    for i in range(model.m):
-        for x in xs:
-            vals = model.eval(x, i, np.broadcast_to(zero_p, (len(us), model.n)), us)
-            beta = max(beta, float(np.max(vals)))
+    # one evaluation per (mode, p) over the whole (x, u) grid
+    grid = (len(xs), len(us))
+    x_grid = np.broadcast_to(xs[:, None, :], grid + (model.n,))
+    u_grid = np.broadcast_to(us[None, :, :], grid + (model.m,))
 
+    def values(i, p):
+        return model.eval(x_grid, i, np.broadcast_to(p, grid + (model.n,)),
+                          u_grid)
+
+    beta = max(float(np.max(values(i, np.zeros(model.n))))
+               for i in range(model.m))
     table = []
     for r in radii:
-        alpha = math.inf
-        for p in _sphere_points(model.n, r, sample_density):
-            for i in range(model.m):
-                for x in xs:
-                    vals = model.eval(x, i, np.broadcast_to(p, (len(us), model.n)), us)
-                    alpha = min(alpha, float(np.min(vals)))
+        alpha = min(float(np.min(values(i, p)))
+                    for p in _sphere_points(model.n, r, sample_density)
+                    for i in range(model.m))
         table.append((r, alpha))
     return CoercivityProfile(R=float(R), table=table, beta=beta)
 

@@ -102,7 +102,7 @@ def test_face_zero_only_for_positive_total_coupling(
     assert np.all(constant_coupling_unpruned_face == 0.0)
 
 
-def test_face_tiny_instance_sampling_finds_all(tiny_eikonal_normalized):
+def test_face_tiny_instance_vertices(tiny_eikonal_normalized):
     # sampling is checked by test_fallback_samples_match_the_exact_face
     mset = dl.mather_face_samples(tiny_eikonal_normalized, 16, seed=3)
     assert mset.exhaustive

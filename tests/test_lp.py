@@ -1,5 +1,6 @@
 import copy
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from discountlab.errors import EnumerationTooLarge, NumericalBreakdown
 from discountlab.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem,
                             _Standardized, _unit_block_solve,
                             enumerate_basic_solutions, enumeration_minimum,
-                            independent_rows, lp_solve)
+                            independent_rows, lp_solve, lp_solve_rhs)
 
 
 def test_one_pivot_lp():
@@ -196,11 +197,11 @@ def test_mixed_senses_and_free_vars_against_enumeration():
 ZOO = ("constant-coupling", "linear-B", "quadratic-plc", "eikonal-f")
 
 
-def _measure_problems(name):
+def _measure_problems(name, **kwargs):
     """The lam = 0.5 measure LP of a zoo instance: one problem per point
     seed, and one seeded with the sum of all point masses."""
     import discountlab as dl
-    sys_ = dl.standard_system(name)
+    sys_ = dl.standard_system(name, **kwargs)
     base = dl.assemble_closed_constraints(sys_, 0.5, 0, 0)
     base.c = sys_.cost_flat()
     seeds = [replace(base, b=e) for e in np.eye(len(base.b))]
@@ -441,6 +442,114 @@ def test_warm_start_checks_the_rows_its_basis_dropped():
     _assert_certified(warm)
     assert warm.iterations == 0
     assert warm.objective_value == lp_solve(consistent).objective_value
+
+
+def _assert_same_solution(a, b):
+    """Every field of two ``LPSolution``s equal, bit for bit."""
+    for f in fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
+            assert _same_bits(va, vb), f.name
+        elif isinstance(va, float) and math.isnan(va):
+            assert math.isnan(vb), f.name
+        else:
+            assert va == vb, f.name
+
+
+def _rhs_pass(problem, basis, rhs, monkeypatch):
+    """``lp_solve_rhs``, and how many columns it handed to ``lp_solve``."""
+    handed = []
+    solve = lp.lp_solve
+
+    def counted(p, basis=None):
+        handed.append(p)
+        return solve(p, basis=basis)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "lp_solve", counted)
+        sols = lp_solve_rhs(problem, basis, rhs)
+    return sols, len(handed)
+
+
+@pytest.mark.parametrize("name, kwargs",
+                         [pytest.param(name, {}, id=name) for name in ZOO]
+                         + [pytest.param("quadratic-plc", {"N": 16},
+                                         id="quadratic-plc-N16")])
+def test_rhs_pass_matches_each_warm_solve(name, kwargs, monkeypatch):
+    seeds, summed = _measure_problems(name, **kwargs)
+    basis = lp_solve(summed).basis
+    rhs = np.stack([p.b for p in seeds], axis=1)
+    sols, handed = _rhs_pass(summed, basis, rhs, monkeypatch)
+    assert handed == 0          # every seed certified on the one basis
+    assert len(sols) == len(seeds)
+    for problem, sol in zip(seeds, sols):
+        _assert_certified(sol)
+        _assert_same_solution(sol, lp_solve(problem, basis=basis))
+
+
+def test_rhs_pass_hands_misfit_columns_to_lp_solve(monkeypatch):
+    # the setup of test_warm_start_falls_back_to_the_cold_path: columns
+    # that the basis keeps feasible, columns it does not, one with a
+    # negative entry, a singular basis and a basis that is not optimal
+    rng = np.random.default_rng(80)
+    misfits = 0
+    for _ in range(6):
+        first = _random_lp(rng)
+        basis = lp_solve(first).basis
+        rhs = np.stack([first.A @ rng.uniform(0.1, 1.0, 9) for _ in range(5)]
+                       + [first.b, -first.b], axis=1)
+        negative = [bool(np.any(b < 0.0)) for b in rhs.T]
+        infeasible = [bool(np.min(np.linalg.solve(first.A[:, basis], b)) < 0.0)
+                      for b in rhs.T]
+        misfits += sum(i and not n for n, i in zip(negative, infeasible))
+        sols, handed = _rhs_pass(first, basis, rhs, monkeypatch)
+        assert handed == sum(n or i for n, i in zip(negative, infeasible))
+        for b, sol in zip(rhs.T, sols):
+            _assert_same_solution(sol, lp_solve(replace(first, b=b),
+                                                basis=basis))
+        for start, problem in ((np.full_like(basis, basis[0]), first),
+                               (basis, replace(first, c=-first.c))):
+            sols, handed = _rhs_pass(problem, start, rhs, monkeypatch)
+            assert handed == rhs.shape[1]
+            for b, sol in zip(rhs.T, sols):
+                _assert_same_solution(sol, lp_solve(replace(problem, b=b),
+                                                    basis=start))
+    assert misfits > 0
+
+
+def test_rhs_pass_checks_each_part_of_a_free_column(monkeypatch):
+    # min u s.t. u + v = b1, v <= b2, u free.  The optimal basis of
+    # b = (3, 1) holds u's positive part and v; on b = (1, 3) that part
+    # reads -2.  The point (u, v) = (-2, 3) passes both certification
+    # residuals, but the basis is not primal feasible in standard form,
+    # so that column is solved by lp_solve, which pivots
+    first = LPProblem(c=[1.0, 0.0], A=[[1.0, 1.0], [0.0, 1.0]], b=[3.0, 1.0],
+                      senses=["=", "<="], free=np.array([True, False]))
+    basis = lp_solve(first).basis
+    rhs = np.array([[3.0, 1.0], [1.0, 3.0]]).T
+    (fits, misfit), handed = _rhs_pass(first, basis, rhs, monkeypatch)
+    assert handed == 1
+    assert fits.iterations == 0 and misfit.iterations > 0
+    assert np.array_equal(misfit.x, [-2.0, 3.0])
+    for b, sol in zip(rhs.T, (fits, misfit)):
+        _assert_same_solution(sol, lp_solve(replace(first, b=b), basis=basis))
+
+
+def test_rhs_pass_checks_the_rows_its_basis_dropped(monkeypatch):
+    # the setup of test_warm_start_checks_the_rows_its_basis_dropped
+    first = LPProblem(c=[1.0, 2.0], A=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 1.0],
+                      senses=["=", "="])
+    basis = lp_solve(first).basis
+    assert -1 in basis
+    rhs = np.array([[1.0, 2.0], [2.0, 2.0]]).T
+    (inconsistent, consistent), handed = _rhs_pass(first, basis, rhs,
+                                                   monkeypatch)
+    assert handed == 1
+    assert inconsistent.status == INFEASIBLE
+    assert consistent.iterations == 0
+    _assert_certified(consistent)
+    for b, sol in zip(rhs.T, (inconsistent, consistent)):
+        _assert_same_solution(sol, lp_solve(replace(first, b=b), basis=basis))
 
 
 class _LoopStandardized:

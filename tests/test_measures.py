@@ -258,6 +258,26 @@ def test_field_duality_audit_matches_per_point_oracle(name):
         assert abs(rep.subsolution_value - oracle.subsolution_value) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["constant-coupling", "linear-B",
+                                  "quadratic-plc", "eikonal-f"])
+def test_field_duality_audit_makes_two_lp_calls(name, monkeypatch):
+    # the subsolution LP and the summed-seed measure LP; every point's
+    # seed is certified on the summed seed's basis without an LP of its own
+    calls = []
+    solve = dl.lp.lp_solve
+
+    def counted(problem, basis=None):
+        calls.append(basis)
+        return solve(problem, basis=basis)
+
+    monkeypatch.setattr(dl.measures, "lp_solve", counted)
+    monkeypatch.setattr(dl.lp, "lp_solve", counted)
+    sys_ = dl.standard_system(name)
+    reports = dl.field_duality_audit(sys_, 0.5)
+    assert len(reports) == sys_.m * sys_.num_states
+    assert calls == [None, None]
+
+
 def test_field_duality_audit_rejects_zero_lambda(instance_a):
     with pytest.raises(BadValue):
         dl.field_duality_audit(instance_a, 0.0)

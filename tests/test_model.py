@@ -164,6 +164,48 @@ def test_coercivity_contract_failures():
         dl.coercivity_profile(_abs_p_model(), 1.0, [1.0], 0)
 
 
+def _coercivity_per_x(model, R, radii, density):
+    """The profile from one evaluation per (mode, p, grid x), as the
+    function computed it before it evaluated the whole (x, u) grid."""
+    xs = dl.model.product_grid(np.arange(density) / density, model.n)
+    us = dl.model._ball_grid(model.m, R, density)
+
+    def values(i, x, p):
+        return model.eval(x, i, np.broadcast_to(p, (len(us), model.n)), us)
+
+    beta = -np.inf
+    for i in range(model.m):
+        for x in xs:
+            beta = max(beta, float(np.max(values(i, x, np.zeros(model.n)))))
+    table = []
+    for r in radii:
+        alpha = np.inf
+        for p in dl.model._sphere_points(model.n, r, density):
+            for i in range(model.m):
+                for x in xs:
+                    alpha = min(alpha, float(np.min(values(i, x, p))))
+        table.append((float(r), alpha))
+    return table, beta
+
+
+def _plane_model():
+    def H(x, i, p, u):
+        return np.hypot(p[..., 0], p[..., 1]) \
+            - np.cos(2.0 * np.pi * x[..., 0]) * np.sin(2.0 * np.pi * x[..., 1])
+    return HamiltonianModel(1, 2, H)
+
+
+@pytest.mark.parametrize("name", dl.model.ZOO_IDS + ("plane",))
+def test_coercivity_grid_evaluation_matches_the_per_x_loop(name):
+    model = _plane_model() if name == "plane" else dl.make_model(name)
+    radii = [1.0, 2.0, 4.0, 8.0]
+    for density in (5, 24):
+        prof = dl.coercivity_profile(model, 4.0, radii, density)
+        table, beta = _coercivity_per_x(model, 4.0, radii, density)
+        assert prof.table == table
+        assert prof.beta == beta
+
+
 def test_erg_condition_eikonal_true():
     m = dl.make_model("eikonal-f")  # f = 2 + cos, max 3, min 1
     prof = dl.coercivity_profile(m, R=4.0, radii=[1, 2, 4, 8],
