@@ -5,12 +5,16 @@ A small two-phase primal simplex on the standard form
     min c.x   s.t.   A x = b,  x >= 0,
 
 with free variables split into differences of nonnegative parts and
-inequality rows slacked.  Dantzig pricing runs first; after
+inequality rows slacked.  Dantzig pricing runs first, with Harris's
+two-pass ratio test (Harris, Math. Programming 5, 1973): the leaving row
+is the one with the largest pivot among the rows whose ratio stays
+within the step that keeps every basic value above -``FEAS_TOL``, so a
+tiny pivot is never taken when a larger one is nearly as good.  After
 2 * (rows + cols) iterations the kernel switches to Bland's least-index
-rule, which guarantees termination.  Every Optimal return is certified:
-the final point is re-solved from the final basis, and the primal
-feasibility and complementary slackness residuals are checked against
-fixed bounds before the solution is handed back.
+rule, on the exact minimum ratio, which guarantees termination.  Every
+Optimal return is certified: the final point is re-solved from the final
+basis, and the primal feasibility and complementary slackness residuals
+are checked against fixed bounds before the solution is handed back.
 
 Every Optimal solution also hands back its final basis, and ``lp_solve``
 accepts one as a start.  An optimal basis stays dual feasible whatever
@@ -52,7 +56,6 @@ from .errors import EnumerationTooLarge, NumericalBreakdown
 FEAS_TOL = 1e-9
 CS_TOL = 1e-8
 PIVOT_TOL = 1e-12
-DRIFT_PIVOT_REL = 1e-12     # pivot / column max below this: re-checked
 OPT_TOL = 1e-9
 REFACTOR_EVERY = 150
 SLACK_AWARE_SLACKS = 64     # LPs with this many '<=' rows: unit-column path
@@ -319,10 +322,12 @@ class _Standardized:
 class _Tableau:
     """Dense simplex tableau over a fixed standard-form matrix.
 
-    The tableau is refactorized from the original matrix every
-    ``REFACTOR_EVERY`` pivots and before any optimality verdict, so
-    accumulated pivot drift can neither stall Bland's rule on noise
-    reduced costs nor produce a false optimum.
+    The leaving row is chosen by Harris's ratio test under Dantzig
+    pricing and by the exact minimum ratio, least basic index first,
+    under Bland's rule.  The tableau is refactorized from the original
+    matrix every ``REFACTOR_EVERY`` pivots and before any optimality
+    verdict, so accumulated pivot drift can neither stall Bland's rule
+    on noise reduced costs nor produce a false optimum.
 
     With ``SLACK_AWARE_SLACKS`` slack columns or more, the path is chosen
     once, from the shape: factorizations go through ``_unit_block_solve``,
@@ -383,9 +388,8 @@ class _Tableau:
             self.rhs = self._solve(B, self.b0)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"refactorization failed: {exc}")
-        for r, col in enumerate(self.basis):
-            self.T[:, col] = 0.0
-            self.T[r, col] = 1.0
+        self.T[:, self.basis] = 0.0
+        self.T[np.arange(len(self.basis)), self.basis] = 1.0
         if float(np.min(self.rhs, initial=0.0)) < -FEAS_TOL:
             raise NumericalBreakdown("refactorization lost feasibility")
         np.maximum(self.rhs, 0.0, out=self.rhs)
@@ -423,22 +427,17 @@ class _Tableau:
             if len(eligible) == 0:
                 self.ray = self._ray(enter)
                 return UNBOUNDED, it
-            ratios = self.rhs[eligible] / col[eligible]
-            best = np.min(ratios)
-            ties = eligible[ratios <= best + 1e-12]
+            alpha, rhs = col[eligible], self.rhs[eligible]
+            ratios = rhs / alpha
             if it >= self.bland_after:
+                ties = eligible[ratios <= np.min(ratios) + 1e-12]
                 leave = int(ties[np.argmin(self.basis[ties])])
             else:
-                leave = int(ties[np.argmax(col[ties])])
-            if col[leave] < DRIFT_PIVOT_REL * np.max(np.abs(col)) \
-                    and self.pivots_since_refactor:
-                # Pivot drift can lift an entry that is 0 on the current
-                # basis to a tiny positive one; pivoting on it makes the
-                # basis singular.  Recompute the tableau before trusting it.
-                self.refactor()
-                continue
-            if col[leave] < PIVOT_TOL:
-                raise NumericalBreakdown("pivot below tolerance under Bland's rule")
+                # Harris: the largest pivot among rows whose ratio is within
+                # the step that keeps every basic value above -FEAS_TOL
+                bound = np.min((rhs + FEAS_TOL) / alpha)
+                near = ratios <= bound
+                leave = int(eligible[near][np.argmax(alpha[near])])
             self._pivot(leave, enter)
             self.bland |= it >= self.bland_after
             it += 1

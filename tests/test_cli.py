@@ -380,10 +380,18 @@ def test_out_of_range_probe_is_a_usage_error(tmp_path, probe):
     assert "probe" in doc["error"]["message"]
 
 
-def test_mather_probe_in_second_mode(tmp_path):
-    # the measure LP at the last rung used to break down at this probe
-    spec = ExperimentSpec(instance="quadratic-plc", pipeline="mather",
-                          probe_mode=1, output_dir=str(tmp_path))
+@pytest.mark.parametrize("pipeline,grid_points,probe_mode", [
+    ("mather", None, 1), ("mather", 16, 0), ("full", 16, 0)],
+    ids=["mather-default-1", "mather-16-0", "full-16-0"])
+def test_mather_probe_in_second_mode(tmp_path, pipeline, grid_points,
+                                     probe_mode):
+    # the measure LP at the sweep's smallest rung is badly conditioned on
+    # each of these; the pipeline must still pass
+    sizes = {} if grid_points is None else dict(
+        grid_points=grid_points, ergodic_lambda=0.05, ergodic_tol=1e-12)
+    spec = ExperimentSpec(instance="quadratic-plc", pipeline=pipeline,
+                          probe_mode=probe_mode, output_dir=str(tmp_path),
+                          **sizes)
     report = run_experiment(spec)
     assert report.status == 0 and report.passed, report.error
 

@@ -265,7 +265,8 @@ def test_basis_must_fit_the_standard_form():
 
 
 def test_cold_path_keeps_its_pivot_counts():
-    # measured before the warm start and the drift re-check were added
+    # pivots of the cold two-phase path on each zoo instance's first seed
+    # LP and summed-seed LP, the same since the first dense kernel
     counts = {"constant-coupling": (8, 8), "linear-B": (26, 26),
               "quadratic-plc": (65, 62), "eikonal-f": (50, 50)}
     for name, (seeded, summed) in counts.items():

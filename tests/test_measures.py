@@ -284,10 +284,14 @@ def test_field_duality_audit_rejects_zero_lambda(instance_a):
 
 
 def test_green_poisson_survives_pivot_drift(instance_b_normalized):
-    # at this lam a degenerate pivot used to land on an entry that is 0 on
-    # the current basis but read 5.7e-9 after drift, making the basis
-    # singular at the next refactorization
-    lam = 0.5 * 2.0 ** -17
-    u, _, _ = dl.policy_iterate(instance_b_normalized, lam, tol=1e-10)
-    _, value = dl.green_poisson(instance_b_normalized, lam, 0, 1)
-    assert abs(value - u[1, 0]) <= 1e-9
+    # every point of the vanishing-discount ladder lam_j = 0.5 * 2^-j: the
+    # measure LP grows badly conditioned as lam falls, and its optimum must
+    # still equal the policy-iteration value at each rung
+    sys_ = instance_b_normalized
+    for j in range(18):
+        lam = 0.5 * 2.0 ** -j
+        u, _, _ = dl.policy_iterate(sys_, lam, tol=1e-10)
+        for k in range(sys_.m):
+            for z in range(sys_.num_states):
+                _, value = dl.green_poisson(sys_, lam, z, k)
+                assert abs(value - u[k, z]) <= 1e-9, (j, z, k)
