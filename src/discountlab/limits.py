@@ -14,11 +14,14 @@ polytope; its vertices are enumerated exactly from bases over the face's
 support.  Mather measures live where the critical subsolution is tight,
 so most weight columns are 0 on the whole face and are pruned first:
 those with a positive reduced cost under the Mather LP's dual
-(complementary slackness), then those whose maximum over the face is 0
-(one LP per remaining column, each warm-started from the previous one's
-basis).  Only when the support has too many bases to enumerate is the
-same pruned face sampled instead, by minimizing random linear
-objectives over it.
+(complementary slackness), then those that are 0 on the whole face,
+found together by one LP over the cone of the face.  The face is
+convex, so the average of points that are each positive on one support
+column is positive on all of them; scaled by the cone's multiplier it
+reaches 1 on every support column at once, which a column that is 0 on
+the whole face never does.  Only when the support has too many bases to
+enumerate is the same pruned face sampled instead, by minimizing random
+linear objectives over it.
 
 The selection principle characterizes the limit field pointwise as the
 largest subsolution value at (z, k) among fields that pair
@@ -49,7 +52,7 @@ from .solver import ergodic_solve, policy_iterate
 
 DIVERGENCE_BOUND = 1e6
 FACE_DEDUP_TOL = 1e-7
-SUPPORT_TOL = 1e-9         # reduced cost or face weight above this: > 0
+SUPPORT_TOL = 1e-9         # reduced cost above this: > 0
 
 
 # ---------------------------------------------------------------------------
@@ -234,29 +237,32 @@ def face_support(A_exact, b_exact, dual):
 
     ``dual`` is an optimal dual of the Mather LP.  A column whose reduced
     cost under it is positive is 0 at every optimum (complementary
-    slackness) and is dropped unsolved.  Every other column j is kept
-    when it is positive in an earlier LP optimum, and otherwise when
-    max x_j over the face is positive.  Those LPs differ only in their
-    costs, so each one starts from the basis the previous one handed back.
+    slackness) and is dropped unsolved.  One LP over the cone of the face
+    splits the other columns C: maximize sum_C y subject to A x = tau b
+    over C and the mass slack, tau >= 0, y_j <= x_j and y_j <= 1.  Its
+    optimal y is 1 on the support and 0 off it (Freund-Roundy-Todd, 1985).
     """
     rows, cols = A_exact.shape
     weights = cols - 1                                  # the slack is last
     reduced = A_exact[-1, :weights] - A_exact[:-1, :weights].T @ dual
     candidates = np.nonzero(reduced <= SUPPORT_TOL)[0]
-    positive = np.zeros(weights, dtype=bool)
-    basis = None
-    for j in candidates:
-        if positive[j]:
-            continue
-        c = np.zeros(cols)
-        c[j] = -1.0
-        sol = lp_solve(LPProblem(c=c, A=A_exact, b=b_exact,
-                                 senses=["="] * rows), basis=basis)
-        if sol.status != OPTIMAL:
-            raise InfeasibleLP(f"face support LP returned {sol.status}")
-        basis = sol.basis
-        positive |= sol.x[:weights] > SUPPORT_TOL
-    return candidates[positive[candidates]]
+    k = len(candidates)
+    # columns: x on C, the mass slack, tau, then y on C
+    eye = np.eye(k)
+    A = np.block([[A_exact[:, np.append(candidates, weights)],
+                   -b_exact[:, None], np.zeros((rows, k))],
+                  [-eye, np.zeros((k, 2)), eye],
+                  [np.zeros((k, k + 2)), eye]])
+    c = np.append(np.zeros(k + 2), -np.ones(k))
+    sol = lp_solve(LPProblem(c=c, A=A, b=np.append(np.zeros(rows + k),
+                                                   np.ones(k)),
+                             senses=["="] * rows + ["<="] * (2 * k)))
+    if sol.status != OPTIMAL:
+        raise InfeasibleLP(f"face support LP returned {sol.status}")
+    # y is 1 on every support column and 0 on every other one: any cut
+    # strictly between them splits the two, and 0.5 is the farthest
+    # from both
+    return candidates[sol.x[k + 2:] > 0.5]
 
 
 def _sample_face(A, b, count: int, seed: int):
@@ -285,13 +291,13 @@ def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
     The face (``exact_face``, the value row at equality) is restricted to
     its support: the weight columns ``face_support`` finds positive
     somewhere on it, by a reduced-cost filter under the Mather LP's dual
-    and one warm-started LP per surviving column.  The pruned columns are
-    0 on the whole face, so its vertex set is that of the full face.  The
-    vertices are enumerated exactly from bases over the support, and the
-    set is exhaustive.  When the support has more bases than the
-    enumeration budget, ``count`` random objectives (``seed``) over the
-    same pruned face give the rows instead, and the set is not
-    exhaustive.  Either way the rows are scattered back to full width,
+    and one LP over the cone of the face for the surviving columns.  The
+    pruned columns are 0 on the whole face, so its vertex set is that of
+    the full face.  The vertices are enumerated exactly from bases over
+    the support, and the set is exhaustive.  When the support has more
+    bases than the enumeration budget, ``count`` random objectives
+    (``seed``) over the same pruned face give the rows instead, and the
+    set is not exhaustive.  Either way the rows are scattered back to full width,
     checked against the lam = 0 rule and deduplicated in total variation
     one array at a time; only the kept rows become ``MeasureVector``s.
     ``mather`` is the ``mather_lp(sys)`` result when the caller has

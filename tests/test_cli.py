@@ -163,12 +163,12 @@ def test_duality_solves_one_lp_per_field(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_exhaustive_face_solves_no_sampling_lp(tmp_path, monkeypatch, seed):
-    # 1 Mather LP, 5 face-support LPs and 1 selection-field LP: the face
+    # 1 Mather LP, 1 face-support LP and 1 selection-field LP: the face
     # is enumerated, so no sampling LP runs
     lps = _count_calls(monkeypatch, dl.lp.lp_solve)
     assert run_experiment(_small_spec("selection", tmp_path,
                                       seed=seed)).status == 0
-    assert len(lps) == 7
+    assert len(lps) == 3
 
 
 _STAGES = {"structure": [], "solve": [], "duality": ["audits"],

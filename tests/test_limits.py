@@ -4,7 +4,8 @@ import pytest
 import discountlab as dl
 from discountlab import limits
 from discountlab.errors import BadValue, DivergentSweep, UnboundedLP
-from discountlab.lp import enumerate_basic_solutions, lp_solve
+from discountlab.lp import (OPTIMAL, LPProblem, enumerate_basic_solutions,
+                            lp_solve)
 from discountlab.limits import (closedness_residual, ergodic_normalize,
                                 face_support, mather_from_sweep,
                                 stencil_norm)
@@ -219,13 +220,15 @@ def test_pruned_face_matches_unpruned_enumeration(case, request):
     assert np.max(np.abs(pruned - reference), initial=0.0) <= 1e-12
 
 
-@pytest.mark.parametrize("case", [
-    "tiny-eikonal", "eikonal-f-6", "eikonal-f-8", "eikonal-two-wells",
-    "quadratic-plc", "linear-B", "eikonal-f-10", "constant-coupling-5",
-    "linear-B-5"])
-def test_fallback_samples_match_the_exact_face(case, request, monkeypatch):
-    # the last three are the oversize faces of test_cli, normalized as
-    # the selection pipeline does at its defaults
+_FALLBACK_FACES = ["tiny-eikonal", "eikonal-f-6", "eikonal-f-8",
+                   "eikonal-two-wells", "quadratic-plc", "linear-B",
+                   "eikonal-f-10", "constant-coupling-5", "linear-B-5"]
+
+
+def _face_system(case, request):
+    """The system of a named test face.  eikonal-f-10, constant-coupling-5
+    and linear-B-5 are the oversize faces of test_cli, normalized as the
+    selection pipeline does at its defaults."""
     systems = {
         "tiny-eikonal": lambda: request.getfixturevalue(
             "tiny_eikonal_normalized"),
@@ -239,8 +242,17 @@ def test_fallback_samples_match_the_exact_face(case, request, monkeypatch):
         "eikonal-f-10": lambda: _normalized("eikonal-f", 0.05, 1e-10, N=10),
         "constant-coupling-5": lambda: _normalized("constant-coupling",
                                                    0.05, 1e-10, N=5),
-        "linear-B-5": lambda: _normalized("linear-B", 0.05, 1e-10, N=5)}
-    sys_ = systems[case]()
+        "linear-B-5": lambda: _normalized("linear-B", 0.05, 1e-10, N=5),
+        # f = 1: every weight column is positive somewhere on the face
+        "eikonal-f-flat-16": lambda: _normalized("eikonal-f", N=16,
+                                                 f_amp=0.0),
+        "eikonal-f-128": lambda: _normalized("eikonal-f", N=128)}
+    return systems[case]()
+
+
+@pytest.mark.parametrize("case", _FALLBACK_FACES)
+def test_fallback_samples_match_the_exact_face(case, request, monkeypatch):
+    sys_ = _face_system(case, request)
     exact = dl.mather_face_samples(sys_, 12, seed=17)
     assert exact.exhaustive
     monkeypatch.setattr(dl.lp, "MAX_BASES", 0)
@@ -254,6 +266,51 @@ def test_fallback_samples_match_the_exact_face(case, request, monkeypatch):
     assert np.all(tv.min(axis=1) <= limits.FACE_DEDUP_TOL)
     assert np.all(tv.min(axis=0) <= limits.FACE_DEDUP_TOL)
     assert len(samples) == len(vertices)
+
+
+def _support_by_columns(A_exact, b_exact, dual):
+    """The oracle for ``face_support``: the same reduced-cost filter, then
+    one LP per surviving column j, max x_j over the face, each started
+    from the previous one's basis.  Column j is kept when it is positive
+    in an earlier optimum or its own maximum is positive."""
+    rows, cols = A_exact.shape
+    weights = cols - 1                                  # the slack is last
+    reduced = A_exact[-1, :weights] - A_exact[:-1, :weights].T @ dual
+    candidates = np.nonzero(reduced <= limits.SUPPORT_TOL)[0]
+    positive = np.zeros(weights, dtype=bool)
+    basis = None
+    for j in candidates:
+        if positive[j]:
+            continue
+        c = np.zeros(cols)
+        c[j] = -1.0
+        sol = lp_solve(LPProblem(c=c, A=A_exact, b=b_exact,
+                                 senses=["="] * rows), basis=basis)
+        assert sol.status == OPTIMAL
+        basis = sol.basis
+        positive |= sol.x[:weights] > limits.SUPPORT_TOL
+    return candidates[positive[candidates]]
+
+
+@pytest.mark.parametrize("case", _FALLBACK_FACES + ["eikonal-f-flat-16",
+                                                    "eikonal-f-128"])
+def test_face_support_matches_the_column_loop(case, request, monkeypatch):
+    sys_ = _face_system(case, request)
+    _, min_value, dual = dl.mather_lp(sys_)
+    A_exact, b_exact = limits.exact_face(sys_, min_value)
+    expected = _support_by_columns(A_exact, b_exact, dual)
+    calls = []
+
+    def counted(problem, basis=None):
+        calls.append(basis)
+        return lp_solve(problem, basis=basis)
+
+    monkeypatch.setattr(limits, "lp_solve", counted)
+    support = face_support(A_exact, b_exact, dual)
+    assert np.array_equal(support, expected)
+    assert calls == [None]            # one cold LP
+    if case == "eikonal-f-flat-16":
+        assert len(support) == sys_.total_vars
 
 
 def test_face_rejects_vertex_outside_lam0_rule(tiny_eikonal_normalized,
@@ -270,7 +327,7 @@ def test_face_rejects_vertex_outside_lam0_rule(tiny_eikonal_normalized,
         dl.mather_face_samples(tiny_eikonal_normalized, 4, seed=14)
 
 
-def test_face_rejects_polished_sample_outside_lam0_rule(
+def test_face_rejects_sampled_row_outside_lam0_rule(
         tiny_eikonal_normalized, monkeypatch):
     # no basis fits the budget, so sampled LP solutions give the rows;
     # every LP solved after the support is found is a sampled one
