@@ -524,6 +524,39 @@ def policy_rows(sys: DiscreteSystem, policy: Policy) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# grid coarsening
+# ---------------------------------------------------------------------------
+
+def coarse_system(sys: DiscreteSystem) -> DiscreteSystem:
+    """The same system on the grid of N/2 points per axis (N even).
+
+    The controls are kept, and the cost at each coarse point is the fine
+    cost at the fine point of twice its coordinates.  Only the system
+    itself is read, so loaded, table-backed and ``uncoupled`` systems
+    coarsen alike.
+    """
+    n, N = sys.grid.n, sys.grid.N
+    grid = build_grid(n, N // 2)
+    even = (slice(None, None, 2),) * n
+    cost = [c.reshape((N,) * n + (-1,))[even].reshape(grid.num_states, -1)
+            for c in sys.cost]
+    return DiscreteSystem(grid=grid, m=sys.m, controls=sys.controls,
+                          cost=cost, label=f"{sys.label}:coarse",
+                          drift_bound=sys.drift_bound)
+
+
+def prolong(u: ValueField, grid: TorusGrid) -> ValueField:
+    """Periodic linear interpolation of a field on ``grid`` to the grid of
+    2N points per axis: the even points copy u, each odd point is the
+    mean of its two neighbors along one axis, axis after axis."""
+    v = u.reshape((len(u),) + (grid.N,) * grid.n)
+    for ax in range(1, grid.n + 1):
+        v = np.stack([v, 0.5 * (v + np.roll(v, -1, axis=ax))], axis=ax + 1)
+        v = v.reshape(v.shape[:ax] + (-1,) + v.shape[ax + 2:])
+    return v.reshape(len(u), -1)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 

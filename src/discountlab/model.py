@@ -52,7 +52,10 @@ class HamiltonianModel:
     ``H(x, i, p, u)`` evaluates mode ``i`` (0-based).  Implementations must
     broadcast over leading sample axes: ``x`` has shape (..., n), ``p`` has
     shape (..., n), ``u`` has shape (..., m), and the result has shape
-    (...).  ``lagrangian_hint(x, i, xi, eta)``, when present, returns the
+    (...).  The leading axes of x, p and u need only broadcast against
+    each other, as numpy broadcasts them; the result then has their
+    broadcast shape, or any shape that broadcasts to it.
+    ``lagrangian_hint(x, i, xi, eta)``, when present, returns the
     closed-form running cost (``inf`` outside the domain); ``x`` may carry
     leading axes, ``(xi, eta)`` is a single control.
     """
@@ -371,16 +374,14 @@ def coercivity_profile(model: HamiltonianModel, R: float,
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise EmptySampleSet("radii must be nonempty and ascending")
 
-    xs = product_grid(np.arange(sample_density) / sample_density, model.n)
+    # one evaluation per (mode, p) over the (x, u) grid; x as (nx, 1, n)
+    # against u as (nu, m), so terms of H in x alone are computed once per x
+    xs = product_grid(np.arange(sample_density) / sample_density,
+                      model.n)[:, None, :]
     us = _ball_grid(model.m, R, sample_density)
-    # one evaluation per (mode, p) over the whole (x, u) grid
-    grid = (len(xs), len(us))
-    x_grid = np.broadcast_to(xs[:, None, :], grid + (model.n,))
-    u_grid = np.broadcast_to(us[None, :, :], grid + (model.m,))
 
     def values(i, p):
-        return model.eval(x_grid, i, np.broadcast_to(p, grid + (model.n,)),
-                          u_grid)
+        return model.eval(xs, i, p, us)
 
     beta = max(float(np.max(values(i, np.zeros(model.n))))
                for i in range(model.m))

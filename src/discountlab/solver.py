@@ -12,7 +12,12 @@ Two independent routes compute it:
 * ``policy_iterate``: Howard's alternation of exact policy evaluation
   (a dense linear solve) and greedy improvement, with ties broken to the
   lowest control index.  Evaluated values decrease monotonically in the
-  min-cost orientation used here.
+  min-cost orientation used here.  A cold start on a fine grid begins
+  from the solution on the grid of N/2 points (``coarse_system``),
+  reached by the same rule and linearly interpolated (``prolong``).
+  Howard's method is a semismooth Newton iteration, so from there it
+  needs one to four evaluations on the fine grid where the zero field
+  needs about N/4 (more than ``max_iter`` = 200 at N = 1024).
 
 The ergodic suite looks for (c, u) with H_discrete[u] = c.  One sweep of
 the map T freezes the coupling slot at the current u, solves the
@@ -30,8 +35,8 @@ The sweeps are warm-started: each mode's frozen scalar system is built
 once per system (``DiscreteSystem.uncoupled``; only its cost changes
 between sweeps, so its stencil is computed once), and each sweep's
 Howard iteration starts from the greedy policy of the previous sweep's
-v.  Howard's method is a semismooth Newton iteration, so from that start
-it needs one or two evaluations where a cold start needs about N/4.
+v; from that start it needs one or two evaluations.  The first sweep
+starts cold, through the coarse-grid start of ``policy_iterate``.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ from typing import Optional
 import numpy as np
 
 from .discretize import (DiscreteSystem, Policy, ValueField,
-                         bellman_residual, control_values, drift_stencil,
-                         greedy_policy, policy_matrix, policy_rows, values_at)
+                         bellman_residual, coarse_system, control_values,
+                         drift_stencil, greedy_policy, policy_matrix,
+                         policy_rows, prolong, values_at)
 from .errors import (BadValue, NoConvergence, NotASubsolution,
                      NotASupersolution, SingularSystem)
 
@@ -52,6 +58,11 @@ SIGN_TOL = 1e-12
 
 @dataclass
 class SolveDiagnostics:
+    """``iterations`` counts Gauss-Seidel sweeps, or Howard steps on the
+    requested grid: the coarse solves of a cold start are left out, and
+    so also from ``sweep.csv``'s ``solver_iters`` and the ``solve``
+    section's ``iterations``."""
+
     iterations: int
     final_residual: float
     contraction_estimate: float
@@ -143,6 +154,7 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy) -> ValueFie
 
 
 IMPROVE_TOL = 1e-11
+COARSE_FLOOR = 16   # fewest points per axis of a coarse start's grid
 
 
 def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
@@ -153,10 +165,16 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
     by more than a small hysteresis; exact ties otherwise go to the
     lowest index.  This keeps roundoff-level ties from cycling the
     policy while leaving every genuine improvement intact.
+
+    The first policy is greedy for ``u0``.  ``u0=None`` is a cold start
+    (``_coarse_start``): from the solution on the grid of N/2 points
+    where that grid has at least ``COARSE_FLOOR`` points per axis, else
+    from the zero field.  The diagnostics count the steps on this grid.
     """
     if lam <= 0.0:
         raise BadValue("policy_iterate requires lam > 0")
-    base = np.zeros((sys.m, sys.num_states)) if u0 is None else np.asarray(u0)
+    base = _coarse_start(sys, lam, tol, max_iter) if u0 is None \
+        else np.asarray(u0)
     policy = greedy_policy(control_values(sys, lam, base))
     last_norm = float("inf")
     for it in range(1, max_iter + 1):
@@ -178,6 +196,19 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
         policy = np.where(take, greedy, policy)
     diag = SolveDiagnostics(max_iter, last_norm, float("nan"))
     raise NoConvergence("policy iteration exceeded max_iter", diagnostics=diag)
+
+
+def _coarse_start(sys: DiscreteSystem, lam: float, tol: float,
+                  max_iter: int) -> ValueField:
+    """Start of a cold Howard iteration: the solution on the grid of N/2
+    points, reached by the same rule and interpolated to this grid, or
+    the zero field when N is odd or N/2 < COARSE_FLOOR."""
+    N = sys.grid.N
+    if N % 2 or N // 2 < COARSE_FLOOR:
+        return np.zeros((sys.m, sys.num_states))
+    coarse = coarse_system(sys)
+    u, _, _ = policy_iterate(coarse, lam, tol=tol, max_iter=max_iter)
+    return prolong(u, coarse.grid)
 
 
 def comparison_check(sys: DiscreteSystem, lam: float, sub: ValueField,
@@ -212,8 +243,8 @@ def ergodic_map(sys: DiscreteSystem, lam: float, u: ValueField,
     its solution is the v_i of the map T.  Returns (v, Tu, c_est) with
     Tu = v - min v per mode and c_est = -lam * min_x v_i.  ``v0``, when
     given, is the starting field of the inner Howard iterations (mode i
-    starts from the greedy policy of v0[i]); ``None`` starts them cold
-    from the zero field.
+    starts from the greedy policy of v0[i]); ``None`` starts them cold,
+    as ``policy_iterate`` does with ``u0=None``.
     """
     if lam <= 0.0:
         raise BadValue("ergodic map requires lam > 0")

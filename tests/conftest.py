@@ -1,3 +1,4 @@
+import math
 import os
 
 # One BLAS thread, as in the benchmark worker: the wall-clock gates of the
@@ -63,6 +64,29 @@ def tiny_eikonal_normalized():
     sys_ = dl.standard_system("eikonal-f", N=4)
     shifted, _ = dl.ergodic_normalize(sys_, lam=0.01, tol=1e-12)
     return shifted
+
+
+@pytest.fixture(scope="session")
+def two_d_system():
+    """Builder of a 2-d eikonal system, m=1, 9 controls, on the N x N grid:
+    H = |p_1| + |p_2| - f(x), f = 2 + cos(2 pi x_1) sin(2 pi x_2)."""
+    def f(x):
+        return 2.0 + np.cos(2 * math.pi * x[..., 0]) \
+            * np.sin(2 * math.pi * x[..., 1])
+
+    def H2(x, i, p, u):
+        return np.abs(p[..., 0]) + np.abs(p[..., 1]) - f(x)
+
+    def lag2(x, i, xi, eta):
+        if max(abs(float(xi[0])), abs(float(xi[1]))) > 1.0 \
+                or float(eta[0]) != 0.0:
+            return np.full(np.shape(x)[:-1], np.inf)
+        return f(x)
+
+    model = dl.HamiltonianModel(1, 2, H2, lag2)
+    controls = dl.ControlSet([dl.sample_controls(model, 0, 1.0, 3,
+                                                 [np.zeros(1)])])
+    return lambda N: dl.assemble_system(model, dl.build_grid(2, N), controls)
 
 
 def solution_of(sys_, lam, tol=1e-11):

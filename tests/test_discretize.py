@@ -3,9 +3,10 @@ import pytest
 
 import discountlab as dl
 from discountlab.discretize import (ControlSet, bellman_policy,
-                                    control_values, default_eta_spec,
-                                    drift_stencil, linearized_matrix,
-                                    policy_matrix, sample_controls,
+                                    coarse_system, control_values,
+                                    default_eta_spec, drift_stencil,
+                                    linearized_matrix, policy_matrix,
+                                    prolong, sample_controls,
                                     system_from_json, system_to_json)
 from discountlab.errors import (BadDimension, BadResolution,
                                 CouplingOutsideCone, MissingCost)
@@ -310,3 +311,55 @@ def test_table_backed_sampling_rejects_missing_points():
                                 np.zeros((1, 1)))
     with pytest.raises(MissingCost):
         sample_controls(tab, 0, 0.5, 3, [np.zeros(1)])   # 0.5 not on grid
+
+
+# ---------------------------------------------------------------------------
+# grid coarsening
+# ---------------------------------------------------------------------------
+
+def _assert_same_system(a, b):
+    assert (a.grid.n, a.grid.N, a.m) == (b.grid.n, b.grid.N, b.m)
+    for i in range(a.m):
+        assert np.array_equal(a.controls[i].xi, b.controls[i].xi)
+        assert np.array_equal(a.controls[i].eta, b.controls[i].eta)
+        assert np.array_equal(a.cost[i], b.cost[i])
+    for x, y in zip(a.stencil, b.stencil):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("zoo_id", dl.model.ZOO_IDS)
+def test_coarse_system_is_the_system_on_half_the_grid(zoo_id):
+    # the coarse points are the even fine points, bit for bit
+    coarse = coarse_system(dl.standard_system(zoo_id, N=32))
+    _assert_same_system(coarse, dl.standard_system(zoo_id, N=16))
+
+
+def test_coarse_system_in_two_dimensions(two_d_system):
+    _assert_same_system(coarse_system(two_d_system(8)), two_d_system(4))
+
+
+def test_coarse_system_needs_no_cost_source():
+    fine = dl.standard_system("quadratic-plc", N=32)
+    loaded = system_from_json(system_to_json(fine))
+    _assert_same_system(coarse_system(loaded), coarse_system(fine))
+    scalar = fine.uncoupled[1]
+    scalar.cost[0] = fine.cost[1].copy()
+    coarse = coarse_system(scalar)
+    assert np.array_equal(coarse.cost[0], fine.cost[1][::2])
+    assert np.array_equal(coarse.controls[0].xi, fine.controls[1].xi)
+
+
+def test_prolong_interpolates_linearly_and_periodically(rng):
+    u = rng.standard_normal((2, 8))
+    fine = prolong(u, dl.build_grid(1, 8))
+    assert np.array_equal(fine[:, ::2], u)
+    assert np.array_equal(fine[:, 1::2], 0.5 * (u + np.roll(u, -1, axis=1)))
+    v = rng.standard_normal((1, 16))
+    fine = prolong(v, dl.build_grid(2, 4)).reshape(8, 8)
+    w = v.reshape(4, 4)
+    assert np.array_equal(fine[::2, ::2], w)
+    assert np.array_equal(fine[1::2, ::2], 0.5 * (w + np.roll(w, -1, 0)))
+    assert np.array_equal(fine[::2, 1::2], 0.5 * (w + np.roll(w, -1, 1)))
+    corners = w + np.roll(w, -1, 0) + np.roll(w, -1, 1) \
+        + np.roll(w, (-1, -1), (0, 1))
+    assert np.allclose(fine[1::2, 1::2], 0.25 * corners, rtol=0, atol=1e-15)

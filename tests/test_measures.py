@@ -209,26 +209,8 @@ def test_support_audit_reports_instance_a(instance_a):
             "control_eta_box", "interior"} == set(doc)
 
 
-def test_duality_holds_in_two_dimensions():
-    import math
-
-    def H2(x, i, p, u):
-        f = 2.0 + np.cos(2 * math.pi * x[..., 0]) \
-            * np.sin(2 * math.pi * x[..., 1])
-        return np.abs(p[..., 0]) + np.abs(p[..., 1]) - f
-
-    def lag2(x, i, xi, eta):
-        if max(abs(float(xi[0])), abs(float(xi[1]))) > 1.0 \
-                or float(eta[0]) != 0.0:
-            return np.full(np.shape(x)[:-1], np.inf)
-        return 2.0 + np.cos(2 * math.pi * x[..., 0]) \
-            * np.sin(2 * math.pi * x[..., 1])
-
-    model = dl.HamiltonianModel(1, 2, H2, lag2)
-    grid = dl.build_grid(2, 4)
-    controls = dl.ControlSet([dl.sample_controls(model, 0, 1.0, 3,
-                                                 [np.zeros(1)])])
-    sys2 = dl.assemble_system(model, grid, controls)
+def test_duality_holds_in_two_dimensions(two_d_system):
+    sys2 = two_d_system(4)
     assert sys2.num_states == 16 and sys2.num_controls(0) == 9
     for (z, k) in ((0, 0), (5, 0), (10, 0)):
         rep = dl.duality_audit(sys2, 0.5, z, k)
