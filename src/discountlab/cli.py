@@ -333,13 +333,14 @@ def _pipe_solve(run):
 
 
 def _pipe_duality(run):
-    audits = run.audits
-    sections = {"lambda": run.spec.lam,
+    spec, audits = run.spec, run.audits
+    probe = audits[spec.probe_mode * run.sys.num_states + spec.probe_state]
+    sections = {"lambda": spec.lam,
                 "max_spread": max(a.spread() for a in audits),
                 "three_way_value_at_probe": {
-                    "solver": audits[0].solver_value,
-                    "measure_lp": audits[0].measure_value,
-                    "subsolution_lp": audits[0].subsolution_value},
+                    "solver": probe.solver_value,
+                    "measure_lp": probe.measure_value,
+                    "subsolution_lp": probe.subsolution_value},
                 "audits": [json.loads(a.to_json()) for a in audits]}
     return sections, all(a.passed for a in audits)
 
@@ -523,7 +524,7 @@ def main(argv=None) -> int:
             return 2
         try:
             system_from_json(text)
-        except (DiscountLabError, ValueError, KeyError) as exc:
+        except DiscountLabError as exc:
             print(f"invalid: {exc}", file=sys.stderr)
             return 1
         print("ok")
@@ -531,6 +532,3 @@ def main(argv=None) -> int:
     parser.print_help()
     return 2
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

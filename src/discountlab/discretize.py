@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (BadDimension, BadResolution, BadValue,
-                     CouplingOutsideCone, MissingCost)
+                     CouplingOutsideCone, MissingCost, ParseError)
 from .model import (HamiltonianModel, LagrangianTable, in_coupling_cone,
                     product_grid)
 
@@ -577,27 +577,55 @@ def system_to_json(sys: DiscreteSystem) -> str:
     })
 
 
+def _json_int(doc, key) -> int:
+    value = doc[key]
+    if type(value) is not int:
+        raise ParseError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def system_from_json(text: str) -> DiscreteSystem:
-    """Load a serialized system, re-verifying every invariant."""
-    doc = json.loads(text)
-    grid = build_grid(int(doc["n"]), int(doc["N"]))
-    m = int(doc["m"])
-    per_mode = [[] for _ in range(m)]
-    for entry in doc["controls"]:
-        per_mode[int(entry["mode"])].append(entry)
+    """Load a serialized system, re-verifying every invariant.
+
+    A document that is not a serialized system raises ``ParseError``: not
+    a JSON object, a key missing or of the wrong type (n, N, m and each
+    control's mode must be JSON integers), a mode outside 0..m-1, or xi
+    and eta rows that are not finite rows of length n and m.
+    """
+    try:
+        doc = json.loads(text)
+        grid = build_grid(_json_int(doc, "n"), _json_int(doc, "N"))
+        m = _json_int(doc, "m")
+        per_mode = [[] for _ in range(max(m, 0))]
+        for entry in doc["controls"]:
+            mode = _json_int(entry, "mode")
+            if not 0 <= mode < m:
+                raise ParseError(f"control of mode {mode} in a system of "
+                                 f"{m} modes")
+            per_mode[mode].append((entry["xi"], entry["eta"]))
+        rows = [(np.array([xi for xi, _ in p], dtype=float),
+                 np.array([eta for _, eta in p], dtype=float))
+                for p in per_mode]
+        flat = np.asarray(doc["cost"], dtype=float)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"not a serialized system: {exc!r}")
+    if m < 1:
+        raise ParseError(f"a system needs at least one mode, got m = {m}")
     modes = []
-    for i in range(m):
-        if not per_mode[i]:
+    for i, (xi, eta) in enumerate(rows):
+        if not len(xi):
             raise MissingCost(f"serialized system lacks controls for mode {i}")
-        xi = np.array([e["xi"] for e in per_mode[i]], dtype=float)
-        eta = np.array([e["eta"] for e in per_mode[i]], dtype=float)
+        if xi.shape != (len(xi), grid.n) or eta.shape != (len(xi), m) \
+                or not np.all(np.isfinite(xi)):
+            raise ParseError(f"mode {i}: xi rows must be finite of length "
+                             f"{grid.n}, and eta rows of length {m}")
         modes.append(ModeControls(mode=i, xi=xi, eta=eta,
                                   labels=[f"loaded:mode{i}:{a}"
                                           for a in range(len(xi))]))
-    flat = np.asarray(doc["cost"], dtype=float)
     expect = sum(grid.num_states * len(mc) for mc in modes)
     if flat.shape != (expect,):
-        raise MissingCost(f"cost vector has length {len(flat)}, expected {expect}")
+        raise MissingCost(f"cost vector has shape {flat.shape}, expected "
+                          f"({expect},)")
     pos = 0
     for i, mc in enumerate(modes):
         block = flat[pos:pos + grid.num_states * len(mc)]

@@ -24,19 +24,21 @@ agreement at one point to fixed tolerances and is the package's central
 oracle.
 
 ``field_duality_audit`` obtains the three numbers at every point from
-two cold LPs:
+one cold LP and its duals:
 
 - the solver value is read off one policy iteration;
-- the subsolution maximum is read off the greatest subsolution, one LP
-  with objective -sum u.  For lam > 0 the subsolutions have a greatest
-  element (the solution), so every entry of that optimum is the
-  pointwise maximum;
 - the measure minimum is one LP seeded with sum e_(k,z).  Its optimal
   basis is dual feasible for every seed, so it is optimal for each seed
   e_(k,z) that it keeps primal feasible, B^-1 e_(k,z) >= 0.  One pass of
   ``lp_solve_rhs`` certifies every seed from that one basis, exactly as
   the seed's own LP would be certified, and solves a seed that the
-  basis does not fit as its own LP.
+  basis does not fit as its own LP;
+- the subsolution maximum is read off the duals of that same LP.  Its
+  LP dual is max sum u s.t. A u <= L, the greatest-subsolution LP: for
+  lam > 0 the subsolutions have a greatest element (the solution), so
+  every entry of the dual optimum is the pointwise maximum.  The duals
+  are checked as a subsolution outside the LP, by the Bellman residual
+  at the kernel's feasibility bound, before they are used.
 
 Each point's check is still a certificate.  For a closed measure mu
 seeded at (k, z) and a subsolution u, pairing mu against the relations
@@ -55,9 +57,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .discretize import (DiscreteSystem, Policy, ValueField,
-                         linearized_matrix, policy_matrix, policy_rows)
-from .errors import BadValue, InfeasibleLP, SingularSystem, UnboundedLP
-from .lp import OPTIMAL, UNBOUNDED, LPProblem, lp_solve, lp_solve_rhs
+                         bellman_residual, linearized_matrix, policy_matrix,
+                         policy_rows)
+from .errors import (BadValue, InfeasibleLP, NumericalBreakdown,
+                     SingularSystem, UnboundedLP)
+from .lp import (FEAS_TOL, OPTIMAL, UNBOUNDED, LPProblem, lp_solve,
+                 lp_solve_rhs)
 from .solver import policy_iterate
 
 MASS_TOL = 1e-9
@@ -355,23 +360,30 @@ def duality_audit(sys: DiscreteSystem, lam: float, z: int, k: int,
 
 
 def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
-    """``duality_audit`` at every (z, k), mode-major, from two cold LPs.
+    """``duality_audit`` at every (z, k), mode-major, from one cold LP and
+    its duals.
 
-    The subsolution side is one LP for the greatest subsolution.  The
-    measure side is one LP seeded with the sum of all point masses; one
-    ``lp_solve_rhs`` pass over its optimal basis then certifies every
+    The measure side is one LP seeded with the sum of all point masses;
+    one ``lp_solve_rhs`` pass over its optimal basis then certifies every
     point's seed, and solves a seed the basis does not fit as its own LP.
-    Each seed's measure is validated as ``green_poisson``'s is.
+    Each seed's measure is validated as ``green_poisson``'s is.  The
+    subsolution side is that LP's duals, the greatest subsolution; a
+    dual field with a Bellman residual above ``FEAS_TOL`` anywhere is no
+    subsolution and raises ``NumericalBreakdown``.
     """
     if lam <= 0.0:
         raise BadValue("duality audit requires lam > 0")
     problem = _measure_problem(sys, lam, 0, 0)
     u, _, _ = policy_iterate(sys, lam, tol=1e-10)
-    sub, _ = subsolution_lp(sys, lam)
     summed = lp_solve(replace(problem, b=np.ones_like(problem.b)))
     if summed.status != OPTIMAL:
         raise SingularSystem(f"summed-seed measure LP returned "
                              f"{summed.status}")
+    sub = summed.dual.reshape(sys.m, sys.num_states)
+    residual = float(np.max(bellman_residual(sys, lam, sub)))
+    if residual > FEAS_TOL:
+        raise NumericalBreakdown(f"summed-seed duals are no subsolution: "
+                                 f"residual {residual}")
     points = [(z, k) for k in range(sys.m) for z in range(sys.num_states)]
     seeds = lp_solve_rhs(problem, summed.basis, np.eye(len(problem.b)))
     reports = []
@@ -401,6 +413,13 @@ class SupportReport:
             "interior": self.interior})
 
 
+def _box(rows) -> list:
+    """Per-axis (min, max) over a stack of rows."""
+    pts = np.vstack(rows)
+    return [(float(lo), float(hi))
+            for lo, hi in zip(pts.min(axis=0), pts.max(axis=0))]
+
+
 def support_audit(mu: MeasureVector, sys: DiscreteSystem,
                   mass_floor: float = 1e-10) -> SupportReport:
     """Bounding box of the carried controls versus the sampling box.
@@ -422,21 +441,8 @@ def support_audit(mu: MeasureVector, sys: DiscreteSystem,
             entries.append((int(i), int(x), int(a), float(w[x, a])))
             xi_pts.append(mc.xi[a])
             eta_pts.append(mc.eta[a])
-    ctrl_xi = np.vstack(all_xi)
-    ctrl_eta = np.vstack(all_eta)
-    cxi_box = [(float(ctrl_xi[:, d].min()), float(ctrl_xi[:, d].max()))
-               for d in range(ctrl_xi.shape[1])]
-    ceta_box = [(float(ctrl_eta[:, d].min()), float(ctrl_eta[:, d].max()))
-                for d in range(ctrl_eta.shape[1])]
-    if xi_pts:
-        sxi = np.vstack(xi_pts)
-        seta = np.vstack(eta_pts)
-        xi_box = [(float(sxi[:, d].min()), float(sxi[:, d].max()))
-                  for d in range(sxi.shape[1])]
-        eta_box = [(float(seta[:, d].min()), float(seta[:, d].max()))
-                   for d in range(seta.shape[1])]
-    else:
-        xi_box, eta_box = [], []
+    cxi_box, ceta_box = _box(all_xi), _box(all_eta)
+    xi_box, eta_box = (_box(xi_pts), _box(eta_pts)) if xi_pts else ([], [])
 
     def axis_interior(support, box):
         lo, hi = box

@@ -155,10 +155,24 @@ def test_duality_solves_one_lp_per_field(tmp_path, monkeypatch):
     spec = ExperimentSpec(instance="quadratic-plc", pipeline="duality",
                           grid_points=8, output_dir=str(tmp_path))
     assert run_experiment(spec).status == 0
-    assert len(subsolution) == 1
-    # the subsolution LP and the summed-seed measure LP, both cold; each
-    # of the m * S = 16 point seeds is certified on the summed seed's basis
-    assert [kwargs.get("basis") for _, kwargs in lps] == [None, None]
+    assert len(subsolution) == 0
+    # the summed-seed measure LP, cold, whose duals are the greatest
+    # subsolution; each of the m * S = 16 point seeds is certified on its
+    # basis
+    assert [kwargs.get("basis") for _, kwargs in lps] == [None]
+
+
+def test_duality_reports_the_probe_point(tmp_path):
+    spec = ExperimentSpec(instance="quadratic-plc", pipeline="duality",
+                          grid_points=8, probe_state=3, probe_mode=1,
+                          output_dir=str(tmp_path))
+    assert run_experiment(spec).status == 0
+    doc = json.loads((tmp_path / "result.json").read_text())["sections"]
+    (audit,) = [a for a in doc["audits"] if (a["z"], a["k"]) == (3, 1)]
+    assert doc["three_way_value_at_probe"] == {
+        "solver": audit["solver_value"], "measure_lp": audit["measure_value"],
+        "subsolution_lp": audit["subsolution_value"]}
+    assert doc["audits"][0]["solver_value"] != audit["solver_value"]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -273,6 +287,32 @@ def test_main_verify(tmp_path, instance_a):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
 
+def _malformed_systems(instance):
+    doc = json.loads(dl.system_to_json(instance))
+    yield "list", "[1, 2]"
+    yield "no-controls", json.dumps({k: v for k, v in doc.items()
+                                     if k != "controls"})
+    for key, value in (("mode", -1), ("mode", 0.5), ("xi", [0.0, 0.0]),
+                       ("eta", [0.0])):
+        bad = json.loads(json.dumps(doc))
+        bad["controls"][0][key] = value
+        yield f"{key}-{value}", json.dumps(bad)
+
+
+def test_malformed_system_is_an_input_error(tmp_path, instance_b):
+    # a run on it exits 2 with an error record, and verify calls it invalid
+    for name, text in _malformed_systems(instance_b):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        spec = ExperimentSpec(instance=str(path), pipeline="solve",
+                              output_dir=str(tmp_path / name))
+        report = run_experiment(spec)
+        assert report.status == 2 and not report.passed, name
+        doc = json.loads((tmp_path / name / "result.json").read_text())
+        assert doc["error"]["type"] == "ParseError", name
+        assert main(["verify", str(path)]) == 1, name
+
+
 def test_emit_plotdata_columns(tmp_path, instance_a):
     sweep = dl.discount_sweep(instance_a, 1.0, 0.5, 10, tol=1e-11)
     path = tmp_path / "sweep.dat"
@@ -319,6 +359,19 @@ def test_thread_cap_env(tmp_path):
     out = subprocess.run([_sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "2"
+
+
+def test_module_entry_point():
+    # python -m discountlab runs the command line, with no warning about
+    # a module found in sys.modules before it ran
+    import os, subprocess
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "discountlab",
+                           "zoo", "list"], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == list(dl.model.ZOO_IDS)
 
 
 def test_manifest_records_thread_setting(tmp_path):

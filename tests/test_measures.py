@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import discountlab as dl
-from discountlab.errors import BadValue, UnboundedLP
+from discountlab.errors import BadValue, NumericalBreakdown, UnboundedLP
 from discountlab.measures import MeasureVector
 
 
@@ -225,10 +226,13 @@ def test_pair_field_matches_coefficients(instance_b, rng):
     assert abs(direct - via_coeffs) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["constant-coupling", "linear-B",
-                                  "quadratic-plc", "eikonal-f"])
-def test_field_duality_audit_matches_per_point_oracle(name):
-    sys_ = dl.standard_system(name)
+@pytest.mark.parametrize("name, sizes", [
+    ("constant-coupling", {}), ("linear-B", {}), ("quadratic-plc", {}),
+    ("eikonal-f", {}), ("quadratic-plc", dict(N=16))],
+    ids=["constant-coupling", "linear-B", "quadratic-plc", "eikonal-f",
+         "quadratic-plc-16"])
+def test_field_duality_audit_matches_per_point_oracle(name, sizes):
+    sys_ = dl.standard_system(name, **sizes)
     reports = dl.field_duality_audit(sys_, 0.5)
     points = [(z, k) for k in range(sys_.m) for z in range(sys_.num_states)]
     assert [(r.z, r.k) for r in reports] == points
@@ -242,9 +246,10 @@ def test_field_duality_audit_matches_per_point_oracle(name):
 
 @pytest.mark.parametrize("name", ["constant-coupling", "linear-B",
                                   "quadratic-plc", "eikonal-f"])
-def test_field_duality_audit_makes_two_lp_calls(name, monkeypatch):
-    # the subsolution LP and the summed-seed measure LP; every point's
-    # seed is certified on the summed seed's basis without an LP of its own
+def test_field_duality_audit_makes_one_lp_call(name, monkeypatch):
+    # the summed-seed measure LP, whose duals are the greatest
+    # subsolution; every point's seed is certified on its basis without
+    # an LP of its own
     calls = []
     solve = dl.lp.lp_solve
 
@@ -257,7 +262,23 @@ def test_field_duality_audit_makes_two_lp_calls(name, monkeypatch):
     sys_ = dl.standard_system(name)
     reports = dl.field_duality_audit(sys_, 0.5)
     assert len(reports) == sys_.m * sys_.num_states
-    assert calls == [None, None]
+    assert calls == [None]
+
+
+def test_field_duality_audit_checks_its_dual_field(instance_b, monkeypatch):
+    # duals raised by 1e-6 at one point break a Bellman relation there:
+    # they are no subsolution, and the audit must not pass them on
+    solve = dl.lp.lp_solve
+
+    def pushed(problem, basis=None):
+        sol = solve(problem, basis=basis)
+        dual = sol.dual.copy()
+        dual[3] += 1e-6
+        return replace(sol, dual=dual)
+
+    monkeypatch.setattr(dl.measures, "lp_solve", pushed)
+    with pytest.raises(NumericalBreakdown):
+        dl.field_duality_audit(instance_b, 0.5)
 
 
 def test_field_duality_audit_rejects_zero_lambda(instance_a):
