@@ -84,9 +84,12 @@ def _coerce(name, kind, raw):
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise BadValue(f"key {name!r}: cannot parse {raw!r} as {kind.__name__}")
+    if kind is float and not np.isfinite(value):
+        raise BadValue(f"key {name!r}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -216,7 +219,11 @@ def _build_system(spec: ExperimentSpec):
     if not path.exists():
         raise BadValue(f"instance {spec.instance!r} is neither a zoo id "
                        f"nor an existing file")
-    return system_from_json(path.read_text()), None
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadValue(f"instance {spec.instance!r} cannot be read: {exc}")
+    return system_from_json(text), None
 
 
 def _stage(method):

@@ -19,17 +19,21 @@ found together by one LP over the cone of the face.  The face is
 convex, so the average of points that are each positive on one support
 column is positive on all of them; scaled by the cone's multiplier it
 reaches 1 on every support column at once, which a column that is 0 on
-the whole face never does.  Only when the support has too many bases to
-enumerate is the same pruned face sampled instead, by minimizing random
-linear objectives over it.
+the whole face never does.  The LP writes each column as y + s with
+y <= 1, so y <= x needs no row of its own.  Only when the support has
+too many bases to enumerate is the same pruned face sampled instead, by
+minimizing random linear objectives over it.
 
 The selection principle characterizes the limit field pointwise as the
 largest subsolution value at (z, k) among fields that pair
 nonpositively with every Mather representative.  That set of fields has
-a greatest element, the limit itself, so ``selection_field`` finds the
-whole field from one LP that maximizes the sum of its entries;
-``selection_solve`` keeps the one-LP-per-point maximum as its oracle.
-The sweep limit must reproduce the field.
+a greatest element, the limit itself, so the whole field maximizes the
+sum of its entries over the set.  ``selection_field`` solves that LP
+from its dual side, a lam = 0 closed-measure LP with one '=' row per
+field entry, and reads the field off its duals (Chvatal, *Linear
+Programming*, 1983, ch. 5); ``selection_solve`` keeps the
+one-LP-per-point maximum as its oracle.  The sweep limit must reproduce
+the field.
 """
 
 from __future__ import annotations
@@ -43,11 +47,11 @@ import numpy as np
 from .discretize import (ControlSet, DiscreteSystem, ModeControls, ValueField,
                          linearized_matrix)
 from .errors import (BadValue, DivergentSweep, EnumerationTooLarge,
-                     InfeasibleLP)
-from .lp import (FEAS_TOL, OPTIMAL, LPProblem, enumerate_basic_solutions,
-                 lp_solve)
+                     InfeasibleLP, NumericalBreakdown, UnboundedLP)
+from .lp import (FEAS_TOL, INFEASIBLE, OPTIMAL, LPProblem,
+                 enumerate_basic_solutions, lp_solve)
 from .measures import MeasureVector, assemble_closed_constraints, \
-    green_poisson, subsolution_lp, validate_lam0_rows
+    check_subsolution, green_poisson, subsolution_lp, validate_lam0_rows
 from .solver import ergodic_solve, policy_iterate
 
 DIVERGENCE_BOUND = 1e6
@@ -241,28 +245,29 @@ def face_support(A_exact, b_exact, dual):
     splits the other columns C: maximize sum_C y subject to A x = tau b
     over C and the mass slack, tau >= 0, y_j <= x_j and y_j <= 1.  Its
     optimal y is 1 on the support and 0 off it (Freund-Roundy-Todd, 1985).
+    Written with x_j = y_j + s_j, s_j >= 0, the rows y_j <= x_j hold by
+    construction, and the LP has one row per face row and per y_j <= 1.
     """
     rows, cols = A_exact.shape
     weights = cols - 1                                  # the slack is last
     reduced = A_exact[-1, :weights] - A_exact[:-1, :weights].T @ dual
     candidates = np.nonzero(reduced <= SUPPORT_TOL)[0]
     k = len(candidates)
-    # columns: x on C, the mass slack, tau, then y on C
-    eye = np.eye(k)
-    A = np.block([[A_exact[:, np.append(candidates, weights)],
-                   -b_exact[:, None], np.zeros((rows, k))],
-                  [-eye, np.zeros((k, 2)), eye],
-                  [np.zeros((k, k + 2)), eye]])
-    c = np.append(np.zeros(k + 2), -np.ones(k))
-    sol = lp_solve(LPProblem(c=c, A=A, b=np.append(np.zeros(rows + k),
-                                                   np.ones(k)),
-                             senses=["="] * rows + ["<="] * (2 * k)))
+    # columns: y on C, then s on C, the mass slack and tau; with y first,
+    # phase 1 leaves y basic wherever it can and phase 2 has less to do
+    A = np.block([[A_exact[:, candidates],
+                   A_exact[:, np.append(candidates, weights)],
+                   -b_exact[:, None]],
+                  [np.eye(k), np.zeros((k, k + 2))]])
+    c = np.append(-np.ones(k), np.zeros(k + 2))
+    sol = lp_solve(LPProblem(c=c, A=A, b=np.append(np.zeros(rows), np.ones(k)),
+                             senses=["="] * rows + ["<="] * k))
     if sol.status != OPTIMAL:
         raise InfeasibleLP(f"face support LP returned {sol.status}")
     # y is 1 on every support column and 0 on every other one: any cut
     # strictly between them splits the two, and 0.5 is the farthest
     # from both
-    return candidates[sol.x[k + 2:] > 0.5]
+    return candidates[sol.x[:k] > 0.5]
 
 
 def _sample_face(A, b, count: int, seed: int):
@@ -343,11 +348,36 @@ def selection_solve(sys: DiscreteSystem, mset: MatherSet, z: int, k: int):
 
 def selection_field(sys: DiscreteSystem, mset: MatherSet) -> ValueField:
     """The selection limit from one LP: the greatest field among the
-    subsolutions pairing <= 0 with every Mather representative, found by
-    maximizing the sum of its entries.  By the selection theorem that set
-    has a greatest element, so each entry equals ``selection_solve`` at
-    its point.  Raises ``UnboundedLP`` like ``selection_solve``."""
-    field, _ = subsolution_lp(sys, 0.0, extra_rows=_mather_rows(mset))
+    subsolutions pairing <= 0 with every Mather representative nu_r.  By
+    the selection theorem that set has a greatest element, so each entry
+    equals ``selection_solve`` at its point.
+
+    The field maximizes sum u s.t. A_0 u <= L and <nu_r, u> <= 0, an LP
+    with one row per control.  Its LP dual has one '=' row per field
+    entry: min <mu, L> s.t. A_0^T mu + sum_r t_r nu_r = 1, mu, t >= 0.
+    That measure LP is solved instead, and the field is its optimal
+    duals, checked as a subsolution that pairs <= 0 with every nu_r
+    before it is used (``NumericalBreakdown`` otherwise).  When the rows
+    do not pin the additive freedom, the measure LP is infeasible and its
+    Farkas certificate y, with A_0 y <= 0, <nu_r, y> <= 0 and sum y > 0,
+    is an improving ray of the field LP: ``UnboundedLP`` with y attached,
+    as ``selection_solve`` raises it."""
+    rows = _mather_rows(mset)
+    coupling = np.column_stack([nu.field_coefficients(sys) for nu, _ in rows])
+    A = np.hstack([linearized_matrix(sys, 0.0).T, coupling])
+    c = np.concatenate([sys.cost_flat(), [bound for _, bound in rows]])
+    sol = lp_solve(LPProblem(c=c, A=A, b=np.ones(len(A)),
+                             senses=["="] * len(A)))
+    if sol.status == INFEASIBLE:
+        ray = sol.ray / np.max(np.abs(sol.ray))
+        if np.max(A.T @ ray) > FEAS_TOL or ray.sum() <= 0.0:
+            raise NumericalBreakdown("selection measure LP's Farkas "
+                                     "certificate fails its check")
+        raise UnboundedLP("selection field LP is unbounded", ray=ray)
+    if sol.status != OPTIMAL:
+        raise InfeasibleLP(f"selection measure LP returned {sol.status}")
+    field = sol.dual.reshape(sys.m, sys.num_states)
+    check_subsolution(sys, 0.0, field, "selection duals", rows)
     return field
 
 

@@ -27,19 +27,15 @@ is factorized and priced once, and each right-hand side costs one solve
 for its basic values and the same certification, bit for bit.
 
 Problems here are desk scale (a few hundred rows and columns), so the
-tableau stays dense, and exact vertex answers feed the basis enumeration
-used as an independent oracle.  LPs with at least ``SLACK_AWARE_SLACKS``
-'<=' rows use the structure of their standard form: every slack and
-artificial column is a signed unit vector on a known row.  A basis is
-factorized by eliminating its unit columns exactly and LU-solving only
-the square block of its other columns on the rows they leave uncovered,
-and a pivot updates only the columns where the pivot row is nonzero.
-The subsolution LP, one '<=' row per control, keeps nearly every slack
-basic, so its 288-row basis on quadratic-plc N=8 solves a 16x16 block.
-LPs with fewer slacks run the plain dense code: on small tableaux the
-bookkeeping costs more than it saves, and the '=' rows of a measure LP
-leave no unit column in its basis once phase 1 is over and give dense
-pivot rows.
+tableau stays dense and every basis is factorized by ``np.linalg.solve``,
+and exact vertex answers feed the basis enumeration used as an
+independent oracle.
+
+An Infeasible return carries a Farkas certificate in ``ray``: the
+phase-1 duals, mapped to the original rows, give y with A^T y <= 0
+(= 0 on free columns), y <= 0 on every '<=' row and b.y > 0, which no
+point satisfying the rows can meet (Chvatal, *Linear Programming*, 1983,
+ch. 9).
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ CS_TOL = 1e-8
 PIVOT_TOL = 1e-12
 OPT_TOL = 1e-9
 REFACTOR_EVERY = 150
-SLACK_AWARE_SLACKS = 64     # LPs with this many '<=' rows: unit-column path
 MAX_BASES = 3_000_000       # most column subsets one enumeration solves
 ENUM_CHUNK = 65536          # column subsets solved per vectorized batch
 
@@ -145,7 +140,10 @@ def lp_solve(problem: LPProblem,
             if status == UNBOUNDED:
                 raise NumericalBreakdown("phase 1 reported unbounded")
             if state.objective(cost1) > FEAS_TOL:
+                B = std.A[:, state.basis]
+                y = state.basic_solve(B, cost1[state.basis], transpose=True)
                 return LPSolution(INFEASIBLE, None, math.nan, None, phase1,
+                                  ray=std.dual_to_original(y, state.kept_rows),
                                   **state.counters(phase1, failed_warm))
             state.purge_artificials(std.artificial)
 
@@ -263,9 +261,7 @@ class _Standardized:
     negated copy; then one slack per '<=' row, in row order; then one
     artificial per row that has no slack left in the basis.  Rows with a
     negative right-hand side are negated (slack entry included) before
-    the artificials are appended.  ``unit_row`` gives, per column, the
-    one row where a slack or artificial column is nonzero (+1, or -1 for
-    the slack of a negated row), and -1 for every other column.
+    the artificials are appended.
     """
 
     def __init__(self, p: LPProblem):
@@ -302,9 +298,6 @@ class _Standardized:
             A = np.hstack([A, art_cols])
             c = np.concatenate([c, np.zeros(len(need_art))])
         self.needs_phase1 = bool(len(need_art))
-        self.slacks = len(slack_rows)
-        self.unit_row = np.concatenate(
-            [np.full(len(self.orig), -1), slack_rows, need_art])
         self.A, self.b, self.c, self.basis = A, b, c, basis
         self.n_orig = cols
 
@@ -327,13 +320,8 @@ class _Tableau:
     under Bland's rule.  The tableau is refactorized from the original
     matrix every ``REFACTOR_EVERY`` pivots and before any optimality
     verdict, so accumulated pivot drift can neither stall Bland's rule
-    on noise reduced costs nor produce a false optimum.
-
-    With ``SLACK_AWARE_SLACKS`` slack columns or more, the path is chosen
-    once, from the shape: factorizations go through ``_unit_block_solve``,
-    and a pivot subtracts its rank-1 update only on the columns where the
-    pivot row is nonzero.  Elsewhere the dense update subtracts an exact
-    0, so the tableau is the same up to the sign of zeros.
+    on noise reduced costs nor produce a false optimum.  Every pivot is
+    a dense rank-1 update and every factorization a dense LU solve.
     """
 
     def __init__(self, std: "_Standardized", bland_after, basis=None):
@@ -342,8 +330,6 @@ class _Tableau:
         self.T = std.A.copy()
         self.rhs = std.b.copy()
         self.basis = (std.basis if basis is None else basis).astype(int)
-        self.unit_row = std.unit_row
-        self.slack_aware = std.slacks >= SLACK_AWARE_SLACKS
         self.bland_after = bland_after
         self.kept_rows = np.arange(std.A.shape[0])
         self.ray = None
@@ -361,31 +347,20 @@ class _Tableau:
         self.rhs[row] /= piv
         factors = self.T[:, col].copy()
         factors[row] = 0.0
-        if self.slack_aware:
-            nz = np.flatnonzero(self.T[row])
-            self.T[:, nz] -= np.outer(factors, self.T[row, nz])
-        else:
-            self.T -= np.outer(factors, self.T[row])
+        self.T -= np.outer(factors, self.T[row])
         self.rhs -= factors * self.rhs[row]
         self.T[:, col] = 0.0
         self.T[row, col] = 1.0
         self.basis[row] = col
         self.pivots_since_refactor += 1
 
-    def _solve(self, B, rhs, transpose=False):
-        """B^-1 rhs (B^-T rhs) for a basis matrix B on ``self.basis``."""
-        if self.slack_aware:
-            return _unit_block_solve(B, self.unit_row[self.basis], rhs,
-                                     transpose)
-        return np.linalg.solve(B.T if transpose else B, rhs)
-
     def refactor(self):
         """Rebuild the tableau from the original data on the current basis."""
         self.refactorizations += 1
         B = self.A0[:, self.basis]
         try:
-            self.T = self._solve(B, self.A0)
-            self.rhs = self._solve(B, self.b0)
+            self.T = np.linalg.solve(B, self.A0)
+            self.rhs = np.linalg.solve(B, self.b0)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"refactorization failed: {exc}")
         self.T[:, self.basis] = 0.0
@@ -470,13 +445,7 @@ class _Tableau:
 
     def restrict(self, keep, artificial):
         """Keep only the tableau rows ``keep``; artificials never price
-        back in.  A unit column whose row is dropped is a zero column
-        from then on, like the artificials."""
-        if self.slack_aware:
-            new_row = np.full(len(self.rhs), -1)
-            new_row[keep] = np.arange(len(new_row[keep]))
-            self.unit_row = np.where(artificial | (self.unit_row < 0), -1,
-                                     new_row[self.unit_row])
+        back in."""
         self.T = self.T[keep]
         self.rhs = self.rhs[keep]
         self.basis = self.basis[keep]
@@ -491,7 +460,7 @@ class _Tableau:
         columns of the standard form), not the tableau: B^-1 rhs, or
         B^-T rhs."""
         try:
-            return self._solve(B, rhs, transpose)
+            return np.linalg.solve(B.T if transpose else B, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"final basis is singular: {exc}")
 
@@ -500,38 +469,6 @@ class _Tableau:
         c - A^T y over every standard-form column."""
         y = self.basic_solve(B, std.c[self.basis], transpose=True)
         return y, std.c - std.A[self.kept_rows].T @ y
-
-
-def _unit_block_solve(B, unit_row, rhs, transpose=False):
-    """B^-1 rhs, or B^-T rhs, for a square basis matrix B whose column p
-    is a signed unit vector on row ``unit_row[p]`` wherever that is >= 0.
-
-    The unit columns are eliminated exactly, by a division by their own
-    entry, and only the block of the other columns on the rows that no
-    unit column covers is LU-solved.  Two unit columns on one row make B
-    singular: ``NumericalBreakdown``.  A singular block raises
-    ``np.linalg.LinAlgError``, as ``np.linalg.solve`` on B would.
-    """
-    unit = unit_row >= 0
-    rows_u = unit_row[unit]
-    covered = np.zeros(len(unit_row), dtype=bool)
-    covered[rows_u] = True
-    if np.count_nonzero(covered) < len(rows_u):
-        raise NumericalBreakdown("two basic unit columns on one row")
-    rows_s = np.flatnonzero(~covered)
-    cols_u, cols_s = np.flatnonzero(unit), np.flatnonzero(~unit)
-    sign = B[rows_u, cols_u].reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
-    coupling = B[np.ix_(rows_u, cols_s)]
-    block = B[np.ix_(rows_s, cols_s)]
-    out = np.empty(np.shape(rhs))
-    if transpose:
-        out[rows_u] = rhs[cols_u] / sign
-        out[rows_s] = np.linalg.solve(block.T,
-                                      rhs[cols_s] - coupling.T @ out[rows_u])
-    else:
-        out[cols_s] = np.linalg.solve(block, rhs[rows_s])
-        out[cols_u] = (rhs[rows_u] - coupling @ out[cols_s]) / sign
-    return out
 
 
 def _primal_residual(p: LPProblem, x: np.ndarray, equality) -> float:

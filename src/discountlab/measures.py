@@ -301,6 +301,21 @@ def subsolution_lp(sys: DiscreteSystem, lam: float,
     return field, -sol.objective_value
 
 
+def check_subsolution(sys: DiscreteSystem, lam: float, u: ValueField,
+                      what: str, extra_rows: Sequence = ()):
+    """Raise ``NumericalBreakdown`` unless ``u`` is a subsolution at
+    ``lam`` that meets every (measure, bound) row <measure, u> <= bound
+    of ``extra_rows``, each to ``FEAS_TOL``.  A field read off an LP's
+    duals is checked this way, outside the LP, before it is used;
+    ``what`` names it in the message."""
+    residual = float(np.max(bellman_residual(sys, lam, u)))
+    excess = max((mu.pair_field(u) - bound for mu, bound in extra_rows),
+                 default=0.0)
+    if max(residual, excess) > FEAS_TOL:
+        raise NumericalBreakdown(f"{what} are no subsolution: residual "
+                                 f"{residual}, pairing excess {excess}")
+
+
 # ---------------------------------------------------------------------------
 # audits
 # ---------------------------------------------------------------------------
@@ -380,10 +395,7 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
         raise SingularSystem(f"summed-seed measure LP returned "
                              f"{summed.status}")
     sub = summed.dual.reshape(sys.m, sys.num_states)
-    residual = float(np.max(bellman_residual(sys, lam, sub)))
-    if residual > FEAS_TOL:
-        raise NumericalBreakdown(f"summed-seed duals are no subsolution: "
-                                 f"residual {residual}")
+    check_subsolution(sys, lam, sub, "summed-seed duals")
     points = [(z, k) for k in range(sys.m) for z in range(sys.num_states)]
     seeds = lp_solve_rhs(problem, summed.basis, np.eye(len(problem.b)))
     reports = []

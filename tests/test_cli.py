@@ -56,6 +56,19 @@ def test_parse_rejects_bad_value_and_duplicates():
         parse_config("pipeline = solve\n")  # missing instance
 
 
+def test_parse_rejects_non_finite_floats(tmp_path):
+    # every float key: inf and nan used to run into a solver failure
+    for key in ("lambda", "tol", "damping", "xi_radius", "erg_radius"):
+        for raw in ("inf", "-inf", "nan"):
+            with pytest.raises(BadValue):
+                parse_config(f"instance = a\npipeline = solve\n"
+                             f"{key} = {raw}\n")
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(f"instance = linear-B\npipeline = solve\nlambda = inf\n"
+                   f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 2
+
+
 def test_parse_serialize_fixpoint():
     text = ("instance = quadratic-plc\npipeline = sweep\nlambda = 0.25\n"
             "rungs = 6\nseed = 7\n# comment\n")
@@ -311,6 +324,19 @@ def test_malformed_system_is_an_input_error(tmp_path, instance_b):
         doc = json.loads((tmp_path / name / "result.json").read_text())
         assert doc["error"]["type"] == "ParseError", name
         assert main(["verify", str(path)]) == 1, name
+
+
+def test_unreadable_instance_is_an_input_error(tmp_path):
+    # a directory, and a file that is not text
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for name, path in (("dir", tmp_path), ("binary", binary)):
+        spec = ExperimentSpec(instance=str(path), pipeline="solve",
+                              output_dir=str(tmp_path / name))
+        report = run_experiment(spec)
+        assert report.status == 2 and not report.passed, name
+        doc = json.loads((tmp_path / name / "result.json").read_text())
+        assert doc["error"]["type"] == "BadValue", name
 
 
 def test_emit_plotdata_columns(tmp_path, instance_a):

@@ -3,7 +3,8 @@ import pytest
 
 import discountlab as dl
 from discountlab import limits
-from discountlab.errors import BadValue, DivergentSweep, UnboundedLP
+from discountlab.errors import (BadValue, DivergentSweep, NumericalBreakdown,
+                               UnboundedLP)
 from discountlab.lp import (OPTIMAL, LPProblem, enumerate_basic_solutions,
                             lp_solve)
 from discountlab.limits import (closedness_residual, ergodic_normalize,
@@ -404,6 +405,24 @@ def test_selection_unbounded_when_rows_do_not_pin(eikonal32_normalized):
     ray = info.value.ray
     assert ray is not None
     assert np.allclose(ray / np.max(np.abs(ray)), 1.0, atol=1e-9)
+
+
+def test_selection_field_checks_its_dual_field(instance_b_normalized,
+                                               monkeypatch):
+    # the field is the greatest one, so duals raised by 1e-6 at one entry
+    # break a relation or a pairing there, and must not be passed on
+    mset = dl.mather_face_samples(instance_b_normalized, 12, seed=9)
+    solve = limits.lp_solve
+
+    def pushed(problem, basis=None):
+        sol = solve(problem, basis=basis)
+        sol.dual = sol.dual.copy()
+        sol.dual[3] += 1e-6
+        return sol
+
+    monkeypatch.setattr(limits, "lp_solve", pushed)
+    with pytest.raises(NumericalBreakdown):
+        dl.selection_field(instance_b_normalized, mset)
 
 
 def test_selection_monotone_in_rows(eikonal32_normalized):

@@ -1,4 +1,3 @@
-import copy
 import math
 from dataclasses import fields, replace
 
@@ -6,11 +5,11 @@ import numpy as np
 import pytest
 
 from discountlab import lp
-from discountlab.errors import EnumerationTooLarge, NumericalBreakdown
+from discountlab.errors import EnumerationTooLarge
 from discountlab.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem,
-                            _Standardized, _unit_block_solve,
-                            enumerate_basic_solutions, enumeration_minimum,
-                            independent_rows, lp_solve, lp_solve_rhs)
+                            _Standardized, enumerate_basic_solutions,
+                            enumeration_minimum, independent_rows, lp_solve,
+                            lp_solve_rhs)
 
 
 def test_one_pivot_lp():
@@ -24,6 +23,40 @@ def test_one_pivot_lp():
 def test_infeasible_lp():
     sol = lp_solve(LPProblem(c=[0.0], A=[[1.0]], b=[-1.0], senses=["="]))
     assert sol.status == INFEASIBLE
+
+
+def _assert_farkas(p, sol):
+    """``sol.ray`` proves ``p`` infeasible: A^T y <= 0 (= 0 on free
+    columns), y <= 0 on '<=' rows and b.y > 0."""
+    assert sol.status == INFEASIBLE
+    y = sol.ray / np.max(np.abs(sol.ray))
+    slope = p.A.T @ y
+    assert np.max(slope) <= lp.FEAS_TOL
+    assert np.max(np.abs(slope[p.free]), initial=0.0) <= lp.FEAS_TOL
+    assert np.max(y[[s == "<=" for s in p.senses]], initial=0.0) \
+        <= lp.FEAS_TOL
+    assert p.b @ y > 0.0
+
+
+def test_infeasible_lp_carries_a_farkas_ray():
+    # x1 = x2 + 2 (stored negated, its b is < 0) and x1 + x2 <= 1
+    p = LPProblem(c=[1.0, 1.0], A=[[-1.0, 1.0], [1.0, 1.0]], b=[-2.0, 1.0],
+                  senses=["=", "<="])
+    _assert_farkas(p, lp_solve(p))
+    rng = np.random.default_rng(81)
+    infeasible = 0
+    for _ in range(200):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+        p = LPProblem(c=rng.standard_normal(n),
+                      A=rng.standard_normal((m, n)),
+                      b=rng.standard_normal(m),
+                      senses=list(rng.choice(["=", "<="], m)),
+                      free=rng.random(n) < 0.2)
+        sol = lp_solve(p)
+        if sol.status == INFEASIBLE:
+            infeasible += 1
+            _assert_farkas(p, sol)
+    assert infeasible >= 100
 
 
 def test_unbounded_lp_with_ray():
@@ -294,113 +327,13 @@ def _subsolution_problem(name, **kwargs):
 
 
 def test_subsolution_lp_keeps_its_pivot_counts():
-    # measured on the dense kernel; two of them (288 and 576 '<=' rows)
-    # run the slack-aware path, the others stay below SLACK_AWARE_SLACKS
+    # measured on the dense kernel, the one path every LP runs
     counts = [("quadratic-plc", {}, 49), ("quadratic-plc", {"N": 16}, 103),
               ("eikonal-f", {"N": 6}, 7), ("linear-B", {}, 28),
               ("constant-coupling", {}, 32)]
     for name, kwargs, pivots in counts:
         _, sol = _subsolution_problem(name, **kwargs)
         assert sol.iterations == pivots, (name, kwargs)
-
-
-def _random_unit_basis(rng, rows):
-    """A standard form with '=' rows (artificials), '<=' rows with either
-    sign of right-hand side (+1 and -1 slacks) and structural columns,
-    and a well-conditioned basis that mixes all of them."""
-    cols = rows // 4 + 2
-    problem = LPProblem(c=np.zeros(cols), A=rng.standard_normal((rows, cols)),
-                        b=rng.standard_normal(rows),
-                        senses=list(rng.choice(["=", "<="], rows)))
-    std = _Standardized(problem)
-    while True:
-        k = int(rng.integers(1, cols + 1))
-        structural = rng.choice(cols, k, replace=False)
-        units = [int(rng.choice(np.flatnonzero(std.unit_row == r)))
-                 for r in rng.choice(rows, rows - k, replace=False)]
-        basis = rng.permutation(np.concatenate([structural, units]))
-        B = std.A[:, basis]
-        if np.linalg.cond(B) < 1e6:
-            return B, std.unit_row[basis], std.artificial[basis].any()
-
-
-@pytest.mark.parametrize("rows", [8, 40, lp.SLACK_AWARE_SLACKS, 160])
-def test_unit_block_solve_matches_dense_solve(rows):
-    rng = np.random.default_rng(rows)
-    signs, artificials = set(), 0
-    for _ in range(5):
-        B, unit_row, artificial = _random_unit_basis(rng, rows)
-        artificials += artificial
-        unit = unit_row >= 0
-        signs.update(B[unit_row[unit], np.flatnonzero(unit)])
-        for rhs in (rng.standard_normal(rows),
-                    rng.standard_normal((rows, 7))):
-            for transpose in (False, True):
-                dense = np.linalg.solve(B.T if transpose else B, rhs)
-                block = _unit_block_solve(B, unit_row, rhs, transpose)
-                assert np.max(np.abs(block - dense)) \
-                    <= 1e-12 * np.max(np.abs(dense))
-    assert signs == {-1.0, 1.0} and artificials
-
-
-def test_two_unit_columns_on_one_row_take_the_cold_path():
-    problem, cold = _subsolution_problem("quadratic-plc")
-    std = _Standardized(problem)
-    assert len(std.b) >= lp.SLACK_AWARE_SLACKS
-    assert all(s == "<=" for s in problem.senses)
-    slack = np.flatnonzero(std.unit_row[cold.basis] >= 0)
-    bad = cold.basis.copy()
-    bad[slack[1]] = bad[slack[0]]           # one slack basic on two rows
-    with pytest.raises(NumericalBreakdown):
-        _unit_block_solve(std.A[:, bad], std.unit_row[bad], std.b)
-    warm = lp_solve(problem, basis=bad)
-    _assert_certified(warm)
-    assert warm.iterations == cold.iterations
-    assert np.array_equal(warm.x, cold.x)
-    assert np.array_equal(warm.basis, cold.basis)
-    assert warm.refactorizations == cold.refactorizations + 1
-
-
-def test_row_sparse_pivot_matches_the_dense_update(monkeypatch):
-    # every pivot of the cold subsolution LP, against the full update
-    problem, _ = _subsolution_problem("quadratic-plc")
-    pivot = lp._Tableau._pivot
-    skipped = []
-
-    def checked_pivot(tab, row, col):
-        assert tab.slack_aware
-        dense = copy.copy(tab)
-        dense.slack_aware = False
-        dense.T, dense.rhs, dense.basis = (tab.T.copy(), tab.rhs.copy(),
-                                           tab.basis.copy())
-        pivot(dense, row, col)
-        pivot(tab, row, col)
-        assert np.array_equal(tab.T, dense.T)
-        assert np.array_equal(tab.rhs, dense.rhs)
-        skipped.append(np.count_nonzero(tab.T[row] == 0.0))
-
-    monkeypatch.setattr(lp._Tableau, "_pivot", checked_pivot)
-    sol = lp_solve(problem)
-    _assert_certified(sol)
-    assert len(skipped) >= sol.iterations == 49
-    assert min(skipped) > 0
-
-
-@pytest.mark.parametrize("name", ZOO)
-def test_slack_aware_path_matches_the_dense_path(name, monkeypatch):
-    # the same LPs on each path, whatever their size
-    for problem in _zoo_lps(name):
-        monkeypatch.setattr(lp, "SLACK_AWARE_SLACKS", 0)
-        fast = lp_solve(problem)
-        monkeypatch.setattr(lp, "SLACK_AWARE_SLACKS", 10 ** 9)
-        dense = lp_solve(problem)
-        _assert_certified(fast)
-        assert fast.iterations == dense.iterations
-        assert np.array_equal(fast.basis, dense.basis)
-        scale = 1.0 + np.max(np.abs(dense.x))
-        assert np.max(np.abs(fast.x - dense.x)) <= 1e-12 * scale
-        assert np.max(np.abs(fast.dual - dense.dual)) \
-            <= 1e-12 * (1.0 + np.max(np.abs(dense.dual)))
 
 
 def _klee_minty(d):
