@@ -9,10 +9,10 @@ dimensions and are checked as such.
 """
 
 from . import cli, discretize, errors, limits, lp, measures, model, solver
-from .discretize import (ControlSet, DiscreteSystem, TorusGrid,
-                         assemble_system, bellman_residual, build_grid,
-                         sample_controls, standard_system, system_from_json,
-                         system_to_json, upwind_directional)
+from .discretize import (DiscreteSystem, TorusGrid, assemble_system,
+                         bellman_residual, build_grid, sample_controls,
+                         standard_system, system_from_json, system_to_json,
+                         upwind_directional)
 from .limits import (MatherSet, SweepResult, convergence_report,
                      discount_sweep, ergodic_normalize, mather_face_samples,
                      mather_from_sweep, mather_lp, selection_field,

@@ -302,6 +302,14 @@ class _Run:
         return sweep
 
     @_stage
+    def green_poisson(self):
+        """lam * the optimal measure at the sweep's smallest rung, seeded
+        at the probe: one cold Green-Poisson LP on ``work``."""
+        spec = self.spec
+        return limits.mather_from_sweep(self.work, self.sweep,
+                                        spec.probe_state, spec.probe_mode)
+
+    @_stage
     def selection(self):
         """(Mather face representatives, selection field) on ``work``."""
         spec = self.spec
@@ -361,10 +369,9 @@ def _pipe_sweep(run):
 
 
 def _pipe_mather(run):
-    spec, work, sweep = run.spec, run.work, run.sweep
+    work, sweep = run.work, run.sweep
     min_value = run.mather[1]
-    scaled = limits.mather_from_sweep(work, sweep, spec.probe_state,
-                                      spec.probe_mode)
+    scaled = run.green_poisson
     resid = limits.closedness_residual(work, scaled)
     bound = 5.0 * sweep.lambdas[-1] * (1.0 + limits.stencil_norm(work))
     pairing = scaled.pair_cost(work)

@@ -22,6 +22,12 @@ lam + sum_j eta_{a,j} >= lam: a strictly diagonally dominant M-matrix for
 every lam > 0.  That certificate is what makes every downstream identity
 exact, and it is re-verified at assembly.
 
+A ``DiscreteSystem`` is its grid, each mode's controls and each mode's
+cost tensor; everything else about it is derived from those three.  The
+variants the package solves (shifted costs, frozen couplings, the grid
+of N/2 points) are ``dataclasses.replace`` copies of a system that
+change only the grid, the controls or the cost.
+
 The same stencil coefficients drive three consumers: the Bellman
 residual, the per-policy linear solves, and (transposed) the
 closed-measure constraint matrix.  ``DiscreteSystem.stencil`` is their
@@ -37,7 +43,7 @@ solver.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -71,7 +77,6 @@ class TorusGrid:
             coords = idx.reshape(-1, 1)
         else:
             coords = np.stack([idx // self.N, idx % self.N], axis=-1)
-        self._coords = coords
         self.x = coords / self.N
         self._fwd, self._bwd = [], []
         for d in range(self.n):
@@ -109,28 +114,15 @@ def build_grid(n: int, N: int) -> TorusGrid:
 
 @dataclass
 class ModeControls:
-    """Finite controls of one mode: rows of (xi, eta) plus a cost source."""
+    """Finite controls of one mode: rows of (xi, eta), and the cost source
+    that ``assemble_system`` reads (a system's costs are its ``cost``)."""
 
-    mode: int
     xi: np.ndarray    # (A, n)
     eta: np.ndarray   # (A, m)
-    labels: list
     cost_fn: Optional[Callable] = None  # cost_fn(x_points) -> (S, A)
 
     def __len__(self):
         return len(self.xi)
-
-
-@dataclass
-class ControlSet:
-    modes: list  # [ModeControls]
-
-    @property
-    def m(self):
-        return len(self.modes)
-
-    def __getitem__(self, i) -> ModeControls:
-        return self.modes[i]
 
 
 def _symmetric_axis(radius: float, count: int) -> np.ndarray:
@@ -156,11 +148,6 @@ def _control_rows(m: int, n: int, mode: int, xi_radius: float,
     xis = product_grid(_symmetric_axis(float(xi_radius), int(xi_count)), n)
     return (np.repeat(xis, len(etas), axis=0),
             np.tile(np.stack(etas), (len(xis), 1)))
-
-
-def _labels(prefix: str, mode: int, xi_rows, eta_rows) -> list:
-    return [f"{prefix}:mode{mode}:xi{r.tolist()}:eta{e.tolist()}"
-            for r, e in zip(xi_rows, eta_rows)]
 
 
 def _table_cost_fn(table: LagrangianTable, values: np.ndarray) -> Callable:
@@ -192,8 +179,6 @@ def sample_controls(model_or_table, mode: int, xi_radius: float,
     model = model_or_table
     xi_rows, eta_rows = _control_rows(model.m, model.n, mode, xi_radius,
                                       xi_count, eta_spec)
-    labels = _labels(model.zoo_id or "custom", mode, xi_rows, eta_rows)
-
     if model.lagrangian_hint is None:
         raise MissingCost(f"model {model.zoo_id!r} provides no cost source")
     probe = np.zeros((1, model.n))
@@ -204,13 +189,13 @@ def sample_controls(model_or_table, mode: int, xi_radius: float,
                 f"no finite cost for mode {mode} control xi={r.tolist()}, "
                 f"eta={e.tolist()}")
 
-    def cost_fn(x_points, _mode=mode, _xi=xi_rows, _eta=eta_rows):
-        cols = [np.asarray(model.lagrangian_hint(x_points, _mode, r, e), dtype=float)
-                for r, e in zip(_xi, _eta)]
+    def cost_fn(x_points):
+        cols = [np.asarray(model.lagrangian_hint(x_points, mode, r, e),
+                           dtype=float)
+                for r, e in zip(xi_rows, eta_rows)]
         return np.stack(cols, axis=-1)
 
-    return ModeControls(mode=mode, xi=xi_rows, eta=eta_rows, labels=labels,
-                        cost_fn=cost_fn)
+    return ModeControls(xi_rows, eta_rows, cost_fn)
 
 
 def _controls_from_table_grid(table: LagrangianTable, mode: int,
@@ -232,9 +217,8 @@ def _controls_from_table_grid(table: LagrangianTable, mode: int,
             raise MissingCost(f"table cost infinite at xi={r.tolist()}, "
                               f"eta={e.tolist()}")
         cols.append(np.asarray(vals, dtype=float))
-    return ModeControls(mode=mode, xi=xi_rows, eta=eta_rows,
-                        labels=_labels("table", mode, xi_rows, eta_rows),
-                        cost_fn=_table_cost_fn(table, np.stack(cols, axis=-1)))
+    return ModeControls(xi_rows, eta_rows,
+                        _table_cost_fn(table, np.stack(cols, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +228,13 @@ def _controls_from_table_grid(table: LagrangianTable, mode: int,
 @dataclass
 class DiscreteSystem:
     grid: TorusGrid
-    m: int
-    controls: ControlSet
+    controls: list          # per mode, ModeControls
     cost: list              # per mode, (S, A_i)
     label: str = ""
-    drift_bound: float = 0.0
+
+    @property
+    def m(self) -> int:
+        return len(self.controls)
 
     @property
     def num_states(self):
@@ -292,16 +278,11 @@ class DiscreteSystem:
         fixed; the cost is a zero placeholder that the user writes before
         each solve (the ergodic map writes the cost of a frozen coupling).
         """
-        return [DiscreteSystem(
-                    grid=self.grid, m=1,
-                    controls=ControlSet([ModeControls(
-                        mode=0, xi=self.controls[i].xi.copy(),
-                        eta=np.zeros((self.num_controls(i), 1)),
-                        labels=list(self.controls[i].labels))]),
-                    cost=[np.zeros_like(self.cost[i])],
-                    label=f"{self.label}:frozen{i}",
-                    drift_bound=self.drift_bound)
-                for i in range(self.m)]
+        return [replace(self,
+                        controls=[ModeControls(mc.xi, np.zeros((len(mc), 1)))],
+                        cost=[np.zeros_like(ci)],
+                        label=f"{self.label}:frozen{i}")
+                for i, (mc, ci) in enumerate(zip(self.controls, self.cost))]
 
     @cached_property
     def stencil(self) -> Stencil:
@@ -356,32 +337,32 @@ class Stencil(NamedTuple):
         return vals
 
 
-def assemble_system(model_or_label, grid: TorusGrid, controls: ControlSet,
+def assemble_system(grid: TorusGrid, controls: Sequence[ModeControls],
                     label: str = "") -> DiscreteSystem:
-    """Materialize the cost tensor and certify the monotone scheme.
+    """Materialize each mode's cost from its ``cost_fn`` on the grid points
+    and certify the monotone scheme (``_certified_system``)."""
+    cost = []
+    for i, mc in enumerate(controls):
+        if mc.cost_fn is None:
+            raise MissingCost(f"mode {i} has no cost source")
+        cost.append(np.asarray(mc.cost_fn(grid.x), dtype=float))
+    return _certified_system(grid, controls, cost, label)
+
+
+def _certified_system(grid: TorusGrid, controls: Sequence[ModeControls],
+                      cost: list, label: str) -> DiscreteSystem:
+    """The system of these controls and costs, once certified.
 
     Verifies for every (i, x, a): finite cost, eta exactly in cone(i),
     diagonal coefficient sum_d |xi_d|/dx + eta_{a,i} >= 0 and nonpositive
     off-diagonal coefficients.  Rejects control sets that do not cover all
-    modes.
+    modes: each mode needs a control, and every eta one entry per mode.
     """
-    if isinstance(model_or_label, HamiltonianModel):
-        model = model_or_label
-        m = model.m
-        label = label or (model.zoo_id or "custom")
-    else:
-        model = None
-        m = controls.m
-        label = label or str(model_or_label)
-    if controls.m != m or any(len(controls[i]) == 0 for i in range(m)):
+    m = len(controls)
+    if m == 0 or any(len(mc) == 0 or mc.eta.shape[1] != m
+                     for mc in controls):
         raise MissingCost("control set does not cover every mode")
-
-    cost = []
-    for i in range(m):
-        mc = controls[i]
-        if mc.cost_fn is None:
-            raise MissingCost(f"mode {i} has no cost source")
-        ci = np.asarray(mc.cost_fn(grid.x), dtype=float)
+    for i, (mc, ci) in enumerate(zip(controls, cost)):
         if ci.shape != (grid.num_states, len(mc)):
             raise MissingCost(f"mode {i} cost tensor has shape {ci.shape}")
         if not np.all(np.isfinite(ci)):
@@ -394,11 +375,8 @@ def assemble_system(model_or_label, grid: TorusGrid, controls: ControlSet,
             if diag < 0.0:
                 raise CouplingOutsideCone(
                     f"mode {i} control {a}: negative diagonal {diag}")
-        cost.append(ci)
-    drift = max(float(np.max(np.abs(controls[i].xi), initial=0.0))
-                for i in range(m))
-    return DiscreteSystem(grid=grid, m=m, controls=controls, cost=cost,
-                          label=label, drift_bound=drift)
+    return DiscreteSystem(grid=grid, controls=list(controls), cost=cost,
+                          label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -528,21 +506,21 @@ def policy_rows(sys: DiscreteSystem, policy: Policy) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def coarse_system(sys: DiscreteSystem) -> DiscreteSystem:
-    """The same system on the grid of N/2 points per axis (N even).
+    """The same system on the grid of N/2 points per axis.
 
     The controls are kept, and the cost at each coarse point is the fine
     cost at the fine point of twice its coordinates.  Only the system
     itself is read, so loaded, table-backed and ``uncoupled`` systems
-    coarsen alike.
+    coarsen alike.  An odd N has no such grid: ``BadResolution``.
     """
     n, N = sys.grid.n, sys.grid.N
+    if N % 2:
+        raise BadResolution(f"cannot halve a grid of odd N = {N}")
     grid = build_grid(n, N // 2)
     even = (slice(None, None, 2),) * n
     cost = [c.reshape((N,) * n + (-1,))[even].reshape(grid.num_states, -1)
             for c in sys.cost]
-    return DiscreteSystem(grid=grid, m=sys.m, controls=sys.controls,
-                          cost=cost, label=f"{sys.label}:coarse",
-                          drift_bound=sys.drift_bound)
+    return replace(sys, grid=grid, cost=cost, label=f"{sys.label}:coarse")
 
 
 def prolong(u: ValueField, grid: TorusGrid) -> ValueField:
@@ -619,21 +597,14 @@ def system_from_json(text: str) -> DiscreteSystem:
                 or not np.all(np.isfinite(xi)):
             raise ParseError(f"mode {i}: xi rows must be finite of length "
                              f"{grid.n}, and eta rows of length {m}")
-        modes.append(ModeControls(mode=i, xi=xi, eta=eta,
-                                  labels=[f"loaded:mode{i}:{a}"
-                                          for a in range(len(xi))]))
-    expect = sum(grid.num_states * len(mc) for mc in modes)
-    if flat.shape != (expect,):
+        modes.append(ModeControls(xi, eta))
+    sizes = [grid.num_states * len(mc) for mc in modes]
+    if flat.shape != (sum(sizes),):
         raise MissingCost(f"cost vector has shape {flat.shape}, expected "
-                          f"({expect},)")
-    pos = 0
-    for i, mc in enumerate(modes):
-        block = flat[pos:pos + grid.num_states * len(mc)]
-        pos += block.size
-        ci = block.reshape(grid.num_states, len(mc))
-        mc.cost_fn = (lambda x_points, _ci=ci: _ci)
-    return assemble_system(doc.get("label", "loaded"), grid,
-                           ControlSet(modes), label=doc.get("label", "loaded"))
+                          f"({sum(sizes)},)")
+    cost = [block.reshape(grid.num_states, -1)
+            for block in np.split(flat, np.cumsum(sizes)[:-1])]
+    return _certified_system(grid, modes, cost, doc.get("label", "loaded"))
 
 
 # ---------------------------------------------------------------------------
@@ -679,4 +650,4 @@ def standard_system(zoo_id: str, N: Optional[int] = None,
     cnt = xi_count if xi_count is not None else defaults["xi_count"]
     modes = [sample_controls(model, i, rad, cnt, default_eta_spec(model, i))
              for i in range(model.m)]
-    return assemble_system(model, grid, ControlSet(modes))
+    return assemble_system(grid, modes, label=zoo_id)

@@ -39,13 +39,12 @@ the field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .discretize import (ControlSet, DiscreteSystem, ModeControls, ValueField,
-                         linearized_matrix)
+from .discretize import DiscreteSystem, ValueField, linearized_matrix
 from .errors import (BadValue, DivergentSweep, EnumerationTooLarge,
                      InfeasibleLP, NumericalBreakdown, UnboundedLP)
 from .lp import (FEAS_TOL, INFEASIBLE, OPTIMAL, LPProblem,
@@ -57,6 +56,8 @@ from .solver import ergodic_solve, policy_iterate
 DIVERGENCE_BOUND = 1e6
 FACE_DEDUP_TOL = 1e-7
 SUPPORT_TOL = 1e-9         # reduced cost above this: > 0
+LIMIT_GAP_TOL = 1e-5       # sweep limit vs selection field, sup norm
+PAIRING_TOL = 1e-6         # <nu, limit> over the Mather representatives
 
 
 # ---------------------------------------------------------------------------
@@ -67,26 +68,14 @@ def shift_costs(sys: DiscreteSystem, shift) -> DiscreteSystem:
     """New system with cost_i + shift_i (conjugate of subtracting shift_i
     from the Hamiltonian of mode i)."""
     shift = np.asarray(shift, dtype=float) * np.ones(sys.m)
-    modes = []
-    cost = []
-    for i in range(sys.m):
-        mc = sys.controls[i]
-        ci = sys.cost[i] + shift[i]
-        cost.append(ci)
-        modes.append(ModeControls(mode=i, xi=mc.xi.copy(), eta=mc.eta.copy(),
-                                  labels=list(mc.labels),
-                                  cost_fn=lambda _x, _c=ci: _c))
-    return DiscreteSystem(grid=sys.grid, m=sys.m, controls=ControlSet(modes),
-                          cost=cost, label=f"{sys.label}+shift",
-                          drift_bound=sys.drift_bound)
+    return replace(sys, cost=[c + s for c, s in zip(sys.cost, shift)],
+                   label=f"{sys.label}+shift")
 
 
 def ergodic_normalize(sys: DiscreteSystem, lam: float = 0.05,
-                      tol: float = 1e-11, damping: float = 0.5,
-                      max_outer: int = 20000):
+                      tol: float = 1e-11, damping: float = 0.5):
     """Shift costs by the ergodic constants so the shifted constant is 0."""
-    result = ergodic_solve(sys, lam, tol=tol, damping=damping,
-                           max_outer=max_outer)
+    result = ergodic_solve(sys, lam, tol=tol, damping=damping)
     return shift_costs(sys, result.c), result
 
 
@@ -101,8 +90,12 @@ class SweepResult:
     diagnostics: list            # SolveDiagnostics per rung
     cauchy_gaps: list
     uniform_bound: float
-    limit_candidate: ValueField
     divergent: bool = False
+
+    @property
+    def limit_candidate(self) -> ValueField:
+        """The field at the smallest rung."""
+        return self.fields[-1]
 
     def csv_rows(self):
         """Rows of (lambda, sup_norm, cauchy_gap, solver_iters)."""
@@ -151,7 +144,7 @@ def discount_sweep(sys: DiscreteSystem, lam_start: float = 0.5,
     bound = max(float(np.max(np.abs(v))) for v in fields)
     return SweepResult(lambdas=lambdas, fields=fields, diagnostics=diags,
                        cauchy_gaps=gaps, uniform_bound=bound,
-                       limit_candidate=fields[-1], divergent=divergent)
+                       divergent=divergent)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +380,6 @@ class ConvergenceReport:
     limit_vs_selection_gap: float
     measure_pairings: list
     passed: bool
-    gap_tol: float
-    pairing_tol: float
 
     def to_json(self) -> str:
         return json.dumps({
@@ -400,18 +391,15 @@ class ConvergenceReport:
 
 def convergence_report(sys: DiscreteSystem, sweep: SweepResult,
                        selection: ValueField,
-                       mset: Optional[MatherSet] = None,
-                       gap_tol: float = 1e-5,
-                       pairing_tol: float = 1e-6) -> ConvergenceReport:
+                       mset: Optional[MatherSet] = None) -> ConvergenceReport:
     """Machine-readable verdict tying the two pipelines together."""
     limit = sweep.limit_candidate
     gap = float(np.max(np.abs(limit - selection)))
     pairings = []
     if mset is not None:
         pairings = [nu.pair_field(limit) for nu in mset.representatives]
-    passed = (not sweep.divergent and gap <= gap_tol
-              and all(p <= pairing_tol for p in pairings))
+    passed = (not sweep.divergent and gap <= LIMIT_GAP_TOL
+              and all(p <= PAIRING_TOL for p in pairings))
     return ConvergenceReport(rung_gaps=list(sweep.cauchy_gaps),
                              limit_vs_selection_gap=gap,
-                             measure_pairings=pairings, passed=passed,
-                             gap_tol=gap_tol, pairing_tol=pairing_tol)
+                             measure_pairings=pairings, passed=passed)

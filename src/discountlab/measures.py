@@ -68,6 +68,7 @@ from .solver import policy_iterate
 MASS_TOL = 1e-9
 ZERO_MASS_TOL = 1e-12
 DUALITY_TOL = 1e-7
+SUPPORT_MASS_FLOOR = 1e-10   # support_audit counts weights above this
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +85,11 @@ class MeasureVector:
     @classmethod
     def from_flat(cls, sys: DiscreteSystem, flat: np.ndarray,
                   lam_tag: float) -> "MeasureVector":
-        weights = []
-        for i in range(sys.m):
-            off = sys.var_offsets[i]
-            block = flat[off:off + sys.num_states * sys.num_controls(i)]
-            weights.append(np.asarray(block, dtype=float)
-                           .reshape(sys.num_states, sys.num_controls(i)).copy())
-        return cls(lam_tag=lam_tag, weights=weights)
+        S = sys.num_states
+        return cls(lam_tag=lam_tag, weights=[
+            np.asarray(flat[off:off + S * len(mc)], dtype=float)
+            .reshape(S, -1).copy()
+            for off, mc in zip(sys.var_offsets, sys.controls)])
 
     def flat(self) -> np.ndarray:
         return np.concatenate([w.reshape(-1) for w in self.weights])
@@ -100,11 +99,8 @@ class MeasureVector:
 
     def discount_mass(self, sys: DiscreteSystem) -> float:
         """<mu, (lam + sum_j eta_j) 1>, the discounted normalization."""
-        total = 0.0
-        for i, w in enumerate(self.weights):
-            s = self.lam_tag + sys.controls[i].eta.sum(axis=1)
-            total += float((w * s).sum())
-        return total
+        return sum(float((w * (self.lam_tag + mc.eta.sum(axis=1))).sum())
+                   for w, mc in zip(self.weights, sys.controls))
 
     def pair_cost(self, sys: DiscreteSystem) -> float:
         return float(sum((w * sys.cost[i]).sum()
@@ -117,10 +113,7 @@ class MeasureVector:
 
     def field_coefficients(self, sys: DiscreteSystem) -> np.ndarray:
         """Row vector over flat fields: coefficients of <mu, .>."""
-        out = np.empty(sys.m * sys.num_states)
-        for i, w in enumerate(self.weights):
-            out[i * sys.num_states:(i + 1) * sys.num_states] = w.sum(axis=1)
-        return out
+        return np.concatenate([w.sum(axis=1) for w in self.weights])
 
     def validate(self, sys: DiscreteSystem):
         if self.lam_tag > 0.0:
@@ -203,10 +196,6 @@ def _measure_problem(sys: DiscreteSystem, lam: float, z: int,
     return problem
 
 
-def _measure_lp(sys: DiscreteSystem, lam: float, problem: LPProblem):
-    return _measure_of(sys, lam, lp_solve(problem))
-
-
 def _measure_of(sys: DiscreteSystem, lam: float, sol):
     """The validated measure of a measure-LP solution, and the solution."""
     if sol.status != OPTIMAL:
@@ -223,7 +212,7 @@ def green_poisson(sys: DiscreteSystem, lam: float, z: int, k: int):
     system (point-mass seeds always generate a feasible occupation), so
     a non-Optimal status signals corrupted data.
     """
-    mu, sol = _measure_lp(sys, lam, _measure_problem(sys, lam, z, k))
+    mu, sol = _measure_of(sys, lam, lp_solve(_measure_problem(sys, lam, z, k)))
     return mu, sol.objective_value
 
 
@@ -345,10 +334,10 @@ class DualityReport:
             "passed": self.passed})
 
 
-def _duality_report(z, k, lam, solver_value, measure_sol, sub_value, tol):
+def _duality_report(z, k, lam, solver_value, measure_sol, sub_value):
     measure_value = measure_sol.objective_value
-    passed = (abs(solver_value - measure_value) <= tol
-              and abs(solver_value - sub_value) <= tol)
+    passed = (abs(solver_value - measure_value) <= DUALITY_TOL
+              and abs(solver_value - sub_value) <= DUALITY_TOL)
     return DualityReport(z=z, k=k, lam=lam, solver_value=solver_value,
                          measure_value=measure_value,
                          subsolution_value=sub_value,
@@ -357,8 +346,7 @@ def _duality_report(z, k, lam, solver_value, measure_sol, sub_value, tol):
 
 
 def duality_audit(sys: DiscreteSystem, lam: float, z: int, k: int,
-                  solver_value: Optional[float] = None,
-                  tol: float = DUALITY_TOL) -> DualityReport:
+                  solver_value: Optional[float] = None) -> DualityReport:
     """Three-way agreement: solver value, measure-LP min, subsolution max.
 
     One point, two cold LPs of its own: the oracle for
@@ -369,9 +357,9 @@ def duality_audit(sys: DiscreteSystem, lam: float, z: int, k: int,
     if solver_value is None:
         u, _, _ = policy_iterate(sys, lam, tol=1e-10)
         solver_value = float(u[k, z])
-    _, sol = _measure_lp(sys, lam, _measure_problem(sys, lam, z, k))
+    _, sol = _measure_of(sys, lam, lp_solve(_measure_problem(sys, lam, z, k)))
     _, sub_value = subsolution_lp(sys, lam, z, k)
-    return _duality_report(z, k, lam, solver_value, sol, sub_value, tol)
+    return _duality_report(z, k, lam, solver_value, sol, sub_value)
 
 
 def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
@@ -402,7 +390,7 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
     for (z, k), sol in zip(points, seeds):
         _measure_of(sys, lam, sol)
         reports.append(_duality_report(z, k, lam, float(u[k, z]), sol,
-                                       float(sub[k, z]), DUALITY_TOL))
+                                       float(sub[k, z])))
     return reports
 
 
@@ -432,9 +420,9 @@ def _box(rows) -> list:
             for lo, hi in zip(pts.min(axis=0), pts.max(axis=0))]
 
 
-def support_audit(mu: MeasureVector, sys: DiscreteSystem,
-                  mass_floor: float = 1e-10) -> SupportReport:
-    """Bounding box of the carried controls versus the sampling box.
+def support_audit(mu: MeasureVector, sys: DiscreteSystem) -> SupportReport:
+    """Bounding box of the carried controls (weight above
+    ``SUPPORT_MASS_FLOOR``) versus the sampling box.
 
     ``interior`` is True when on every non-degenerate xi axis the support
     box stays strictly inside the sampled box; support touching the
@@ -449,7 +437,7 @@ def support_audit(mu: MeasureVector, sys: DiscreteSystem,
         mc = sys.controls[i]
         all_xi.append(mc.xi)
         all_eta.append(mc.eta)
-        for x, a in zip(*np.nonzero(w > mass_floor)):
+        for x, a in zip(*np.nonzero(w > SUPPORT_MASS_FLOOR)):
             entries.append((int(i), int(x), int(a), float(w[x, a])))
             xi_pts.append(mc.xi[a])
             eta_pts.append(mc.eta[a])

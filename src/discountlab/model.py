@@ -39,6 +39,7 @@ from .errors import EmptySampleSet, MissingRadius
 CHECK_TOL = 1e-9
 DYADIC = 2.0 ** -20
 DEFAULT_CLIP = 1e12
+SEARCH_SCALE = 2.0    # default (p, u) search radius over the data's radius
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +171,7 @@ def make_model(zoo_id: str, **params) -> HamiltonianModel:
                 return _inf_like(x)
             return f(x)
 
-        model = HamiltonianModel(1, 1, H, lag, zoo_id, opts)
-        model.params["f"] = f
-        return model
+        return HamiltonianModel(1, 1, H, lag, zoo_id, opts)
 
     raise KeyError(f"unknown zoo id {zoo_id!r}; known: {ZOO_IDS}")
 
@@ -434,9 +433,8 @@ class LagrangianTable:
     """Tabulated running cost of one mode on (x, xi, eta) grids.
 
     ``values[ix, a, b]`` holds L_i(x_points[ix], xi_grid[a], eta_grid[b]);
-    entries above ``clip_bound`` and entries whose eta falls outside
-    cone(mode) are stored as ``inf`` (the is-infinite flag is the
-    ``infinite_mask`` property).
+    entries above the transform's ``clip_bound`` and entries whose eta
+    falls outside cone(mode) are stored as ``inf``.
     """
 
     mode: int
@@ -446,11 +444,6 @@ class LagrangianTable:
     xi_grid: np.ndarray    # (kxi, n)
     eta_grid: np.ndarray   # (keta, m)
     values: np.ndarray     # (nx, kxi, keta)
-    clip_bound: float = DEFAULT_CLIP
-
-    @property
-    def infinite_mask(self) -> np.ndarray:
-        return ~np.isfinite(self.values)
 
     def finite_entries(self):
         """Yield (x, xi, eta, value) for every finite table entry."""
@@ -489,13 +482,12 @@ def default_search_grid(radius: float, points_per_axis: int, dims: int) -> np.nd
 
 def legendre_transform(model: HamiltonianModel, mode: int, x,
                        xi_grid, eta_grid, p_grid=None, u_grid=None,
-                       clip_bound: float = DEFAULT_CLIP,
-                       search_scale: float = 2.0) -> LagrangianTable:
+                       clip_bound: float = DEFAULT_CLIP) -> LagrangianTable:
     """Grid supremum L_i(x, xi, eta) = max_{p,u} [xi.p + eta.u - H_i].
 
     The supremum is taken over a bounded (p, u) search grid; the conjugate
     of a coercive convex function is attained on a bounded set, and the
-    default search radius is ``search_scale * max(2 max|xi|, 2 max|eta|, 2)``.
+    default search radius is ``SEARCH_SCALE * max(2 max|xi|, 2 max|eta|, 2)``.
     Values above ``clip_bound`` are reported as infinite.  For eta outside
     cone(mode) the supremum diverges along an explicit ray, so the entry is
     forced infinite without searching.
@@ -509,7 +501,7 @@ def legendre_transform(model: HamiltonianModel, mode: int, x,
         raise ValueError("x points have wrong dimension")
 
     if p_grid is None or u_grid is None:
-        rad = search_scale * max(2.0 * np.abs(xi_grid).max(initial=0.0),
+        rad = SEARCH_SCALE * max(2.0 * np.abs(xi_grid).max(initial=0.0),
                                  2.0 * np.abs(eta_grid).max(initial=0.0), 2.0)
         if p_grid is None:
             p_grid = default_search_grid(rad, 129 if model.n == 1 else 33, model.n)
@@ -533,8 +525,7 @@ def legendre_transform(model: HamiltonianModel, mode: int, x,
                 val = float(np.max(P @ xi + base))
                 values[ix, a, b] = val if val <= clip_bound else np.inf
     return LagrangianTable(mode=mode, m=model.m, n=model.n, x_points=x_points,
-                           xi_grid=xi_grid, eta_grid=eta_grid, values=values,
-                           clip_bound=clip_bound)
+                           xi_grid=xi_grid, eta_grid=eta_grid, values=values)
 
 
 def fenchel_equality_check(model: HamiltonianModel, table: LagrangianTable,

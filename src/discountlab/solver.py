@@ -17,7 +17,7 @@ Two independent routes compute it:
   reached by the same rule and linearly interpolated (``prolong``).
   Howard's method is a semismooth Newton iteration, so from there it
   needs one to four evaluations on the fine grid where the zero field
-  needs about N/4 (more than ``max_iter`` = 200 at N = 1024).
+  needs about N/4 (more than ``MAX_ITER`` = 200 at N = 1024).
 
 The ergodic suite looks for (c, u) with H_discrete[u] = c.  One sweep of
 the map T freezes the coupling slot at the current u, solves the
@@ -54,6 +54,9 @@ from .errors import (BadValue, NoConvergence, NotASubsolution,
                      NotASupersolution, SingularSystem)
 
 SIGN_TOL = 1e-12
+MAX_SWEEPS = 20000    # Gauss-Seidel sweeps of value_iterate
+MAX_ITER = 200        # Howard steps of policy_iterate, per grid
+INNER_TOL = 1e-12     # residual of each inner solve of the ergodic map
 
 
 @dataclass
@@ -82,10 +85,11 @@ class ErgodicResult:
 
 
 def value_iterate(sys: DiscreteSystem, lam: float, u0: Optional[ValueField],
-                  tol: float, max_iter: int = 20000):
+                  tol: float):
     """Gauss-Seidel sweeps with exact per-state solves.
 
-    Stops when the sup norm of the Bellman residual falls below tol.
+    Stops when the sup norm of the Bellman residual falls below tol, and
+    raises ``NoConvergence`` after ``MAX_SWEEPS`` sweeps.
     """
     if lam <= 0.0 or tol <= 0.0:
         raise BadValue("value_iterate requires lam > 0 and tol > 0")
@@ -108,7 +112,7 @@ def value_iterate(sys: DiscreteSystem, lam: float, u0: Optional[ValueField],
 
     prev_norm = None
     contraction = float("nan")
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         for i in range(sys.m):
             s_vec, gathers, eta_off = per_mode[i]
             cost_i = sys.cost[i]
@@ -127,7 +131,7 @@ def value_iterate(sys: DiscreteSystem, lam: float, u0: Optional[ValueField],
         if norm <= tol:
             diag = SolveDiagnostics(sweep, norm, contraction)
             return u, diag
-    diag = SolveDiagnostics(max_iter, prev_norm if prev_norm is not None
+    diag = SolveDiagnostics(MAX_SWEEPS, prev_norm if prev_norm is not None
                             else float("inf"), contraction)
     raise NoConvergence(f"value iteration stalled at residual {diag.final_residual}",
                         diagnostics=diag)
@@ -158,7 +162,7 @@ COARSE_FLOOR = 16   # fewest points per axis of a coarse start's grid
 
 
 def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
-                   u0: Optional[ValueField] = None, max_iter: int = 200):
+                   u0: Optional[ValueField] = None):
     """Howard iteration: evaluate, improve greedily, repeat to stability.
 
     A control displaces the incumbent only when it improves the relation
@@ -169,15 +173,15 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
     The first policy is greedy for ``u0``.  ``u0=None`` is a cold start
     (``_coarse_start``): from the solution on the grid of N/2 points
     where that grid has at least ``COARSE_FLOOR`` points per axis, else
-    from the zero field.  The diagnostics count the steps on this grid.
+    from the zero field.  The diagnostics count the steps on this grid;
+    more than ``MAX_ITER`` of them raise ``NoConvergence``.
     """
     if lam <= 0.0:
         raise BadValue("policy_iterate requires lam > 0")
-    base = _coarse_start(sys, lam, tol, max_iter) if u0 is None \
-        else np.asarray(u0)
+    base = _coarse_start(sys, lam, tol) if u0 is None else np.asarray(u0)
     policy = greedy_policy(control_values(sys, lam, base))
     last_norm = float("inf")
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         u = policy_evaluate(sys, lam, policy)
         vals = control_values(sys, lam, u)
         greedy = greedy_policy(vals)
@@ -194,12 +198,11 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
             raise NoConvergence(
                 f"stable policy with residual {last_norm}", diagnostics=diag)
         policy = np.where(take, greedy, policy)
-    diag = SolveDiagnostics(max_iter, last_norm, float("nan"))
-    raise NoConvergence("policy iteration exceeded max_iter", diagnostics=diag)
+    diag = SolveDiagnostics(MAX_ITER, last_norm, float("nan"))
+    raise NoConvergence("policy iteration exceeded MAX_ITER", diagnostics=diag)
 
 
-def _coarse_start(sys: DiscreteSystem, lam: float, tol: float,
-                  max_iter: int) -> ValueField:
+def _coarse_start(sys: DiscreteSystem, lam: float, tol: float) -> ValueField:
     """Start of a cold Howard iteration: the solution on the grid of N/2
     points, reached by the same rule and interpolated to this grid, or
     the zero field when N is odd or N/2 < COARSE_FLOOR."""
@@ -207,7 +210,7 @@ def _coarse_start(sys: DiscreteSystem, lam: float, tol: float,
     if N % 2 or N // 2 < COARSE_FLOOR:
         return np.zeros((sys.m, sys.num_states))
     coarse = coarse_system(sys)
-    u, _, _ = policy_iterate(coarse, lam, tol=tol, max_iter=max_iter)
+    u, _, _ = policy_iterate(coarse, lam, tol=tol)
     return prolong(u, coarse.grid)
 
 
@@ -234,17 +237,18 @@ def comparison_check(sys: DiscreteSystem, lam: float, sub: ValueField,
 # ---------------------------------------------------------------------------
 
 def ergodic_map(sys: DiscreteSystem, lam: float, u: ValueField,
-                inner_tol: float = 1e-12, v0: Optional[ValueField] = None):
+                v0: Optional[ValueField] = None):
     """One application of T: solve the frozen scalar systems, normalize.
 
     Mode i's scalar system is ``sys.uncoupled[i]`` with the coupling slot
     frozen at u, i.e. with the cost
     cost'(x, a) = L_i(x, a) - eta_a . u(x) + lam * u_i(x);
-    its solution is the v_i of the map T.  Returns (v, Tu, c_est) with
-    Tu = v - min v per mode and c_est = -lam * min_x v_i.  ``v0``, when
-    given, is the starting field of the inner Howard iterations (mode i
-    starts from the greedy policy of v0[i]); ``None`` starts them cold,
-    as ``policy_iterate`` does with ``u0=None``.
+    its solution, to a residual of ``INNER_TOL``, is the v_i of the map
+    T.  Returns (v, Tu, c_est) with Tu = v - min v per mode and
+    c_est = -lam * min_x v_i.  ``v0``, when given, is the starting field
+    of the inner Howard iterations (mode i starts from the greedy policy
+    of v0[i]); ``None`` starts them cold, as ``policy_iterate`` does with
+    ``u0=None``.
     """
     if lam <= 0.0:
         raise BadValue("ergodic map requires lam > 0")
@@ -253,14 +257,15 @@ def ergodic_map(sys: DiscreteSystem, lam: float, u: ValueField,
         eta = sys.controls[i].eta
         scalar.cost[0] = sys.cost[i] - (u.T @ eta.T) + lam * u[i][:, None]
         start = None if v0 is None else v0[i][None, :]
-        vi, _, _ = policy_iterate(scalar, lam, tol=inner_tol, u0=start)
+        vi, _, _ = policy_iterate(scalar, lam, tol=INNER_TOL, u0=start)
         v[i] = vi[0]
     mins = v.min(axis=1)
     return v, v - mins[:, None], -lam * mins
 
 
 def ergodic_solve(sys: DiscreteSystem, lam: float, tol: float = 1e-8,
-                  damping: float = 0.5, max_outer: int = 5000) -> ErgodicResult:
+                  damping: float = 0.5,
+                  max_outer: int = 20000) -> ErgodicResult:
     """Damped fixed-point iteration of T.
 
     Iterates u <- (1 - damping) u + damping Tu until |Tu - u| <= tol in

@@ -84,9 +84,8 @@ def two_d_system():
         return f(x)
 
     model = dl.HamiltonianModel(1, 2, H2, lag2)
-    controls = dl.ControlSet([dl.sample_controls(model, 0, 1.0, 3,
-                                                 [np.zeros(1)])])
-    return lambda N: dl.assemble_system(model, dl.build_grid(2, N), controls)
+    controls = [dl.sample_controls(model, 0, 1.0, 3, [np.zeros(1)])]
+    return lambda N: dl.assemble_system(dl.build_grid(2, N), controls)
 
 
 def solution_of(sys_, lam, tol=1e-11):

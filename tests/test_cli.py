@@ -200,9 +200,10 @@ def test_exhaustive_face_solves_no_sampling_lp(tmp_path, monkeypatch, seed):
 
 _STAGES = {"structure": [], "solve": [], "duality": ["audits"],
            "sweep": ["ergodic", "sweep"], "ergodic": ["ergodic"],
-           "mather": ["ergodic", "sweep", "mather"],
+           "mather": ["ergodic", "sweep", "mather", "green_poisson"],
            "selection": ["ergodic", "sweep", "mather", "selection"],
-           "full": ["audits", "ergodic", "sweep", "mather", "selection"]}
+           "full": ["audits", "ergodic", "sweep", "mather", "green_poisson",
+                    "selection"]}
 
 
 def test_manifest_times_each_stage_once(tmp_path):
@@ -358,8 +359,7 @@ def test_emit_plotdata_columns(tmp_path, instance_a):
 def test_emit_plotdata_empty_ladder(tmp_path):
     from discountlab.limits import SweepResult
     empty = SweepResult(lambdas=[], fields=[], diagnostics=[],
-                        cauchy_gaps=[], uniform_bound=0.0,
-                        limit_candidate=np.zeros((1, 1)))
+                        cauchy_gaps=[], uniform_bound=0.0)
     path = tmp_path / "empty.dat"
     emit_plotdata(empty, path)
     assert path.read_text().splitlines() == ["# lambda value_at_probe "

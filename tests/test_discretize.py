@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import discountlab as dl
-from discountlab.discretize import (ControlSet, bellman_policy,
-                                    coarse_system, control_values,
-                                    default_eta_spec, drift_stencil,
-                                    linearized_matrix, policy_matrix,
-                                    prolong, sample_controls,
+from discountlab.discretize import (bellman_policy, coarse_system,
+                                    control_values, default_eta_spec,
+                                    drift_stencil, linearized_matrix,
+                                    policy_matrix, prolong, sample_controls,
                                     system_from_json, system_to_json)
 from discountlab.errors import (BadDimension, BadResolution,
                                 CouplingOutsideCone, MissingCost)
@@ -136,7 +135,7 @@ def test_assemble_missing_mode():
     g = dl.build_grid(1, 4)
     mc0 = sample_controls(m, 0, 1.0, 3, [np.array([1.0, 0.0])])
     with pytest.raises(MissingCost):
-        dl.assemble_system(m, g, ControlSet([mc0]))
+        dl.assemble_system(g, [mc0])
 
 
 def test_shift_adds_at_least_lambda_c(instance_b):
@@ -253,7 +252,6 @@ def test_serialization_roundtrip(instance_b):
     text = system_to_json(instance_b)
     loaded = system_from_json(text)
     assert system_to_json(loaded) == text
-    assert loaded.drift_bound == instance_b.drift_bound
 
 
 def test_serialization_reverifies_invariants(instance_a):
@@ -262,6 +260,14 @@ def test_serialization_reverifies_invariants(instance_a):
     bad = json.loads(system_to_json(instance_a))
     bad["controls"][0]["eta"] = [1.0, 1.0]
     with pytest.raises(CouplingOutsideCone):
+        system_from_json(json.dumps(bad))
+    bad = json.loads(system_to_json(instance_a))
+    bad["controls"][0]["eta"] = [float("nan"), 0.0]
+    with pytest.raises(CouplingOutsideCone):
+        system_from_json(json.dumps(bad))
+    bad = json.loads(system_to_json(instance_a))
+    bad["cost"][5] = float("nan")
+    with pytest.raises(MissingCost):
         system_from_json(json.dumps(bad))
     doc["cost"] = doc["cost"][:-1]
     with pytest.raises(MissingCost):
@@ -297,7 +303,7 @@ def test_table_backed_system_matches_closed_form():
                                 p_grid=np.linspace(-4, 4, 2001).reshape(-1, 1),
                                 u_grid=np.zeros((1, 1)))
     mc = sample_controls(tab, 0, 1.0, 3, [np.zeros(1)])
-    sys_tab = dl.assemble_system("eikonal-table", g, ControlSet([mc]))
+    sys_tab = dl.assemble_system(g, [mc], label="eikonal-table")
     sys_hint = dl.standard_system("eikonal-f", N=8)
     u_tab, _, _ = dl.policy_iterate(sys_tab, 0.5, tol=1e-11)
     u_hint, _, _ = dl.policy_iterate(sys_hint, 0.5, tol=1e-11)
@@ -336,6 +342,11 @@ def test_coarse_system_is_the_system_on_half_the_grid(zoo_id):
 
 def test_coarse_system_in_two_dimensions(two_d_system):
     _assert_same_system(coarse_system(two_d_system(8)), two_d_system(4))
+
+
+def test_coarse_system_rejects_odd_n():
+    with pytest.raises(BadResolution, match="N = 33"):
+        coarse_system(dl.standard_system("eikonal-f", N=33))
 
 
 def test_coarse_system_needs_no_cost_source():

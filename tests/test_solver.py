@@ -299,7 +299,7 @@ def test_cold_start_off_the_ladder_is_the_zero_start(zoo_id, N):
 
 
 def test_cold_start_converges_on_fine_grids():
-    # from the zero field, policy iteration exceeds max_iter = 200 here
+    # from the zero field, policy iteration exceeds MAX_ITER = 200 here
     sys_ = dl.standard_system("eikonal-f", N=1024)
     _, _, diag = dl.policy_iterate(sys_, 0.01)
     assert diag.final_residual <= 1e-10
