@@ -285,6 +285,14 @@ class DiscreteSystem:
                 for i, (mc, ci) in enumerate(zip(self.controls, self.cost))]
 
     @cached_property
+    def inverses(self) -> dict:
+        """Inverse policy matrices by ``(lam, policy.tobytes())``, for
+        ``policy_evaluate``.  They depend on the stencil only, not on the
+        cost; only the ergodic map's frozen systems (``uncoupled``), which
+        are solved again with a new cost every sweep, fill it."""
+        return {}
+
+    @cached_property
     def stencil(self) -> Stencil:
         """The lam-independent operator as COO triplets, built once.
 

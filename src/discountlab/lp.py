@@ -359,10 +359,10 @@ class _Tableau:
         self.refactorizations += 1
         B = self.A0[:, self.basis]
         try:
-            self.T = np.linalg.solve(B, self.A0)
-            self.rhs = np.linalg.solve(B, self.b0)
+            X = np.linalg.solve(B, np.column_stack([self.A0, self.b0]))
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"refactorization failed: {exc}")
+        self.T, self.rhs = X[:, :-1], X[:, -1]
         self.T[:, self.basis] = 0.0
         self.T[np.arange(len(self.basis)), self.basis] = 1.0
         if float(np.min(self.rhs, initial=0.0)) < -FEAS_TOL:

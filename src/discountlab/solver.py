@@ -10,7 +10,8 @@ Two independent routes compute it:
   t* = min_a q_a / s_a with s_a the control's diagonal coefficient and
   q_a its frozen right-hand side.
 * ``policy_iterate``: Howard's alternation of exact policy evaluation
-  (a dense linear solve) and greedy improvement, with ties broken to the
+  (a dense linear solve, or on the ergodic map's frozen systems a
+  stored inverse, below) and greedy improvement, with ties broken to the
   lowest control index.  Evaluated values decrease monotonically in the
   min-cost orientation used here.  A cold start on a fine grid begins
   from the solution on the grid of N/2 points (``coarse_system``),
@@ -37,6 +38,18 @@ between sweeps, so its stencil is computed once), and each sweep's
 Howard iteration starts from the greedy policy of the previous sweep's
 v; from that start it needs one or two evaluations.  The first sweep
 starts cold, through the coarse-grid start of ``policy_iterate``.
+
+Those evaluations keep landing on the same few policies (two on
+eikonal-f at N = 128), and a policy's matrix does not depend on the
+cost.  So the frozen systems, and only they, evaluate through inverses
+stored on the system (``DiscreteSystem.inverses``): each (lam, policy)
+is inverted once, then every evaluation is a product with the inverse
+and one refinement step.  The first evaluation of a policy inverts too,
+instead of solving, so a value depends only on (lam, policy, cost) and
+never on what was solved on the system before.  Every other system is
+solved once per matrix with ``np.linalg.solve``, the oracle of the
+inverse path: an inverse costs up to about five solves and pays only
+when it is reused.
 """
 
 from __future__ import annotations
@@ -137,19 +150,37 @@ def value_iterate(sys: DiscreteSystem, lam: float, u0: Optional[ValueField],
                         diagnostics=diag)
 
 
-def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy) -> ValueField:
+def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
+                    inverses: Optional[dict] = None) -> ValueField:
     """Exact value of a stationary policy (dense solve at desk scale).
 
     The matrix is the policy's rows of the cached ``sys.stencil``, the
     same triplets that ``linearized_matrix`` and the measure constraints
-    are summed from.
+    are summed from.  Without ``inverses`` it is factorized and solved
+    once (``np.linalg.solve``).  ``inverses`` is for a system whose
+    policy matrices are solved again with new costs: a dict, keyed by
+    ``(lam, policy.tobytes())``, of the inverses of the matrices seen so
+    far, filled on first sight.  The value is then ``inv @ rhs`` plus
+    one step of iterative refinement, ``x -= inv @ r`` with r the
+    policy's relations at x from ``control_values``; the refinement
+    brings the residual back to the level of a direct solve.
     """
     if lam <= 0.0:
         raise BadValue("policy_evaluate requires lam > 0")
-    A = policy_matrix(sys, lam, policy)
     rhs = sys.cost_flat()[policy_rows(sys, policy)]
     try:
-        flat = np.linalg.solve(A, rhs)
+        if inverses is None:
+            flat = np.linalg.solve(policy_matrix(sys, lam, policy), rhs)
+        else:
+            key = (lam, policy.tobytes())
+            inv = inverses.get(key)
+            if inv is None:
+                inv = inverses[key] = np.linalg.inv(
+                    policy_matrix(sys, lam, policy))
+            flat = inv @ rhs
+            r = values_at(control_values(sys, lam, flat.reshape(sys.m, -1)),
+                          policy)
+            flat -= inv @ r.reshape(-1)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"policy evaluation failed: {exc}")
     if not np.all(np.isfinite(flat)):
@@ -162,7 +193,8 @@ COARSE_FLOOR = 16   # fewest points per axis of a coarse start's grid
 
 
 def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
-                   u0: Optional[ValueField] = None):
+                   u0: Optional[ValueField] = None,
+                   inverses: Optional[dict] = None):
     """Howard iteration: evaluate, improve greedily, repeat to stability.
 
     A control displaces the incumbent only when it improves the relation
@@ -175,14 +207,16 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
     where that grid has at least ``COARSE_FLOOR`` points per axis, else
     from the zero field.  The diagnostics count the steps on this grid;
     more than ``MAX_ITER`` of them raise ``NoConvergence``.
+    ``inverses`` goes to the evaluations on this grid (``policy_evaluate``);
+    the coarse solves of a cold start are one-shot and never use it.
     """
-    if lam <= 0.0:
-        raise BadValue("policy_iterate requires lam > 0")
+    if lam <= 0.0 or not tol >= 0.0:
+        raise BadValue("policy_iterate requires lam > 0 and tol >= 0")
     base = _coarse_start(sys, lam, tol) if u0 is None else np.asarray(u0)
     policy = greedy_policy(control_values(sys, lam, base))
     last_norm = float("inf")
     for it in range(1, MAX_ITER + 1):
-        u = policy_evaluate(sys, lam, policy)
+        u = policy_evaluate(sys, lam, policy, inverses)
         vals = control_values(sys, lam, u)
         greedy = greedy_policy(vals)
         best = values_at(vals, greedy)
@@ -244,7 +278,8 @@ def ergodic_map(sys: DiscreteSystem, lam: float, u: ValueField,
     frozen at u, i.e. with the cost
     cost'(x, a) = L_i(x, a) - eta_a . u(x) + lam * u_i(x);
     its solution, to a residual of ``INNER_TOL``, is the v_i of the map
-    T.  Returns (v, Tu, c_est) with Tu = v - min v per mode and
+    T; its evaluations reuse the inverses stored on the frozen system.
+    Returns (v, Tu, c_est) with Tu = v - min v per mode and
     c_est = -lam * min_x v_i.  ``v0``, when given, is the starting field
     of the inner Howard iterations (mode i starts from the greedy policy
     of v0[i]); ``None`` starts them cold, as ``policy_iterate`` does with
@@ -257,7 +292,8 @@ def ergodic_map(sys: DiscreteSystem, lam: float, u: ValueField,
         eta = sys.controls[i].eta
         scalar.cost[0] = sys.cost[i] - (u.T @ eta.T) + lam * u[i][:, None]
         start = None if v0 is None else v0[i][None, :]
-        vi, _, _ = policy_iterate(scalar, lam, tol=INNER_TOL, u0=start)
+        vi, _, _ = policy_iterate(scalar, lam, tol=INNER_TOL, u0=start,
+                                  inverses=scalar.inverses)
         v[i] = vi[0]
     mins = v.min(axis=1)
     return v, v - mins[:, None], -lam * mins
@@ -269,9 +305,9 @@ def ergodic_solve(sys: DiscreteSystem, lam: float, tol: float = 1e-8,
     """Damped fixed-point iteration of T.
 
     Iterates u <- (1 - damping) u + damping Tu until |Tu - u| <= tol in
-    sup norm, then reports c = -lam * min v from the final sweep together
-    with the direct residual |H_discrete[u] - c| (checked against 10*tol
-    by the caller's tests; recorded here).  Each sweep after the first
+    sup norm (tol >= 0), then reports c = -lam * min v from the final
+    sweep together with the direct residual |H_discrete[u] - c| (checked
+    against 10*tol by the caller's tests; recorded here).  Each sweep after the first
     warm-starts its inner solves from the previous sweep's v.
     Non-convergence raises: the fixed point exists but nothing guarantees
     this iteration finds it.  The ``NoConvergence`` carries the list of
@@ -279,8 +315,8 @@ def ergodic_solve(sys: DiscreteSystem, lam: float, tol: float = 1e-8,
     """
     if not (0.0 < damping <= 1.0):
         raise BadValue("damping must lie in (0, 1]")
-    if lam <= 0.0:
-        raise BadValue("ergodic_solve requires lam > 0")
+    if lam <= 0.0 or not tol >= 0.0:
+        raise BadValue("ergodic_solve requires lam > 0 and tol >= 0")
     u = np.zeros((sys.m, sys.num_states))
     v, gaps = None, []
     for outer in range(1, max_outer + 1):

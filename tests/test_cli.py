@@ -526,6 +526,22 @@ def test_pruned_exact_face_fits_the_default_budget(tmp_path, overrides):
     assert mather["representatives"] >= 1
 
 
+@pytest.mark.parametrize("pipeline, key", [
+    ("solve", "tol"), ("ergodic", "ergodic_tol")])
+def test_negative_tolerance_is_a_usage_error(tmp_path, monkeypatch,
+                                             pipeline, key):
+    # rejected before any solve is made
+    evaluations = _count_calls(monkeypatch, dl.solver.policy_evaluate)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"instance = eikonal-f\npipeline = {pipeline}\n"
+                   f"{key} = -1\noutput_dir = {tmp_path / 'o'}\n")
+    assert main(["run", str(cfg)]) == 2
+    doc = json.loads((tmp_path / "o" / "result.json").read_text())
+    assert doc["pass"] is False
+    assert doc["error"]["type"] == "BadValue"
+    assert evaluations == []
+
+
 @pytest.mark.parametrize("pipeline, overrides, error", [
     ("structure", dict(samples=0), "EmptySampleSet"),
     ("solve", dict(xi_count=-1), "BadValue")],

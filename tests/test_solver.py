@@ -234,6 +234,60 @@ def test_ergodic_warm_start_evaluation_count(monkeypatch):
     assert len(calls) <= 45
 
 
+def test_ergodic_builds_each_frozen_policy_matrix_once(monkeypatch):
+    # 37 evaluations: the cold first sweep's 7 coarse ones build their own
+    # matrices, and the 30 on the fine grid see 2 distinct policies, each
+    # inverted on first sight (a matrix per evaluation would be 37)
+    calls = []
+    build = solver.policy_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "policy_matrix", counted)
+    sys_ = dl.standard_system("eikonal-f", N=128)
+    res = dl.ergodic_solve(sys_, 0.01, tol=1e-9)
+    assert abs(res.c[0] + 1.0) <= 1e-9
+    assert len(calls) <= 9
+
+
+@pytest.mark.parametrize("zoo_id, N, lam", [
+    ("constant-coupling", None, 0.25), ("linear-B", None, 0.05),
+    ("quadratic-plc", None, 0.05), ("eikonal-f", None, 0.01),
+    ("eikonal-f", 128, 0.01), ("eikonal-f", 1024, 0.01)])
+def test_inverse_evaluation_matches_the_dense_solve(zoo_id, N, lam):
+    # every policy the ergodic solve inverted, on the last sweep's cost
+    sys_ = dl.standard_system(zoo_id, **({} if N is None else {"N": N}))
+    dl.ergodic_solve(sys_, lam, tol=1e-9)
+    checked = 0
+    for scalar in sys_.uncoupled:
+        for lam_k, key in list(scalar.inverses):
+            policy = np.frombuffer(key, dtype=np.intp).reshape(1, -1)
+            fast = policy_evaluate(scalar, lam_k, policy, scalar.inverses)
+            dense = policy_evaluate(scalar, lam_k, policy)
+            scale = max(1.0, float(np.max(np.abs(dense))))
+            assert np.max(np.abs(fast - dense)) <= 1e-13 * scale
+            checked += 1
+    assert checked >= sys_.m
+
+
+def test_negative_tolerances_are_rejected(instance_a, monkeypatch):
+    # tol = 0 stays legal: it asks for an exact fixed point
+    res = dl.ergodic_solve(dl.standard_system("eikonal-f"), 0.01, tol=0.0)
+    assert abs(res.c[0] + 1.0) <= 1e-12
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was made")
+
+    monkeypatch.setattr(solver, "policy_evaluate", no_solve)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(BadValue):
+            dl.policy_iterate(instance_a, 0.5, tol=tol)
+        with pytest.raises(BadValue):
+            dl.ergodic_solve(instance_a, 0.25, tol=tol)
+
+
 def test_ergodic_no_convergence_carries_gap_history(eikonal32):
     with pytest.raises(NoConvergence) as info:
         dl.ergodic_solve(eikonal32, 0.01, tol=1e-9, max_outer=3)
