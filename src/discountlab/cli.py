@@ -32,13 +32,14 @@ import argparse
 import hashlib
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property, wraps
 from pathlib import Path
 
 import numpy as np
 
-from . import limits, measures, model, solver
+from . import limits, lp, measures, model, solver
 from .discretize import default_eta_spec, standard_system, system_from_json
 from .errors import (BadValue, DiscountLabError, ParseError, UnknownKey)
 from .model import ZOO_IDS
@@ -155,10 +156,8 @@ def dumps_precise(obj) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, (float, np.floating)):
         return _fmt(float(obj))
-    if isinstance(obj, float):
-        return _fmt(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, str):
@@ -191,13 +190,9 @@ def emit_plotdata(sweep, path, probe=(0, 0)) -> None:
     k, z = probe
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# lambda value_at_probe sup_norm cauchy_gap\n")
-        for j, lam in enumerate(sweep.lambdas):
-            gap = sweep.cauchy_gaps[j] if j < len(sweep.cauchy_gaps) \
-                else float("nan")
-            fh.write(" ".join(format(v, ".17g") for v in
-                              (lam, float(sweep.fields[j][k, z]),
-                               float(np.max(np.abs(sweep.fields[j]))),
-                               gap)) + "\n")
+        for (lam, sup, gap, _), v in zip(sweep.csv_rows(), sweep.fields):
+            fh.write(" ".join(format(x, ".17g") for x in
+                              (lam, float(v[k, z]), sup, gap)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +201,9 @@ def emit_plotdata(sweep, path, probe=(0, 0)) -> None:
 
 def _build_system(spec: ExperimentSpec):
     if spec.instance in ZOO_IDS:
-        kwargs = {}
-        if spec.grid_points:
-            kwargs["N"] = spec.grid_points
-        if spec.xi_radius:
-            kwargs["xi_radius"] = spec.xi_radius
-        if spec.xi_count:
-            kwargs["xi_count"] = spec.xi_count
+        given = (("N", spec.grid_points), ("xi_radius", spec.xi_radius),
+                 ("xi_count", spec.xi_count))
+        kwargs = {key: value for key, value in given if value}
         return standard_system(spec.instance, **kwargs), \
             model.make_model(spec.instance)
     path = Path(spec.instance)
@@ -226,20 +217,27 @@ def _build_system(spec: ExperimentSpec):
     return system_from_json(text), None
 
 
+def _totals() -> dict:
+    """The clock and the solvers' work counters, so far in this process."""
+    return dict(wall_s=time.perf_counter(), **solver.WORK, **lp.WORK)
+
+
 def _stage(method):
-    """A cached ``_Run`` stage that records its wall time in ``stages``
-    once, less the time of the stages it triggered (those record their
-    own)."""
+    """A cached ``_Run`` stage that records in ``stages``, once, its wall
+    time and work ``counters`` (Howard steps, policy evaluations, LP
+    solves, pivots), less those of the stages it triggered."""
     name = method.__name__
 
     @wraps(method)
     def timed(run):
-        outer, run._nested_s = run._nested_s, 0.0
-        started = time.perf_counter()
+        outer, run._nested = run._nested, Counter()
+        started = _totals()
         value = method(run)
-        wall = time.perf_counter() - started
-        run.stages.append({"name": name, "wall_s": wall - run._nested_s})
-        run._nested_s = outer + wall
+        spent = {key: n - started[key] for key, n in _totals().items()}
+        own = {key: n - run._nested[key] for key, n in spent.items()}
+        run.stages.append({"name": name, "wall_s": own.pop("wall_s"),
+                           "counters": own})
+        run._nested = outer + Counter(spent)
         return value
 
     return cached_property(timed)
@@ -259,7 +257,7 @@ class _Run:
         self.spec, self.sys, self.model, self.out = spec, sys_, mdl, out
         self.tables = {}
         self.stages = []
-        self._nested_s = 0.0
+        self._nested = Counter()
 
     @_stage
     def audits(self):

@@ -32,12 +32,15 @@ The same stencil coefficients drive three consumers: the Bellman
 residual, the per-policy linear solves, and (transposed) the
 closed-measure constraint matrix.  ``DiscreteSystem.stencil`` is their
 single source: the lam-independent coefficients, built once per system
-as COO triplets, plus the diagonal slots where lam is added.
-``control_values`` applies all of them to a field, ``linearized_matrix``
-accumulates all of them and ``policy_matrix`` only the rows a policy
-selects (``policy_rows``), in one and the same order, so the transpose
-used by the measure module is bit-identical to the operator used by the
-solver.
+as COO triplets, plus the diagonal slots where lam is added; next to it,
+``DiscreteSystem.layout`` is the flat (i, x, a) row order.  A
+``Relations`` kernel, one per (system, lam), applies all the triplets
+to a field in one gather-multiply-``bincount``; the Bellman residual,
+the greedy policy and ``control_values`` are views of that one flat
+vector.  ``linearized_matrix`` accumulates all the triplets and
+``policy_matrix`` only the rows a policy selects (``policy_rows``), in
+the same order, so the transpose used by the measure module is
+bit-identical to the operator used by the solver.
 """
 
 from __future__ import annotations
@@ -243,32 +246,32 @@ class DiscreteSystem:
     def num_controls(self, i: int) -> int:
         return len(self.controls[i])
 
-    @cached_property
-    def var_offsets(self) -> list:
-        """Start of each mode's (x, a) block in the flat (i, x, a) order."""
-        offs, acc = [], 0
-        for i in range(self.m):
-            offs.append(acc)
-            acc += self.num_states * self.num_controls(i)
-        return offs
-
     @property
     def total_vars(self) -> int:
-        return sum(self.num_states * self.num_controls(i) for i in range(self.m))
+        return self.layout.total
 
     def cost_flat(self) -> np.ndarray:
         """Costs in the flat (i, x, a) variable order."""
         return np.concatenate([self.cost[i].reshape(-1) for i in range(self.m)])
 
+    @cached_property
+    def layout(self) -> Layout:
+        """The flat (i, x, a) row order, built once; lam plays no part."""
+        counts = np.array([len(mc) for mc in self.controls])
+        sizes = self.num_states * counts
+        offsets = np.cumsum(sizes) - sizes
+        base = offsets[:, None] + np.arange(self.num_states) * counts[:, None]
+        return Layout(base=base.reshape(-1), offsets=offsets.tolist(),
+                      counts=counts.tolist(), total=int(sizes.sum()))
+
     def var_index(self, i: int, x: int, a: int) -> int:
-        return self.var_offsets[i] + x * self.num_controls(i) + a
+        return self.layout.offsets[i] + x * self.num_controls(i) + a
 
     def var_tuple(self, idx: int):
-        for i in reversed(range(self.m)):
-            if idx >= self.var_offsets[i]:
-                rem = idx - self.var_offsets[i]
-                return i, rem // self.num_controls(i), rem % self.num_controls(i)
-        raise IndexError(idx)
+        if not 0 <= idx < self.total_vars:
+            raise IndexError(idx)
+        i = int(np.searchsorted(self.layout.offsets, idx, side="right")) - 1
+        return (i, *divmod(idx - self.layout.offsets[i], self.num_controls(i)))
 
     @cached_property
     def uncoupled(self) -> list:
@@ -312,11 +315,9 @@ class DiscreteSystem:
             vals.append(np.full(S, v, dtype=float))
             on_diag.append(np.full(S, diag))
 
-        for i in range(m):
-            mc = self.controls[i]
-            Ai = len(mc)
-            for a in range(Ai):
-                r = self.var_offsets[i] + states * Ai + a
+        for i, mc in enumerate(self.controls):
+            for a in range(len(mc)):
+                r = self.layout.base[i * S:(i + 1) * S] + a
                 diag, terms = drift_stencil(self.grid, mc.xi[a])
                 block(r, i * S + states, diag, diag=True)
                 for nbr, w in terms:
@@ -343,6 +344,23 @@ class Stencil(NamedTuple):
         vals = self.vals.copy()
         vals[self.lam_slots] += lam
         return vals
+
+
+class Layout(NamedTuple):
+    """The flat (i, x, a) row order: mode i's rows start at ``offsets[i]``,
+    ``counts[i]`` of them per state, the rows of field entry i*S + x
+    start at ``base[i*S + x]``, and there are ``total`` rows."""
+
+    base: np.ndarray
+    offsets: list
+    counts: list
+    total: int
+
+    def blocks(self, flat: np.ndarray) -> list:
+        """Per mode i, the (S, A_i) view of a flat (i, x, a) vector."""
+        S = len(self.base) // len(self.counts)
+        return [flat[off:off + S * A].reshape(S, A)
+                for off, A in zip(self.offsets, self.counts)]
 
 
 def assemble_system(grid: TorusGrid, controls: Sequence[ModeControls],
@@ -420,46 +438,51 @@ def upwind_directional(u: ValueField, grid: TorusGrid, mode: int,
     return float(val)
 
 
+class Relations:
+    """The relations of one system at one lam, flat in (i, x, a) order:
+    the lam-shifted ``sys.stencil`` values, the flat cost and
+    ``sys.layout``.  ``apply`` is the one implementation of the
+    relations; ``control_values``, ``bellman_policy`` and the solver's
+    Howard loop all read it."""
+
+    def __init__(self, sys: DiscreteSystem, lam: float):
+        st = sys.stencil
+        self.rows, self.cols, self.vals = st.rows, st.cols, st.values(lam)
+        self.cost, self.layout = sys.cost_flat(), sys.layout
+
+    def apply(self, u: ValueField) -> np.ndarray:
+        """lam*u_i + xi_a . D_h u_i + eta_a . u - L_i(., a) at every row
+        (i, x, a), its triplets summed in stored order: the row of
+        ``linearized_matrix`` applied to u, minus the cost."""
+        terms = self.vals * u.reshape(-1)[self.cols]
+        return np.bincount(self.rows, weights=terms,
+                           minlength=self.layout.total) - self.cost
+
+    def greedy(self, flat: np.ndarray) -> Policy:
+        """Argmax control per field entry; ties go to the lowest index."""
+        return np.array([b.argmax(axis=1) for b in self.layout.blocks(flat)])
+
+    def at(self, flat: np.ndarray, policy: Policy) -> ValueField:
+        """The entries of a flat (i, x, a) vector that a policy selects."""
+        return flat[self.layout.base + policy.ravel()].reshape(policy.shape)
+
+
 def control_values(sys: DiscreteSystem, lam: float, u: ValueField) -> list:
-    """Per mode i, the (A_i, S) array of
-    lam*u_i + xi_a . D_h u_i + eta_a . u - L_i(., a).
-
-    Computed for all modes at once from ``sys.stencil``: each row
-    (i, x, a) sums its triplets' terms in stored order (diagonal, upwind
-    neighbors, each nonzero coupling), so it equals the matching row of
-    ``linearized_matrix`` applied to u, minus the cost.
-    """
-    st = sys.stencil
-    terms = st.values(lam) * u.reshape(-1)[st.cols]
-    flat = np.bincount(st.rows, weights=terms, minlength=sys.total_vars) \
-        - sys.cost_flat()
-    S = sys.num_states
-    return [flat[off:off + S * sys.num_controls(i)].reshape(S, -1).T
-            for i, off in enumerate(sys.var_offsets)]
-
-
-def greedy_policy(vals: list) -> Policy:
-    """Argmax control of each mode's ``control_values`` array, per state;
-    ties go to the lowest index."""
-    return np.stack([np.argmax(v, axis=0) for v in vals])
-
-
-def values_at(vals: list, policy: Policy) -> ValueField:
-    """Entries of each mode's ``control_values`` array at a policy."""
-    states = np.arange(policy.shape[1])
-    return np.stack([v[p, states] for v, p in zip(vals, policy)])
+    """Per mode i, the (A_i, S) array of ``Relations(sys, lam).apply(u)``."""
+    return [b.T for b in sys.layout.blocks(Relations(sys, lam).apply(u))]
 
 
 def bellman_residual(sys: DiscreteSystem, lam: float, u: ValueField) -> ValueField:
     """Residual lam*u_i(x) + max_a [...] of the discrete system."""
-    return np.stack([np.max(v, axis=0) for v in control_values(sys, lam, u)])
+    return bellman_policy(sys, lam, u)[0]
 
 
 def bellman_policy(sys: DiscreteSystem, lam: float, u: ValueField):
     """Residual together with the argmax policy (ties to lowest index)."""
-    vals = control_values(sys, lam, u)
-    pol = greedy_policy(vals)
-    return values_at(vals, pol), pol
+    rel = Relations(sys, lam)
+    flat = rel.apply(u)
+    pol = rel.greedy(flat)
+    return rel.at(flat, pol), pol
 
 
 def linearized_matrix(sys: DiscreteSystem, lam: float) -> np.ndarray:
@@ -473,9 +496,8 @@ def linearized_matrix(sys: DiscreteSystem, lam: float) -> np.ndarray:
     ``sys.stencil`` triplets, summed in their stored order.
     """
     st = sys.stencil
-    ncols = sys.m * sys.num_states
-    return _accumulate(st.rows, st.cols, st.values(lam),
-                       sys.total_vars, ncols)
+    return _accumulate(st.rows, st.cols, st.values(lam), sys.total_vars,
+                       sys.m * sys.num_states)
 
 
 def policy_matrix(sys: DiscreteSystem, lam: float, policy: Policy) -> np.ndarray:
@@ -504,9 +526,7 @@ def _accumulate(rows, cols, vals, nrows, ncols) -> np.ndarray:
 
 def policy_rows(sys: DiscreteSystem, policy: Policy) -> np.ndarray:
     """Flat (i, x, a) row the policy selects at each field entry i*S + x."""
-    states = np.arange(sys.num_states)
-    return np.concatenate([off + states * sys.num_controls(i) + policy[i]
-                           for i, off in enumerate(sys.var_offsets)])
+    return sys.layout.base + policy.ravel()
 
 
 # ---------------------------------------------------------------------------

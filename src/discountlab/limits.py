@@ -99,12 +99,10 @@ class SweepResult:
 
     def csv_rows(self):
         """Rows of (lambda, sup_norm, cauchy_gap, solver_iters)."""
-        rows = []
-        for j, lam in enumerate(self.lambdas):
-            gap = self.cauchy_gaps[j] if j < len(self.cauchy_gaps) else float("nan")
-            rows.append((lam, float(np.max(np.abs(self.fields[j]))), gap,
-                         self.diagnostics[j].iterations))
-        return rows
+        gaps = list(self.cauchy_gaps) + [float("nan")]   # none after the last
+        return [(lam, float(np.max(np.abs(v))), gap, diag.iterations)
+                for lam, v, gap, diag in zip(self.lambdas, self.fields, gaps,
+                                             self.diagnostics)]
 
     def to_json(self) -> str:
         return json.dumps({
@@ -124,7 +122,7 @@ def discount_sweep(sys: DiscreteSystem, lam_start: float = 0.5,
     flags divergence (the undiscounted system has no solution at this
     normalization) and truncates the ladder there.
     """
-    if lam_start <= 0.0 or not (0.0 < ratio < 1.0) or rungs < 2:
+    if not lam_start > 0.0 or not (0.0 < ratio < 1.0) or rungs < 2:
         raise BadValue("need lam_start > 0, ratio in (0,1), rungs >= 2")
     lambdas, fields, diags = [], [], []
     u_prev = None

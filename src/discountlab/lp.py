@@ -56,6 +56,8 @@ OPT_TOL = 1e-9
 REFACTOR_EVERY = 150
 MAX_BASES = 3_000_000       # most column subsets one enumeration solves
 ENUM_CHUNK = 65536          # column subsets solved per vectorized batch
+# Work done in this process so far, read by difference (manifest.json).
+WORK = {"lp_solves": 0, "pivots": 0}
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -123,6 +125,7 @@ def lp_solve(problem: LPProblem,
     or not primal feasible for this ``b``, the cold two-phase path runs
     instead.  ``None`` is the cold path.
     """
+    WORK["lp_solves"] += 1
     std = _Standardized(problem)
     m, n = std.A.shape
     budget = 200 * (m + n) + 20000
@@ -416,6 +419,7 @@ class _Tableau:
             self._pivot(leave, enter)
             self.bland |= it >= self.bland_after
             it += 1
+            WORK["pivots"] += 1
             if it - start_iter > budget:
                 raise NumericalBreakdown(
                     f"simplex exceeded {budget} iterations")

@@ -85,11 +85,8 @@ class MeasureVector:
     @classmethod
     def from_flat(cls, sys: DiscreteSystem, flat: np.ndarray,
                   lam_tag: float) -> "MeasureVector":
-        S = sys.num_states
         return cls(lam_tag=lam_tag, weights=[
-            np.asarray(flat[off:off + S * len(mc)], dtype=float)
-            .reshape(S, -1).copy()
-            for off, mc in zip(sys.var_offsets, sys.controls)])
+            b.copy() for b in sys.layout.blocks(np.asarray(flat, dtype=float))])
 
     def flat(self) -> np.ndarray:
         return np.concatenate([w.reshape(-1) for w in self.weights])
@@ -189,7 +186,7 @@ def assemble_closed_constraints(sys: DiscreteSystem, lam: float,
 
 def _measure_problem(sys: DiscreteSystem, lam: float, z: int,
                      k: int) -> LPProblem:
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise BadValue("green_poisson requires lam > 0")
     problem = assemble_closed_constraints(sys, lam, z, k)
     problem.c = sys.cost_flat()
@@ -224,7 +221,7 @@ def occupation_from_policy(sys: DiscreteSystem, lam: float, policy: Policy,
     the transpose inverse nonnegative, so weights are clamped only of
     roundoff size.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise BadValue("occupation requires lam > 0")
     A = policy_matrix(sys, lam, policy)
     rhs = np.zeros(A.shape[0])
@@ -352,7 +349,7 @@ def duality_audit(sys: DiscreteSystem, lam: float, z: int, k: int,
     One point, two cold LPs of its own: the oracle for
     ``field_duality_audit``.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise BadValue("duality audit requires lam > 0")
     if solver_value is None:
         u, _, _ = policy_iterate(sys, lam, tol=1e-10)
@@ -374,7 +371,7 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
     dual field with a Bellman residual above ``FEAS_TOL`` anywhere is no
     subsolution and raises ``NumericalBreakdown``.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise BadValue("duality audit requires lam > 0")
     problem = _measure_problem(sys, lam, 0, 0)
     u, _, _ = policy_iterate(sys, lam, tol=1e-10)
@@ -443,16 +440,9 @@ def support_audit(mu: MeasureVector, sys: DiscreteSystem) -> SupportReport:
             eta_pts.append(mc.eta[a])
     cxi_box, ceta_box = _box(all_xi), _box(all_eta)
     xi_box, eta_box = (_box(xi_pts), _box(eta_pts)) if xi_pts else ([], [])
-
-    def axis_interior(support, box):
-        lo, hi = box
-        if lo == hi:
-            return True
-        slo, shi = support
-        return lo < slo and shi < hi
-
-    interior = bool(xi_pts) and \
-        all(axis_interior(s, c) for s, c in zip(xi_box, cxi_box))
+    interior = bool(xi_pts) and all(
+        lo == hi or lo < slo and shi < hi
+        for (slo, shi), (lo, hi) in zip(xi_box, cxi_box))
     return SupportReport(entries=entries, xi_box=xi_box, eta_box=eta_box,
                          control_xi_box=cxi_box, control_eta_box=ceta_box,
                          interior=interior)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -199,15 +199,13 @@ def _inf_like(x):
 
 
 def _lb_forcing(x, i):
-    if i == 0:
-        return 1.0 + 0.5 * np.cos(2.0 * math.pi * x[..., 0])
-    return 1.0 + 0.5 * np.sin(2.0 * math.pi * x[..., 0])
+    wave = np.cos if i == 0 else np.sin
+    return 1.0 + 0.5 * wave(2.0 * math.pi * x[..., 0])
 
 
 def _qp_potential(x, i):
-    if i == 0:
-        return 0.75 + 0.25 * np.cos(2.0 * math.pi * x[..., 0])
-    return 0.75 + 0.25 * np.sin(2.0 * math.pi * x[..., 0])
+    wave = np.cos if i == 0 else np.sin
+    return 0.75 + 0.25 * wave(2.0 * math.pi * x[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +221,7 @@ class StructureReport:
     samples_used: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "check_name": self.check_name,
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "witness": self.witness,
-            "samples_used": self.samples_used,
-        })
+        return json.dumps(asdict(self))
 
 
 def _dyadic(rng, lo, hi, size=None):

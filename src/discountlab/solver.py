@@ -12,9 +12,11 @@ Two independent routes compute it:
 * ``policy_iterate``: Howard's alternation of exact policy evaluation
   (a dense linear solve, or on the ergodic map's frozen systems a
   stored inverse, below) and greedy improvement, with ties broken to the
-  lowest control index.  Evaluated values decrease monotonically in the
-  min-cost orientation used here.  A cold start on a fine grid begins
-  from the solution on the grid of N/2 points (``coarse_system``),
+  lowest control index.  Each call builds one ``Relations`` kernel for
+  its (system, lam): every Howard step applies it once, to the evaluated
+  field, and reads the residual, the greedy policy and the incumbent's
+  relations off that one flat vector.  A cold start on a fine grid
+  begins from the solution on the grid of N/2 points (``coarse_system``),
   reached by the same rule and linearly interpolated (``prolong``).
   Howard's method is a semismooth Newton iteration, so from there it
   needs one to four evaluations on the fine grid where the zero field
@@ -34,22 +36,15 @@ accepting a stalled run.
 
 The sweeps are warm-started: each mode's frozen scalar system is built
 once per system (``DiscreteSystem.uncoupled``; only its cost changes
-between sweeps, so its stencil is computed once), and each sweep's
-Howard iteration starts from the greedy policy of the previous sweep's
-v; from that start it needs one or two evaluations.  The first sweep
-starts cold, through the coarse-grid start of ``policy_iterate``.
-
-Those evaluations keep landing on the same few policies (two on
-eikonal-f at N = 128), and a policy's matrix does not depend on the
-cost.  So the frozen systems, and only they, evaluate through inverses
-stored on the system (``DiscreteSystem.inverses``): each (lam, policy)
-is inverted once, then every evaluation is a product with the inverse
-and one refinement step.  The first evaluation of a policy inverts too,
-instead of solving, so a value depends only on (lam, policy, cost) and
-never on what was solved on the system before.  Every other system is
-solved once per matrix with ``np.linalg.solve``, the oracle of the
-inverse path: an inverse costs up to about five solves and pays only
-when it is reused.
+between sweeps), and each sweep's Howard iteration starts from the
+greedy policy of the previous sweep's v, from where it needs one or two
+evaluations.  The first sweep starts cold.  Those evaluations keep
+landing on the same few policies, and a policy's matrix does not depend
+on the cost, so the frozen systems, and only they, evaluate through
+inverses stored on the system (``DiscreteSystem.inverses``): each
+(lam, policy) is inverted once, on first sight too, so a value depends
+only on (lam, policy, cost).  Every other system is solved once per
+matrix with ``np.linalg.solve``, the oracle of the inverse path.
 """
 
 from __future__ import annotations
@@ -59,10 +54,9 @@ from typing import Optional
 
 import numpy as np
 
-from .discretize import (DiscreteSystem, Policy, ValueField,
-                         bellman_residual, coarse_system, control_values,
-                         drift_stencil, greedy_policy, policy_matrix,
-                         policy_rows, prolong, values_at)
+from .discretize import (DiscreteSystem, Policy, Relations, ValueField,
+                         bellman_residual, coarse_system, drift_stencil,
+                         policy_matrix, policy_rows, prolong)
 from .errors import (BadValue, NoConvergence, NotASubsolution,
                      NotASupersolution, SingularSystem)
 
@@ -70,6 +64,8 @@ SIGN_TOL = 1e-12
 MAX_SWEEPS = 20000    # Gauss-Seidel sweeps of value_iterate
 MAX_ITER = 200        # Howard steps of policy_iterate, per grid
 INNER_TOL = 1e-12     # residual of each inner solve of the ergodic map
+# Work done in this process so far, read by difference (manifest.json).
+WORK = {"howard_steps": 0, "policy_evaluations": 0}
 
 
 @dataclass
@@ -104,15 +100,14 @@ def value_iterate(sys: DiscreteSystem, lam: float, u0: Optional[ValueField],
     Stops when the sup norm of the Bellman residual falls below tol, and
     raises ``NoConvergence`` after ``MAX_SWEEPS`` sweeps.
     """
-    if lam <= 0.0 or tol <= 0.0:
+    if not lam > 0.0 or not tol > 0.0:
         raise BadValue("value_iterate requires lam > 0 and tol > 0")
     S = sys.num_states
     u = np.zeros((sys.m, S)) if u0 is None else np.array(u0, dtype=float)
 
     # frozen per-control data: s_a, upwind gathers, off-mode couplings
     per_mode = []
-    for i in range(sys.m):
-        mc = sys.controls[i]
+    for i, mc in enumerate(sys.controls):
         s_vec, gathers, eta_off = [], [], []
         for a in range(len(mc)):
             diag, terms = drift_stencil(sys.grid, mc.xi[a])
@@ -142,16 +137,15 @@ def value_iterate(sys: DiscreteSystem, lam: float, u0: Optional[ValueField],
             contraction = norm / prev_norm
         prev_norm = norm
         if norm <= tol:
-            diag = SolveDiagnostics(sweep, norm, contraction)
-            return u, diag
-    diag = SolveDiagnostics(MAX_SWEEPS, prev_norm if prev_norm is not None
-                            else float("inf"), contraction)
+            return u, SolveDiagnostics(sweep, norm, contraction)
+    diag = SolveDiagnostics(MAX_SWEEPS, prev_norm, contraction)
     raise NoConvergence(f"value iteration stalled at residual {diag.final_residual}",
                         diagnostics=diag)
 
 
 def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
-                    inverses: Optional[dict] = None) -> ValueField:
+                    inverses: Optional[dict] = None,
+                    relations: Optional[Relations] = None) -> ValueField:
     """Exact value of a stationary policy (dense solve at desk scale).
 
     The matrix is the policy's rows of the cached ``sys.stencil``, the
@@ -162,12 +156,17 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
     ``(lam, policy.tobytes())``, of the inverses of the matrices seen so
     far, filled on first sight.  The value is then ``inv @ rhs`` plus
     one step of iterative refinement, ``x -= inv @ r`` with r the
-    policy's relations at x from ``control_values``; the refinement
-    brings the residual back to the level of a direct solve.
+    policy's rows of ``relations.apply(x)``; the refinement brings the
+    residual back to the level of a direct solve.  ``relations``, the
+    ``Relations(sys, lam)`` kernel that also gives the right-hand side,
+    is built here when not given.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise BadValue("policy_evaluate requires lam > 0")
-    rhs = sys.cost_flat()[policy_rows(sys, policy)]
+    WORK["policy_evaluations"] += 1
+    rel = Relations(sys, lam) if relations is None else relations
+    rows = policy_rows(sys, policy)
+    rhs = rel.cost[rows]
     try:
         if inverses is None:
             flat = np.linalg.solve(policy_matrix(sys, lam, policy), rhs)
@@ -178,9 +177,7 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
                 inv = inverses[key] = np.linalg.inv(
                     policy_matrix(sys, lam, policy))
             flat = inv @ rhs
-            r = values_at(control_values(sys, lam, flat.reshape(sys.m, -1)),
-                          policy)
-            flat -= inv @ r.reshape(-1)
+            flat -= inv @ rel.apply(flat)[rows]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"policy evaluation failed: {exc}")
     if not np.all(np.isfinite(flat)):
@@ -210,29 +207,28 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
     ``inverses`` goes to the evaluations on this grid (``policy_evaluate``);
     the coarse solves of a cold start are one-shot and never use it.
     """
-    if lam <= 0.0 or not tol >= 0.0:
+    if not lam > 0.0 or not tol >= 0.0:
         raise BadValue("policy_iterate requires lam > 0 and tol >= 0")
     base = _coarse_start(sys, lam, tol) if u0 is None else np.asarray(u0)
-    policy = greedy_policy(control_values(sys, lam, base))
-    last_norm = float("inf")
+    rel = Relations(sys, lam)
+    policy = rel.greedy(rel.apply(base))
     for it in range(1, MAX_ITER + 1):
-        u = policy_evaluate(sys, lam, policy, inverses)
-        vals = control_values(sys, lam, u)
-        greedy = greedy_policy(vals)
-        best = values_at(vals, greedy)
+        WORK["howard_steps"] += 1
+        u = policy_evaluate(sys, lam, policy, inverses, rel)
+        vals = rel.apply(u)
+        greedy = rel.greedy(vals)
+        best = rel.at(vals, greedy)
         last_norm = float(np.max(np.abs(best)))
+        diag = SolveDiagnostics(it, last_norm, float("nan"))
         if last_norm <= tol:
-            diag = SolveDiagnostics(it, last_norm, float("nan"))
             return u, policy, diag
-        take = best > values_at(vals, policy) + IMPROVE_TOL
+        take = best > rel.at(vals, policy) + IMPROVE_TOL
         if not np.any(take):
-            diag = SolveDiagnostics(it, last_norm, float("nan"))
             if last_norm <= max(10.0 * tol, 10.0 * IMPROVE_TOL):
                 return u, policy, diag
             raise NoConvergence(
                 f"stable policy with residual {last_norm}", diagnostics=diag)
         policy = np.where(take, greedy, policy)
-    diag = SolveDiagnostics(MAX_ITER, last_norm, float("nan"))
     raise NoConvergence("policy iteration exceeded MAX_ITER", diagnostics=diag)
 
 
@@ -285,7 +281,7 @@ def ergodic_map(sys: DiscreteSystem, lam: float, u: ValueField,
     of v0[i]); ``None`` starts them cold, as ``policy_iterate`` does with
     ``u0=None``.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise BadValue("ergodic map requires lam > 0")
     v = np.empty((sys.m, sys.num_states))
     for i, scalar in enumerate(sys.uncoupled):
@@ -315,7 +311,7 @@ def ergodic_solve(sys: DiscreteSystem, lam: float, tol: float = 1e-8,
     """
     if not (0.0 < damping <= 1.0):
         raise BadValue("damping must lie in (0, 1]")
-    if lam <= 0.0 or not tol >= 0.0:
+    if not lam > 0.0 or not tol >= 0.0:
         raise BadValue("ergodic_solve requires lam > 0 and tol >= 0")
     u = np.zeros((sys.m, sys.num_states))
     v, gaps = None, []

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -29,6 +30,20 @@ def instance_a_shifted():
 def instance_b():
     """quadratic-plc, n=1, N=8, m=2, 18 controls per mode."""
     return dl.standard_system("quadratic-plc")
+
+
+@pytest.fixture(scope="session")
+def instance_b_uneven(instance_b):
+    """instance_b through JSON with the last control of mode 1 dropped:
+    18 controls in mode 0 and 17 in mode 1."""
+    doc = json.loads(dl.system_to_json(instance_b))
+    S, A = instance_b.num_states, instance_b.num_controls(1)
+    last = max(k for k, c in enumerate(doc["controls"]) if c["mode"] == 1)
+    del doc["controls"][last]
+    keep = np.ones(len(doc["cost"]), dtype=bool)
+    keep[instance_b.layout.offsets[1] + np.arange(S) * A + A - 1] = False
+    doc["cost"] = np.asarray(doc["cost"])[keep].tolist()
+    return dl.system_from_json(json.dumps(doc))
 
 
 @pytest.fixture(scope="session")

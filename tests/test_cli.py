@@ -218,6 +218,20 @@ def test_manifest_times_each_stage_once(tmp_path):
         assert sum(walls) <= manifest["wall_time_s"]
 
 
+def test_manifest_counts_each_stage_own_work(tmp_path):
+    # a stage's counters leave out the stages it triggered, as wall_s does
+    out = tmp_path / "full"
+    assert run_experiment(_small_spec("full", out)).status == 0
+    stages = {stage["name"]: stage["counters"] for stage in json.loads(
+        (out / "manifest.json").read_text())["stages"]}
+    assert all(set(c) == {"howard_steps", "policy_evaluations", "lp_solves",
+                          "pivots"} for c in stages.values())
+    assert stages["ergodic"]["howard_steps"] > 0
+    assert stages["ergodic"]["lp_solves"] == 0
+    assert stages["mather"]["lp_solves"] == 1
+    assert stages["mather"]["howard_steps"] == 0
+
+
 def test_full_sections_match_single_pipelines(tmp_path):
     docs = {}
     for pipeline in ("full", "duality", "ergodic", "sweep", "mather",

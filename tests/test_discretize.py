@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import discountlab as dl
-from discountlab.discretize import (bellman_policy, coarse_system,
-                                    control_values, default_eta_spec,
-                                    drift_stencil, linearized_matrix,
-                                    policy_matrix, prolong, sample_controls,
-                                    system_from_json, system_to_json)
+from discountlab.discretize import (Relations, bellman_policy,
+                                    coarse_system, control_values,
+                                    default_eta_spec, drift_stencil,
+                                    linearized_matrix, policy_matrix, prolong,
+                                    sample_controls, system_from_json,
+                                    system_to_json)
 from discountlab.errors import (BadDimension, BadResolution,
                                 CouplingOutsideCone, MissingCost)
 
@@ -241,6 +242,29 @@ def test_control_values_match_row_by_row_reference(zoo_id):
                 assert np.array_equal(v, r)
             res, _ = bellman_policy(sys_, lam, u)
             assert np.array_equal(res, dl.bellman_residual(sys_, lam, u))
+
+
+@pytest.mark.parametrize("zoo_id", ["constant-coupling", "linear-B",
+                                    "quadratic-plc", "eikonal-f", "uneven"])
+def test_relations_kernel_matches_row_by_row_reference(zoo_id, request):
+    # "uneven": 18 controls in mode 0, 17 in mode 1, loaded from JSON
+    sys_ = request.getfixturevalue("instance_b_uneven") \
+        if zoo_id == "uneven" else dl.standard_system(zoo_id)
+    rng = np.random.default_rng(13)
+    for lam in (0.5, 0.01, 0.0):
+        rel = Relations(sys_, lam)
+        for _ in range(3):
+            u = rng.standard_normal((sys_.m, sys_.num_states))
+            ref = _reference_control_values(sys_, lam, u)
+            flat = rel.apply(u)
+            assert np.array_equal(
+                flat, np.concatenate([r.T.reshape(-1) for r in ref]))
+            first_max = [[list(r[:, x]).index(max(r[:, x]))
+                          for x in range(sys_.num_states)] for r in ref]
+            policy = rel.greedy(flat)
+            assert np.array_equal(policy, first_max)
+            assert np.array_equal(rel.at(flat, policy),
+                                  [r.max(axis=0) for r in ref])
 
 
 def test_policy_tie_break_lowest_index(instance_a):

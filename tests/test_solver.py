@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import discountlab as dl
-from discountlab.discretize import bellman_policy
+from discountlab.discretize import Relations, bellman_policy
 from discountlab import solver
 from discountlab.errors import (BadValue, NoConvergence, NotASubsolution,
                                 NotASupersolution)
@@ -93,16 +93,27 @@ def test_policy_iterate_one_residual_per_step(instance_b, monkeypatch):
     # the initial greedy policy and one residual per Howard step, from
     # which the norm, the greedy policy and the incumbent are all read
     calls = []
-    real = solver.control_values
+    real = Relations.apply
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(solver, "control_values", counted)
+    monkeypatch.setattr(Relations, "apply", counted)
     _, _, diag = dl.policy_iterate(instance_b, 0.5)
     assert diag.iterations >= 2
     assert len(calls) == diag.iterations + 1
+
+
+def test_uneven_control_counts_match_the_oracles(instance_b_uneven):
+    sys_ = instance_b_uneven
+    assert [sys_.num_controls(i) for i in range(sys_.m)] == [18, 17]
+    up, _, _ = dl.policy_iterate(sys_, 0.5, tol=1e-10)
+    uv, _ = dl.value_iterate(sys_, 0.5, None, tol=1e-10)
+    assert np.max(np.abs(up - uv)) <= 1e-9
+    res = dl.ergodic_solve(sys_, 0.05, tol=1e-10)
+    assert np.max(np.abs(res.c + 0.5)) <= 1e-9
+    assert res.outer_iterations == 33
 
 
 def test_small_lambda_policy_iteration(instance_b):
@@ -234,6 +245,23 @@ def test_ergodic_warm_start_evaluation_count(monkeypatch):
     assert len(calls) <= 45
 
 
+@pytest.mark.parametrize("zoo_id, N, lam, tol, sweeps, evaluations", [
+    ("eikonal-f", 128, 0.01, 1e-9, 30, 37),
+    ("eikonal-f", 6, 0.01, 1e-12, 41, 43),
+    ("quadratic-plc", None, 0.05, 1e-12, 40, 87),
+    ("linear-B", None, 0.05, 1e-12, 39, 83)])
+def test_ergodic_howard_counts_are_pinned(zoo_id, N, lam, tol, sweeps,
+                                          evaluations):
+    # one evaluation per Howard step, the coarse steps of cold starts too
+    sys_ = dl.standard_system(zoo_id, **({} if N is None else {"N": N}))
+    before = dict(solver.WORK)
+    res = dl.ergodic_solve(sys_, lam, tol=tol)
+    assert res.outer_iterations == sweeps
+    assert solver.WORK["policy_evaluations"] - \
+        before["policy_evaluations"] == evaluations
+    assert solver.WORK["howard_steps"] - before["howard_steps"] == evaluations
+
+
 def test_ergodic_builds_each_frozen_policy_matrix_once(monkeypatch):
     # 37 evaluations: the cold first sweep's 7 coarse ones build their own
     # matrices, and the 30 on the fine grid see 2 distinct policies, each
@@ -276,6 +304,7 @@ def test_negative_tolerances_are_rejected(instance_a, monkeypatch):
     # tol = 0 stays legal: it asks for an exact fixed point
     res = dl.ergodic_solve(dl.standard_system("eikonal-f"), 0.01, tol=0.0)
     assert abs(res.c[0] + 1.0) <= 1e-12
+    evaluate = solver.policy_evaluate
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve was made")
@@ -286,6 +315,17 @@ def test_negative_tolerances_are_rejected(instance_a, monkeypatch):
             dl.policy_iterate(instance_a, 0.5, tol=tol)
         with pytest.raises(BadValue):
             dl.ergodic_solve(instance_a, 0.25, tol=tol)
+        with pytest.raises(BadValue):
+            dl.value_iterate(instance_a, 0.5, None, tol=tol)
+    nan = float("nan")
+    u, policy = np.zeros((2, 4)), np.zeros((2, 4), dtype=int)
+    for call in (lambda: dl.value_iterate(instance_a, nan, None, tol=1e-10),
+                 lambda: evaluate(instance_a, nan, policy),
+                 lambda: dl.policy_iterate(instance_a, nan),
+                 lambda: dl.ergodic_map(instance_a, nan, u),
+                 lambda: dl.ergodic_solve(instance_a, nan)):
+        with pytest.raises(BadValue):
+            call()
 
 
 def test_ergodic_no_convergence_carries_gap_history(eikonal32):
