@@ -331,7 +331,7 @@ def _pipe_structure(run):
         etas = np.stack(default_eta_spec(mdl, i))
         table = model.legendre_transform(mdl, i, run.sys.grid.x[:1], xi, etas)
         reports.append(model.check_coupling_domain(table))
-    sections = {"reports": [json.loads(r.to_json()) for r in reports]}
+    sections = {"reports": [r.to_dict() for r in reports]}
     return sections, all(r.passed for r in reports)
 
 
@@ -354,7 +354,7 @@ def _pipe_duality(run):
                     "solver": probe.solver_value,
                     "measure_lp": probe.measure_value,
                     "subsolution_lp": probe.subsolution_value},
-                "audits": [json.loads(a.to_json()) for a in audits]}
+                "audits": [a.to_dict() for a in audits]}
     return sections, all(a.passed for a in audits)
 
 
@@ -362,7 +362,7 @@ def _pipe_sweep(run):
     sweep = run.sweep
     sections = {"normalized": run.spec.normalize,
                 "ergodic_constant": run.ergodic_constant(),
-                "sweep": json.loads(sweep.to_json())}
+                "sweep": sweep.to_dict()}
     return sections, not sweep.divergent
 
 
@@ -391,7 +391,7 @@ def _pipe_selection(run):
                            "exhaustive": mset.exhaustive,
                            "support_columns": mset.support_columns,
                            "representatives": len(mset.representatives)},
-                "report": json.loads(report.to_json())}
+                "report": report.to_dict()}
     return sections, report.passed
 
 
@@ -450,6 +450,8 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
     except OSError as exc:
         return ExitReport(2, "", False, f"output_dir not writable: {exc}")
     try:
+        if spec.seed < 0:
+            raise BadValue(f"seed must be >= 0, got {spec.seed}")
         run = _Run(spec, *_build_system(spec), out)
         if not (0 <= spec.probe_mode < run.sys.m
                 and 0 <= spec.probe_state < run.sys.num_states):

@@ -26,7 +26,8 @@ A ``DiscreteSystem`` is its grid, each mode's controls and each mode's
 cost tensor; everything else about it is derived from those three.  The
 variants the package solves (shifted costs, frozen couplings, the grid
 of N/2 points) are ``dataclasses.replace`` copies of a system that
-change only the grid, the controls or the cost.
+change only the grid, the controls or the cost, and start with no
+``inverses``.
 
 The same stencil coefficients drive three consumers: the Bellman
 residual, the per-policy linear solves, and (transposed) the
@@ -67,33 +68,21 @@ Policy = np.ndarray       # int array, shape (m, S)
 
 @dataclass
 class TorusGrid:
+    """N points per axis on the torus [0,1)^n.  A state is the C-order
+    flat index of its (N,)*n coordinates; ``x`` holds coordinates / N."""
+
     n: int
     N: int
-    num_states: int = field(init=False)
-    dx: float = field(init=False)
 
     def __post_init__(self):
         self.num_states = self.N ** self.n
         self.dx = 1.0 / self.N
-        idx = np.arange(self.num_states)
-        if self.n == 1:
-            coords = idx.reshape(-1, 1)
-        else:
-            coords = np.stack([idx // self.N, idx % self.N], axis=-1)
-        self.x = coords / self.N
-        self._fwd, self._bwd = [], []
-        for d in range(self.n):
-            shift = coords.copy()
-            shift[:, d] = (coords[:, d] + 1) % self.N
-            self._fwd.append(self._flatten(shift))
-            shift = coords.copy()
-            shift[:, d] = (coords[:, d] - 1) % self.N
-            self._bwd.append(self._flatten(shift))
-
-    def _flatten(self, coords):
-        if self.n == 1:
-            return coords[:, 0].copy()
-        return coords[:, 0] * self.N + coords[:, 1]
+        self.x = product_grid(np.arange(self.N), self.n) / self.N
+        # np.take, not np.roll: every cold start builds its coarse grids
+        index = np.arange(self.num_states).reshape((self.N,) * self.n)
+        ahead, behind = (np.arange(self.N) + [[1], [-1]]) % self.N
+        self._fwd = [index.take(ahead, axis=d).ravel() for d in range(self.n)]
+        self._bwd = [index.take(behind, axis=d).ravel() for d in range(self.n)]
 
     def forward(self, d: int) -> np.ndarray:
         """State indices one step ahead along axis d (periodic)."""
@@ -234,6 +223,10 @@ class DiscreteSystem:
     controls: list          # per mode, ModeControls
     cost: list              # per mode, (S, A_i)
     label: str = ""
+    # Inverse policy matrices by (lam, policy.tobytes()) for
+    # ``policy_evaluate``: a dict on the ``uncoupled`` systems only, None
+    # (the dense solve) on every other system and ``replace`` copy.
+    inverses: Optional[dict] = field(default=None, init=False)
 
     @property
     def m(self) -> int:
@@ -281,19 +274,14 @@ class DiscreteSystem:
         fixed; the cost is a zero placeholder that the user writes before
         each solve (the ergodic map writes the cost of a frozen coupling).
         """
-        return [replace(self,
-                        controls=[ModeControls(mc.xi, np.zeros((len(mc), 1)))],
-                        cost=[np.zeros_like(ci)],
-                        label=f"{self.label}:frozen{i}")
-                for i, (mc, ci) in enumerate(zip(self.controls, self.cost))]
-
-    @cached_property
-    def inverses(self) -> dict:
-        """Inverse policy matrices by ``(lam, policy.tobytes())``, for
-        ``policy_evaluate``.  They depend on the stencil only, not on the
-        cost; only the ergodic map's frozen systems (``uncoupled``), which
-        are solved again with a new cost every sweep, fill it."""
-        return {}
+        scalars = []
+        for i, (mc, ci) in enumerate(zip(self.controls, self.cost)):
+            eta = np.zeros((len(mc), 1))
+            scalars.append(replace(self, controls=[ModeControls(mc.xi, eta)],
+                                   cost=[np.zeros_like(ci)],
+                                   label=f"{self.label}:frozen{i}"))
+            scalars[-1].inverses = {}
+        return scalars
 
     @cached_property
     def stencil(self) -> Stencil:
@@ -379,10 +367,11 @@ def _certified_system(grid: TorusGrid, controls: Sequence[ModeControls],
                       cost: list, label: str) -> DiscreteSystem:
     """The system of these controls and costs, once certified.
 
-    Verifies for every (i, x, a): finite cost, eta exactly in cone(i),
-    diagonal coefficient sum_d |xi_d|/dx + eta_{a,i} >= 0 and nonpositive
-    off-diagonal coefficients.  Rejects control sets that do not cover all
-    modes: each mode needs a control, and every eta one entry per mode.
+    Verifies for every (i, x, a): finite cost, eta finite and exactly in
+    cone(i), so nonpositive off-diagonal coefficients, and the diagonal
+    ``drift_stencil`` gives plus eta_{a,i} >= 0.  Rejects control sets
+    that do not cover all modes: each mode needs a control, and every eta
+    one entry per mode.
     """
     m = len(controls)
     if m == 0 or any(len(mc) == 0 or mc.eta.shape[1] != m
@@ -397,7 +386,7 @@ def _certified_system(grid: TorusGrid, controls: Sequence[ModeControls],
             if not in_coupling_cone(mc.eta[a], i):
                 raise CouplingOutsideCone(
                     f"mode {i} control {a} eta={mc.eta[a].tolist()}")
-            diag = float(np.sum(np.abs(mc.xi[a])) * grid.N + mc.eta[a, i])
+            diag = drift_stencil(grid, mc.xi[a])[0] + mc.eta[a, i]
             if diag < 0.0:
                 raise CouplingOutsideCone(
                     f"mode {i} control {a}: negative diagonal {diag}")
@@ -595,8 +584,9 @@ def system_from_json(text: str) -> DiscreteSystem:
 
     A document that is not a serialized system raises ``ParseError``: not
     a JSON object, a key missing or of the wrong type (n, N, m and each
-    control's mode must be JSON integers), a mode outside 0..m-1, or xi
-    and eta rows that are not finite rows of length n and m.
+    control's mode must be JSON integers), a mode outside 0..m-1, xi rows
+    not finite of length n, or eta rows not of length m.  A non-finite or
+    out-of-cone eta raises ``CouplingOutsideCone``.
     """
     try:
         doc = json.loads(text)

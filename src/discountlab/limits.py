@@ -38,7 +38,6 @@ the field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -49,8 +48,9 @@ from .errors import (BadValue, DivergentSweep, EnumerationTooLarge,
                      InfeasibleLP, NumericalBreakdown, UnboundedLP)
 from .lp import (FEAS_TOL, INFEASIBLE, OPTIMAL, LPProblem,
                  enumerate_basic_solutions, lp_solve)
-from .measures import MeasureVector, assemble_closed_constraints, \
-    check_subsolution, green_poisson, subsolution_lp, validate_lam0_rows
+from .measures import MeasureVector, _measure_of, _measure_problem, \
+    assemble_closed_constraints, check_subsolution, green_poisson, \
+    subsolution_lp, validate_lam0_rows
 from .solver import ergodic_solve, policy_iterate
 
 DIVERGENCE_BOUND = 1e6
@@ -89,7 +89,7 @@ class SweepResult:
     fields: list                 # ValueField per rung
     diagnostics: list            # SolveDiagnostics per rung
     cauchy_gaps: list
-    uniform_bound: float
+    sup_norms: list              # max |v| per rung
     divergent: bool = False
 
     @property
@@ -97,20 +97,22 @@ class SweepResult:
         """The field at the smallest rung."""
         return self.fields[-1]
 
+    @property
+    def uniform_bound(self) -> float:
+        """The largest sup norm over the ladder."""
+        return max(self.sup_norms)
+
     def csv_rows(self):
         """Rows of (lambda, sup_norm, cauchy_gap, solver_iters)."""
         gaps = list(self.cauchy_gaps) + [float("nan")]   # none after the last
-        return [(lam, float(np.max(np.abs(v))), gap, diag.iterations)
-                for lam, v, gap, diag in zip(self.lambdas, self.fields, gaps,
-                                             self.diagnostics)]
+        return list(zip(self.lambdas, self.sup_norms, gaps,
+                        [diag.iterations for diag in self.diagnostics]))
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "lambdas": self.lambdas,
-            "sup_norms": [float(np.max(np.abs(v))) for v in self.fields],
-            "cauchy_gaps": self.cauchy_gaps,
-            "uniform_bound": self.uniform_bound,
-            "divergent": self.divergent})
+    def to_dict(self) -> dict:
+        return {"lambdas": self.lambdas, "sup_norms": self.sup_norms,
+                "cauchy_gaps": self.cauchy_gaps,
+                "uniform_bound": self.uniform_bound,
+                "divergent": self.divergent}
 
 
 def discount_sweep(sys: DiscreteSystem, lam_start: float = 0.5,
@@ -124,7 +126,7 @@ def discount_sweep(sys: DiscreteSystem, lam_start: float = 0.5,
     """
     if not lam_start > 0.0 or not (0.0 < ratio < 1.0) or rungs < 2:
         raise BadValue("need lam_start > 0, ratio in (0,1), rungs >= 2")
-    lambdas, fields, diags = [], [], []
+    lambdas, fields, diags, norms = [], [], [], []
     u_prev = None
     divergent = False
     for j in range(rungs):
@@ -133,16 +135,15 @@ def discount_sweep(sys: DiscreteSystem, lam_start: float = 0.5,
         lambdas.append(lam)
         fields.append(u)
         diags.append(diag)
+        norms.append(float(np.max(np.abs(u))))
         u_prev = u
-        if float(np.max(np.abs(u))) > DIVERGENCE_BOUND:
+        if norms[-1] > DIVERGENCE_BOUND:
             divergent = True
             break
     gaps = [float(np.max(np.abs(fields[j + 1] - fields[j])))
             for j in range(len(fields) - 1)]
-    bound = max(float(np.max(np.abs(v))) for v in fields)
     return SweepResult(lambdas=lambdas, fields=fields, diagnostics=diags,
-                       cauchy_gaps=gaps, uniform_bound=bound,
-                       divergent=divergent)
+                       cauchy_gaps=gaps, sup_norms=norms, divergent=divergent)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +183,7 @@ def mather_lp(sys: DiscreteSystem):
     exists).  Returns (nu, minimum, dual), ``dual`` holding one entry per
     row of ``assemble_closed_constraints(sys, 0.0)``.
     """
-    problem = assemble_closed_constraints(sys, 0.0)
-    problem.c = sys.cost_flat()
-    sol = lp_solve(problem)
-    if sol.status != OPTIMAL:
-        raise BadValue(f"Mather LP returned {sol.status}")
-    nu = MeasureVector.from_flat(sys, np.maximum(sol.x, 0.0), 0.0)
-    nu.validate(sys)
+    nu, sol = _measure_of(sys, 0.0, lp_solve(_measure_problem(sys, 0.0)))
     return nu, sol.objective_value, sol.dual
 
 
@@ -379,12 +374,11 @@ class ConvergenceReport:
     measure_pairings: list
     passed: bool
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "rung_gaps": self.rung_gaps,
-            "limit_vs_selection_gap": self.limit_vs_selection_gap,
-            "measure_pairing_max": max(self.measure_pairings, default=0.0),
-            "pass": self.passed})
+    def to_dict(self) -> dict:
+        return {"rung_gaps": self.rung_gaps,
+                "limit_vs_selection_gap": self.limit_vs_selection_gap,
+                "measure_pairing_max": max(self.measure_pairings, default=0.0),
+                "pass": self.passed}
 
 
 def convergence_report(sys: DiscreteSystem, sweep: SweepResult,

@@ -127,15 +127,13 @@ def lp_solve(problem: LPProblem,
     """
     WORK["lp_solves"] += 1
     std = _Standardized(problem)
-    m, n = std.A.shape
-    budget = 200 * (m + n) + 20000
-    bland_after = 2 * (m + n)
-    state = None if basis is None else _warm_tableau(std, basis, bland_after)
+    budget = 200 * sum(std.A.shape) + 20000
+    state = None if basis is None else _warm_tableau(std, basis)
     failed_warm = int(basis is not None and state is None)
 
     phase1 = 0
     if state is None:
-        state = _Tableau(std, bland_after)
+        state = _Tableau(std)
         if std.needs_phase1:
             cost1 = np.zeros(std.A.shape[1])
             cost1[std.artificial] = 1.0
@@ -178,7 +176,7 @@ def lp_solve_rhs(problem: LPProblem, basis, rhs) -> list:
     """
     columns = [replace(problem, b=b) for b in np.asarray(rhs, dtype=float).T]
     std = _Standardized(replace(problem, b=np.zeros(len(problem.b))))
-    state = _warm_tableau(std, basis, 2 * sum(std.A.shape))
+    state = _warm_tableau(std, basis)
     if state is None or state.entering(std.c, 0) >= 0:
         return [lp_solve(p, basis=basis) for p in columns]
     B = std.A[np.ix_(state.kept_rows, state.basis)]
@@ -223,7 +221,7 @@ def _certified(problem, std, state, xB, duals, iterations, counters):
                       basis=final, **counters)
 
 
-def _warm_tableau(std: "_Standardized", basis, bland_after):
+def _warm_tableau(std: "_Standardized", basis):
     """Phase-2 tableau refactorized on a handed-back basis, or ``None``
     when that basis is singular or primal infeasible for ``std.b``,
     including on a row it drops as redundant."""
@@ -234,7 +232,7 @@ def _warm_tableau(std: "_Standardized", basis, bland_after):
             or np.any(basis < -1) or np.any(basis >= real):
         raise ValueError("basis does not fit this problem's standard form")
     kept = np.nonzero(basis >= 0)[0]
-    state = _Tableau(std, bland_after, np.maximum(basis, 0))
+    state = _Tableau(std, np.maximum(basis, 0))
     state.restrict(kept, std.artificial)
     try:
         state.refactor()
@@ -327,13 +325,13 @@ class _Tableau:
     a dense rank-1 update and every factorization a dense LU solve.
     """
 
-    def __init__(self, std: "_Standardized", bland_after, basis=None):
+    def __init__(self, std: "_Standardized", basis=None):
         self.A0 = std.A.copy()
         self.b0 = std.b.copy()
         self.T = std.A.copy()
         self.rhs = std.b.copy()
         self.basis = (std.basis if basis is None else basis).astype(int)
-        self.bland_after = bland_after
+        self.bland_after = 2 * sum(std.A.shape)
         self.kept_rows = np.arange(std.A.shape[0])
         self.ray = None
         self.pivots_since_refactor = 0

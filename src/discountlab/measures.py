@@ -50,7 +50,6 @@ just as the per-point LPs do.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -125,13 +124,13 @@ class MeasureVector:
         return float(sum(np.abs(a - b).sum()
                          for a, b in zip(self.weights, other.weights)))
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         entries = []
         for i, w in enumerate(self.weights):
             for x, a in zip(*np.nonzero(w)):
                 entries.append({"mode": int(i), "x": int(x), "a": int(a),
                                 "weight": float(w[x, a])})
-        return json.dumps({"lambda_tag": self.lam_tag, "entries": entries})
+        return {"lambda_tag": self.lam_tag, "entries": entries}
 
 
 def _check_nonnegative(rows: np.ndarray):
@@ -184,10 +183,9 @@ def assemble_closed_constraints(sys: DiscreteSystem, lam: float,
     return LPProblem(c=np.zeros(ncols), A=M, b=b, senses=senses)
 
 
-def _measure_problem(sys: DiscreteSystem, lam: float, z: int,
-                     k: int) -> LPProblem:
-    if not lam > 0.0:
-        raise BadValue("green_poisson requires lam > 0")
+def _measure_problem(sys: DiscreteSystem, lam: float, z: Optional[int] = None,
+                     k: Optional[int] = None) -> LPProblem:
+    """``assemble_closed_constraints`` with the cost as objective."""
     problem = assemble_closed_constraints(sys, lam, z, k)
     problem.c = sys.cost_flat()
     return problem
@@ -321,14 +319,13 @@ class DualityReport:
         vals = (self.solver_value, self.measure_value, self.subsolution_value)
         return max(vals) - min(vals)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "z": self.z, "k": self.k, "lambda": self.lam,
-            "solver_value": self.solver_value,
-            "measure_value": self.measure_value,
-            "subsolution_value": self.subsolution_value,
-            "slackness_residual": self.slackness_residual,
-            "passed": self.passed})
+    def to_dict(self) -> dict:
+        return {"z": self.z, "k": self.k, "lambda": self.lam,
+                "solver_value": self.solver_value,
+                "measure_value": self.measure_value,
+                "subsolution_value": self.subsolution_value,
+                "slackness_residual": self.slackness_residual,
+                "passed": self.passed}
 
 
 def _duality_report(z, k, lam, solver_value, measure_sol, sub_value):
@@ -400,14 +397,13 @@ class SupportReport:
     control_eta_box: list
     interior: bool
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "entries": [{"mode": i, "x": x, "a": a, "weight": w}
-                        for (i, x, a, w) in self.entries],
-            "xi_box": self.xi_box, "eta_box": self.eta_box,
-            "control_xi_box": self.control_xi_box,
-            "control_eta_box": self.control_eta_box,
-            "interior": self.interior})
+    def to_dict(self) -> dict:
+        return {"entries": [{"mode": i, "x": x, "a": a, "weight": w}
+                            for (i, x, a, w) in self.entries],
+                "xi_box": self.xi_box, "eta_box": self.eta_box,
+                "control_xi_box": self.control_xi_box,
+                "control_eta_box": self.control_eta_box,
+                "interior": self.interior}
 
 
 def _box(rows) -> list:

@@ -27,7 +27,6 @@ of exactly 0.0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
@@ -74,13 +73,21 @@ class HamiltonianModel:
                                  np.asarray(u, dtype=float)), dtype=float)
 
 
-def in_coupling_cone(eta: np.ndarray, mode: int) -> bool:
-    """Exact sign test for membership of eta in cone(mode)."""
-    eta = np.asarray(eta, dtype=float)
+def cone_excess(eta, mode: int) -> float:
+    """How far eta lies outside cone(mode), by exact sign comparisons:
+    max(0, off-mode entries, -sum), or inf for a non-finite entry."""
+    excess = 0.0
     for j, v in enumerate(eta):
-        if j != mode and v > 0.0:
-            return False
-    return float(np.sum(eta)) >= 0.0
+        if not math.isfinite(v):
+            return math.inf
+        if j != mode and v > excess:
+            excess = float(v)
+    return max(excess, -float(np.sum(eta)))
+
+
+def in_coupling_cone(eta, mode: int) -> bool:
+    """Exact membership of eta in cone(mode): ``cone_excess`` is 0."""
+    return cone_excess(eta, mode) == 0.0
 
 
 ZOO_IDS = ("constant-coupling", "linear-B", "quadratic-plc", "eikonal-f")
@@ -220,8 +227,8 @@ class StructureReport:
     witness: Optional[dict]
     samples_used: int
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def _dyadic(rng, lo, hi, size=None):
@@ -231,12 +238,11 @@ def _dyadic(rng, lo, hi, size=None):
 
 
 def _report(name, violations, witnesses, samples):
-    """Fold raw signed violations into a StructureReport (clamped at 0)."""
-    idx = int(np.argmax(violations)) if len(violations) else 0
-    worst = max(0.0, float(violations[idx])) if len(violations) else 0.0
-    witness = witnesses[idx] if (len(violations) and violations[idx] > 0.0) \
-        else (witnesses[idx] if len(witnesses) else None)
-    return StructureReport(name, worst <= CHECK_TOL, worst, witness, samples)
+    """Fold raw signed violations (at least one) into a StructureReport."""
+    idx = int(np.argmax(violations))
+    worst = max(0.0, float(violations[idx]))
+    return StructureReport(name, worst <= CHECK_TOL, worst, witnesses[idx],
+                           samples)
 
 
 def check_monotone(model: HamiltonianModel, sample_count: int,
@@ -308,11 +314,13 @@ def check_convex(model: HamiltonianModel, sample_count: int,
 def check_shift_invariance(model: HamiltonianModel, c: Sequence[float],
                            sample_count: int, seed: int = 0) -> StructureReport:
     """|H_i(x, p, v + t*c) - H_i(x, p, v)| <= tol for t in {-1, 0.5, 2}."""
+    if sample_count < 1:
+        raise EmptySampleSet("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
     c = np.asarray(c, dtype=float)
     m, n = model.m, model.n
     violations, witnesses = [], []
-    for _ in range(max(sample_count, 1)):
+    for _ in range(sample_count):
         x = _dyadic(rng, 0.0, 1.0, n)
         p = _dyadic(rng, -2.0, 2.0, n)
         v = _dyadic(rng, -2.0, 2.0, m)
@@ -357,10 +365,12 @@ def coercivity_profile(model: HamiltonianModel, R: float,
 
     x runs over a uniform torus grid, u over a lattice of the closed ball
     of radius R, p over the sphere of each radius (both signs in 1-d, a
-    uniform fan of angles in 2-d).
+    uniform fan of angles in 2-d).  A negative R has no such ball.
     """
     if sample_density <= 0:
         raise EmptySampleSet("sample_density must be positive")
+    if R < 0.0:
+        raise EmptySampleSet(f"the ball of radius R = {R} is empty")
     radii = [float(r) for r in radii]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise EmptySampleSet("radii must be nonempty and ascending")
@@ -390,16 +400,14 @@ def check_erg_condition(profile: CoercivityProfile, n: int) -> bool:
     r_star = 2.0 * profile.R / math.sqrt(n)
     if not any(r >= r_star for r, _ in profile.table):
         raise MissingRadius(f"coercivity table has no radius >= {r_star}")
-    exact = [a for (r, a) in profile.table if r == r_star]
-    alpha = exact[0] if exact else profile.alpha_at_or_below(r_star)
-    return profile.beta < alpha
+    return profile.beta < profile.alpha_at_or_below(r_star)
 
 
 def product_grid(axis, dims: int) -> np.ndarray:
     """Every point of axis^dims as a row, in ``ij`` order (first coordinate
     slowest)."""
-    mesh = np.meshgrid(*([axis] * dims), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+    index = np.indices((len(axis),) * dims).reshape(dims, -1)
+    return np.asarray(axis)[index.T].copy()     # C order
 
 
 def _ball_grid(m, R, density):
@@ -530,6 +538,8 @@ def fenchel_equality_check(model: HamiltonianModel, table: LagrangianTable,
     must also recover H within the grid-resolution tolerance at samples
     drawn from the range the xi grid can represent.
     """
+    if sample_count < 1:
+        raise EmptySampleSet("sample_count must be >= 1")
     entries = list(table.finite_entries())
     rng = np.random.default_rng(seed)
     if recovery_tol is None:
@@ -537,7 +547,7 @@ def fenchel_equality_check(model: HamiltonianModel, table: LagrangianTable,
     p_rad = max(1.0, max((np.abs(xi).max() for (_, xi, _, _) in entries),
                          default=1.0))
     violations, witnesses = [], []
-    for _ in range(max(sample_count, 1)):
+    for _ in range(sample_count):
         x, xi0, _, _ = entries[int(rng.integers(len(entries)))] if entries \
             else (table.x_points[0], None, None, None)
         p = _dyadic(rng, -p_rad, p_rad, model.n)
@@ -583,11 +593,7 @@ def check_coupling_domain(table: LagrangianTable) -> StructureReport:
     count = 0
     for (x, xi, eta, _val) in table.finite_entries():
         count += 1
-        excess = 0.0
-        for j, v in enumerate(eta):
-            if j != table.mode:
-                excess = max(excess, v)
-        excess = max(excess, -float(np.sum(eta)))
+        excess = cone_excess(eta, table.mode)
         if excess > worst:
             worst = excess
             witness = {"x": np.asarray(x).tolist(), "xi": xi.tolist(),

@@ -41,15 +41,16 @@ greedy policy of the previous sweep's v, from where it needs one or two
 evaluations.  The first sweep starts cold.  Those evaluations keep
 landing on the same few policies, and a policy's matrix does not depend
 on the cost, so the frozen systems, and only they, evaluate through
-inverses stored on the system (``DiscreteSystem.inverses``): each
-(lam, policy) is inverted once, on first sight too, so a value depends
-only on (lam, policy, cost).  Every other system is solved once per
-matrix with ``np.linalg.solve``, the oracle of the inverse path.
+inverses stored on the system (``DiscreteSystem.inverses``, None on every
+other system): each (lam, policy) is inverted once, on first sight too,
+so a value depends only on (lam, policy, cost).  Every other system,
+coarse copies of a frozen one included, is solved once per matrix with
+``np.linalg.solve``, the oracle of the inverse path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -80,9 +81,7 @@ class SolveDiagnostics:
     contraction_estimate: float
 
     def to_dict(self):
-        return {"iterations": self.iterations,
-                "final_residual": self.final_residual,
-                "contraction_estimate": self.contraction_estimate}
+        return asdict(self)
 
 
 @dataclass
@@ -144,22 +143,21 @@ def value_iterate(sys: DiscreteSystem, lam: float, u0: Optional[ValueField],
 
 
 def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
-                    inverses: Optional[dict] = None,
                     relations: Optional[Relations] = None) -> ValueField:
     """Exact value of a stationary policy (dense solve at desk scale).
 
     The matrix is the policy's rows of the cached ``sys.stencil``, the
     same triplets that ``linearized_matrix`` and the measure constraints
-    are summed from.  Without ``inverses`` it is factorized and solved
-    once (``np.linalg.solve``).  ``inverses`` is for a system whose
-    policy matrices are solved again with new costs: a dict, keyed by
-    ``(lam, policy.tobytes())``, of the inverses of the matrices seen so
-    far, filled on first sight.  The value is then ``inv @ rhs`` plus
-    one step of iterative refinement, ``x -= inv @ r`` with r the
-    policy's rows of ``relations.apply(x)``; the refinement brings the
-    residual back to the level of a direct solve.  ``relations``, the
-    ``Relations(sys, lam)`` kernel that also gives the right-hand side,
-    is built here when not given.
+    are summed from.  When ``sys.inverses`` is None it is factorized and
+    solved once (``np.linalg.solve``).  A system whose policy matrices
+    are solved again with new costs (``DiscreteSystem.uncoupled``)
+    carries a dict there, keyed by ``(lam, policy.tobytes())``, of the
+    inverses of the matrices seen so far, filled on first sight.  The
+    value is then ``inv @ rhs`` plus one step of iterative refinement,
+    ``x -= inv @ r`` with r the policy's rows of ``relations.apply(x)``;
+    the refinement brings the residual back to the level of a direct
+    solve.  ``relations``, the ``Relations(sys, lam)`` kernel that also
+    gives the right-hand side, is built here when not given.
     """
     if not lam > 0.0:
         raise BadValue("policy_evaluate requires lam > 0")
@@ -168,13 +166,13 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
     rows = policy_rows(sys, policy)
     rhs = rel.cost[rows]
     try:
-        if inverses is None:
+        if sys.inverses is None:
             flat = np.linalg.solve(policy_matrix(sys, lam, policy), rhs)
         else:
             key = (lam, policy.tobytes())
-            inv = inverses.get(key)
+            inv = sys.inverses.get(key)
             if inv is None:
-                inv = inverses[key] = np.linalg.inv(
+                inv = sys.inverses[key] = np.linalg.inv(
                     policy_matrix(sys, lam, policy))
             flat = inv @ rhs
             flat -= inv @ rel.apply(flat)[rows]
@@ -190,8 +188,7 @@ COARSE_FLOOR = 16   # fewest points per axis of a coarse start's grid
 
 
 def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
-                   u0: Optional[ValueField] = None,
-                   inverses: Optional[dict] = None):
+                   u0: Optional[ValueField] = None):
     """Howard iteration: evaluate, improve greedily, repeat to stability.
 
     A control displaces the incumbent only when it improves the relation
@@ -203,9 +200,8 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
     (``_coarse_start``): from the solution on the grid of N/2 points
     where that grid has at least ``COARSE_FLOOR`` points per axis, else
     from the zero field.  The diagnostics count the steps on this grid;
-    more than ``MAX_ITER`` of them raise ``NoConvergence``.
-    ``inverses`` goes to the evaluations on this grid (``policy_evaluate``);
-    the coarse solves of a cold start are one-shot and never use it.
+    more than ``MAX_ITER`` of them raise ``NoConvergence``.  The coarse
+    copy of a cold start has no ``inverses``, so its solves stay dense.
     """
     if not lam > 0.0 or not tol >= 0.0:
         raise BadValue("policy_iterate requires lam > 0 and tol >= 0")
@@ -214,7 +210,7 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
     policy = rel.greedy(rel.apply(base))
     for it in range(1, MAX_ITER + 1):
         WORK["howard_steps"] += 1
-        u = policy_evaluate(sys, lam, policy, inverses, rel)
+        u = policy_evaluate(sys, lam, policy, rel)
         vals = rel.apply(u)
         greedy = rel.greedy(vals)
         best = rel.at(vals, greedy)
@@ -288,8 +284,7 @@ def ergodic_map(sys: DiscreteSystem, lam: float, u: ValueField,
         eta = sys.controls[i].eta
         scalar.cost[0] = sys.cost[i] - (u.T @ eta.T) + lam * u[i][:, None]
         start = None if v0 is None else v0[i][None, :]
-        vi, _, _ = policy_iterate(scalar, lam, tol=INNER_TOL, u0=start,
-                                  inverses=scalar.inverses)
+        vi, _, _ = policy_iterate(scalar, lam, tol=INNER_TOL, u0=start)
         v[i] = vi[0]
     mins = v.min(axis=1)
     return v, v - mins[:, None], -lam * mins

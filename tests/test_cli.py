@@ -373,7 +373,7 @@ def test_emit_plotdata_columns(tmp_path, instance_a):
 def test_emit_plotdata_empty_ladder(tmp_path):
     from discountlab.limits import SweepResult
     empty = SweepResult(lambdas=[], fields=[], diagnostics=[],
-                        cauchy_gaps=[], uniform_bound=0.0)
+                        cauchy_gaps=[], sup_norms=[])
     path = tmp_path / "empty.dat"
     emit_plotdata(empty, path)
     assert path.read_text().splitlines() == ["# lambda value_at_probe "
@@ -558,8 +558,11 @@ def test_negative_tolerance_is_a_usage_error(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("pipeline, overrides, error", [
     ("structure", dict(samples=0), "EmptySampleSet"),
-    ("solve", dict(xi_count=-1), "BadValue")],
-    ids=["samples-0", "xi-count-minus-1"])
+    ("solve", dict(xi_count=-1), "BadValue"),
+    ("structure", dict(seed=-1), "BadValue"),
+    ("ergodic", dict(erg_radius=-1.0), "EmptySampleSet")],
+    ids=["samples-0", "xi-count-minus-1", "seed-minus-1",
+         "erg-radius-minus-1"])
 def test_bad_counts_are_usage_errors(tmp_path, pipeline, overrides, error):
     spec = ExperimentSpec(instance="constant-coupling", pipeline=pipeline,
                           output_dir=str(tmp_path), **overrides)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,30 @@ def test_grid_periodic_neighbors():
     # state (2, 1) -> flat 7; forward along axis 0 wraps to (0, 1) -> 1
     assert g2.forward(0)[7] == 1
     assert g2.backward(1)[3] == 5  # (1,0) -> (1,2)
+    # every entry against coordinates c, state sum_d c_d N^(n-1-d)
+    for n in (1, 2):
+        for N in (2, 3, 5):
+            g = dl.build_grid(n, N)
+            coords = [np.array(c) for c in itertools.product(range(N),
+                                                             repeat=n)]
+            state = {tuple(c): s for s, c in enumerate(coords)}
+            assert g.x.shape == (N ** n, n)
+            for s, c in enumerate(coords):
+                assert g.x[s].tolist() == (c / N).tolist()
+                for d in range(n):
+                    step = np.eye(n, dtype=int)[d]
+                    assert g.forward(d)[s] == state[tuple((c + step) % N)]
+                    assert g.backward(d)[s] == state[tuple((c - step) % N)]
+
+
+def test_only_the_frozen_systems_carry_inverses():
+    sys_ = dl.standard_system("quadratic-plc", N=32)
+    assert sys_.inverses is None
+    for frozen in sys_.uncoupled:
+        assert isinstance(frozen.inverses, dict)
+        assert coarse_system(frozen).inverses is None
+        assert dl.shift_costs(frozen, 1.0).inverses is None
+    assert coarse_system(sys_).inverses is None
 
 
 def test_sample_controls_constant_coupling():
@@ -287,6 +313,9 @@ def test_serialization_reverifies_invariants(instance_a):
         system_from_json(json.dumps(bad))
     bad = json.loads(system_to_json(instance_a))
     bad["controls"][0]["eta"] = [float("nan"), 0.0]
+    with pytest.raises(CouplingOutsideCone):
+        system_from_json(json.dumps(bad))
+    bad["controls"][0]["eta"] = [float("inf"), 0.0]    # own mode
     with pytest.raises(CouplingOutsideCone):
         system_from_json(json.dumps(bad))
     bad = json.loads(system_to_json(instance_a))

@@ -468,8 +468,7 @@ def test_convergence_report_json_keys(instance_a_shifted):
     sweep = dl.discount_sweep(instance_a_shifted, 0.5, 0.5, 8, tol=1e-10)
     field = dl.selection_field(instance_a_shifted, mset)
     rep = dl.convergence_report(instance_a_shifted, sweep, field, mset)
-    import json
-    doc = json.loads(rep.to_json())
+    doc = rep.to_dict()
     assert set(doc) == {"rung_gaps", "limit_vs_selection_gap",
                         "measure_pairing_max", "pass"}
 

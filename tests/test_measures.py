@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -180,7 +179,7 @@ def test_support_audit_flags_small_radius():
 
 def test_measure_json_schema(instance_a):
     mu, _ = dl.green_poisson(instance_a, 1.0, 0, 0)
-    doc = json.loads(mu.to_json())
+    doc = mu.to_dict()
     assert set(doc) == {"lambda_tag", "entries"}
     assert all(set(e) == {"mode", "x", "a", "weight"} for e in doc["entries"])
     flat = np.zeros(instance_a.total_vars)
@@ -205,7 +204,7 @@ def test_support_audit_reports_instance_a(instance_a):
     # there and the support carries that mode's single coupling covector
     assert all(i == 0 for (i, _, _, _) in rep.entries)
     assert rep.eta_box == [(1.0, 1.0), (0.0, 0.0)]
-    doc = json.loads(rep.to_json())
+    doc = rep.to_dict()
     assert {"entries", "xi_box", "eta_box", "control_xi_box",
             "control_eta_box", "interior"} == set(doc)
 

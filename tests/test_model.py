@@ -157,6 +157,21 @@ def test_coercivity_quadratic_plc_against_dense_oracle():
     assert all(b >= a for a, b in zip(alphas, alphas[1:]))
 
 
+@pytest.mark.parametrize("check", [
+    lambda m, tab: dl.check_monotone(m, 0),
+    lambda m, tab: dl.check_convex(m, 0),
+    lambda m, tab: dl.check_shift_invariance(m, [1.0, 1.0], 0),
+    lambda m, tab: dl.fenchel_equality_check(m, tab, 0)],
+    ids=["monotone", "convex", "shift-invariance", "fenchel-equality"])
+def test_checkers_reject_zero_samples(check):
+    m = dl.make_model("constant-coupling")
+    tab = dl.legendre_transform(m, 0, np.zeros((1, 1)),
+                                np.array([-1.0, 0.0, 1.0]),
+                                np.array([[1.0, 0.0]]))
+    with pytest.raises(EmptySampleSet):
+        check(m, tab)
+
+
 def test_coercivity_contract_failures():
     with pytest.raises(EmptySampleSet):
         dl.coercivity_profile(_abs_p_model(), 1.0, [], 8)
@@ -395,8 +410,7 @@ def test_cone_membership_exact():
 
 def test_structure_report_json_keys():
     rep = dl.check_monotone(dl.make_model("constant-coupling"), 10, seed=0)
-    import json
-    doc = json.loads(rep.to_json())
+    doc = rep.to_dict()
     assert set(doc) == {"check_name", "passed", "worst_violation",
                         "witness", "samples_used"}
 
@@ -405,7 +419,7 @@ def test_checkers_deterministic_for_fixed_seed():
     m = dl.make_model("quadratic-plc")
     a = dl.check_monotone(m, 200, seed=42)
     b = dl.check_monotone(m, 200, seed=42)
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
     c = dl.check_convex(m, 200, seed=42)
     d = dl.check_convex(m, 200, seed=42)
-    assert c.to_json() == d.to_json()
+    assert c.to_dict() == d.to_dict()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -292,8 +294,8 @@ def test_inverse_evaluation_matches_the_dense_solve(zoo_id, N, lam):
     for scalar in sys_.uncoupled:
         for lam_k, key in list(scalar.inverses):
             policy = np.frombuffer(key, dtype=np.intp).reshape(1, -1)
-            fast = policy_evaluate(scalar, lam_k, policy, scalar.inverses)
-            dense = policy_evaluate(scalar, lam_k, policy)
+            fast = policy_evaluate(scalar, lam_k, policy)
+            dense = policy_evaluate(replace(scalar), lam_k, policy)
             scale = max(1.0, float(np.max(np.abs(dense))))
             assert np.max(np.abs(fast - dense)) <= 1e-13 * scale
             checked += 1
