@@ -94,9 +94,14 @@ def _coerce(name, kind, raw):
 
 
 def parse_config(text: str) -> ExperimentSpec:
-    """Parse a flat key = value document into an ExperimentSpec."""
+    """Parse a flat key = value document into an ExperimentSpec.
+
+    Every line's key and raw value are read before any value is coerced,
+    so a ``BadValue`` for a value of a well-formed document carries the
+    document's ``output_dir`` (None when the document names none).
+    """
     known = {f.name: f.type for f in fields(ExperimentSpec)}
-    values = {}
+    raws = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -110,16 +115,22 @@ def parse_config(text: str) -> ExperimentSpec:
         if field_name not in known:
             raise UnknownKey(f"unknown configuration key {key!r} "
                              f"(line {lineno})")
-        if field_name in values:
+        if field_name in raws:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
-        values[field_name] = _coerce(key, known[field_name], raw)
-    for required in ("instance", "pipeline"):
-        if required not in values:
-            raise BadValue(f"missing required key {required!r}")
-    spec = ExperimentSpec(**values)
-    if spec.pipeline not in PIPELINES:
-        raise BadValue(f"pipeline must be one of {PIPELINES}, "
-                       f"got {spec.pipeline!r}")
+        raws[field_name] = raw
+    try:
+        values = {name: _coerce(_FIELD_TO_KEY.get(name, name), known[name],
+                                raw)
+                  for name, raw in raws.items()}
+        for required in ("instance", "pipeline"):
+            if required not in values:
+                raise BadValue(f"missing required key {required!r}")
+        spec = ExperimentSpec(**values)
+        if spec.pipeline not in PIPELINES:
+            raise BadValue(f"pipeline must be one of {PIPELINES}, "
+                           f"got {spec.pipeline!r}")
+    except BadValue as exc:
+        raise BadValue(str(exc), output_dir=raws.get("output_dir")) from None
     return spec
 
 
@@ -143,7 +154,7 @@ def serialize_config(spec: ExperimentSpec) -> str:
 def _fmt(x) -> str:
     if isinstance(x, float):
         if x != x:
-            return "NaN"
+            return '"nan"'
         if x in (float("inf"), float("-inf")):
             return '"inf"' if x > 0 else '"-inf"'
         return format(x, ".17g")
@@ -224,8 +235,9 @@ def _totals() -> dict:
 
 def _stage(method):
     """A cached ``_Run`` stage that records in ``stages``, once, its wall
-    time and work ``counters`` (Howard steps, policy evaluations, LP
-    solves, pivots), less those of the stages it triggered."""
+    time and work ``counters`` (Howard steps, policy evaluations, full
+    and updated policy inverses, LP solves, pivots), less those of the
+    stages it triggered."""
     name = method.__name__
 
     @wraps(method)
@@ -461,10 +473,7 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
                            f"states")
         sections, passed = _PIPELINE_FNS[spec.pipeline](run)
     except DiscountLabError as exc:
-        record = {"error": {"type": type(exc).__name__, "message": str(exc)},
-                  "pipeline": spec.pipeline, "instance": spec.instance,
-                  "pass": False}
-        (out / "result.json").write_text(dumps_precise(record) + "\n")
+        _write_error(out, exc, spec.pipeline, spec.instance)
         return ExitReport(2, str(out / "result.json"), False, str(exc))
 
     result = {"pipeline": spec.pipeline, "instance": spec.instance,
@@ -486,6 +495,13 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
                 "determinism_sha256": hashlib.sha256(result_bytes).hexdigest()}
     (out / "manifest.json").write_text(dumps_precise(manifest) + "\n")
     return ExitReport(0 if passed else 1, str(out / "result.json"), passed)
+
+
+def _write_error(out: Path, exc: DiscountLabError, pipeline, instance):
+    """The ``"pass": false`` record of a run stopped by ``exc``."""
+    record = {"error": {"type": type(exc).__name__, "message": str(exc)},
+              "pipeline": pipeline, "instance": instance, "pass": False}
+    (out / "result.json").write_text(dumps_precise(record) + "\n")
 
 
 def _version():
@@ -518,6 +534,13 @@ def main(argv=None) -> int:
             spec = parse_config(text)
         except DiscountLabError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            out = getattr(exc, "output_dir", None)
+            if out is not None and Path(out).is_dir():
+                # an earlier run's result.json must not outlive this config
+                try:
+                    _write_error(Path(out), exc, None, None)
+                except OSError as io_exc:
+                    print(f"error: {io_exc}", file=sys.stderr)
             return 2
         report = run_experiment(spec)
         if report.error:

@@ -224,8 +224,9 @@ class DiscreteSystem:
     cost: list              # per mode, (S, A_i)
     label: str = ""
     # Inverse policy matrices by (lam, policy.tobytes()) for
-    # ``policy_evaluate``: a dict on the ``uncoupled`` systems only, None
-    # (the dense solve) on every other system and ``replace`` copy.
+    # ``policy_evaluate``, each inverted or updated from the nearest one
+    # at its lam: a dict on the ``uncoupled`` systems only, None (the
+    # dense solve) on every other system and ``replace`` copy.
     inverses: Optional[dict] = field(default=None, init=False)
 
     @property
@@ -496,14 +497,20 @@ def policy_matrix(sys: DiscreteSystem, lam: float, policy: Policy) -> np.ndarray
     the same order, so the result equals ``linearized_matrix(...)[rows]``
     bit for bit without building the full matrix.
     """
-    n = sys.m * sys.num_states
+    return _linearized_rows(sys, lam, policy_rows(sys, policy))
+
+
+def _linearized_rows(sys: DiscreteSystem, lam: float,
+                     rows: np.ndarray) -> np.ndarray:
+    """``linearized_matrix(sys, lam)[rows]`` for distinct flat (i, x, a)
+    rows, from their stencil triplets alone, summed in stored order."""
     field_row = np.full(sys.total_vars, -1)
-    field_row[policy_rows(sys, policy)] = np.arange(n)
+    field_row[rows] = np.arange(len(rows))
     st = sys.stencil
     out_rows = field_row[st.rows]
     keep = out_rows >= 0
     return _accumulate(out_rows[keep], st.cols[keep], st.values(lam)[keep],
-                       n, n)
+                       len(rows), sys.m * sys.num_states)
 
 
 def _accumulate(rows, cols, vals, nrows, ncols) -> np.ndarray:

@@ -96,4 +96,12 @@ class UnknownKey(DiscountLabError):
 
 
 class BadValue(DiscountLabError):
-    """An experiment configuration value failed validation."""
+    """An experiment configuration value failed validation.
+
+    ``.output_dir`` is the output directory that a rejected configuration
+    document names, when ``parse_config`` read one.
+    """
+
+    def __init__(self, message, output_dir=None):
+        super().__init__(message)
+        self.output_dir = output_dir

@@ -42,10 +42,15 @@ evaluations.  The first sweep starts cold.  Those evaluations keep
 landing on the same few policies, and a policy's matrix does not depend
 on the cost, so the frozen systems, and only they, evaluate through
 inverses stored on the system (``DiscreteSystem.inverses``, None on every
-other system): each (lam, policy) is inverted once, on first sight too,
-so a value depends only on (lam, policy, cost).  Every other system,
-coarse copies of a frozen one included, is solved once per matrix with
-``np.linalg.solve``, the oracle of the inverse path.
+other system).  Each (lam, policy) gets its inverse once, on first sight;
+a policy that differs from a cached one in few field entries gets it by
+a low-rank (Woodbury) update of the nearest cached inverse, any other by
+``np.linalg.inv``.  A value therefore depends on (lam, policy, cost) and,
+in the last bits, on which inverses the solve had cached before it: the
+same run repeats bit for bit, but one policy evaluated after another
+history may differ at roundoff.  Every other system, coarse copies of a
+frozen one included, is solved once per matrix with ``np.linalg.solve``,
+the oracle of the inverse path.
 """
 
 from __future__ import annotations
@@ -56,8 +61,9 @@ from typing import Optional
 import numpy as np
 
 from .discretize import (DiscreteSystem, Policy, Relations, ValueField,
-                         bellman_residual, coarse_system, drift_stencil,
-                         policy_matrix, policy_rows, prolong)
+                         _linearized_rows, bellman_residual,
+                         coarse_system, drift_stencil, policy_matrix,
+                         policy_rows, prolong)
 from .errors import (BadValue, NoConvergence, NotASubsolution,
                      NotASupersolution, SingularSystem)
 
@@ -66,7 +72,8 @@ MAX_SWEEPS = 20000    # Gauss-Seidel sweeps of value_iterate
 MAX_ITER = 200        # Howard steps of policy_iterate, per grid
 INNER_TOL = 1e-12     # residual of each inner solve of the ergodic map
 # Work done in this process so far, read by difference (manifest.json).
-WORK = {"howard_steps": 0, "policy_evaluations": 0}
+WORK = {"howard_steps": 0, "policy_evaluations": 0, "inversions": 0,
+        "inverse_updates": 0}
 
 
 @dataclass
@@ -152,12 +159,14 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
     solved once (``np.linalg.solve``).  A system whose policy matrices
     are solved again with new costs (``DiscreteSystem.uncoupled``)
     carries a dict there, keyed by ``(lam, policy.tobytes())``, of the
-    inverses of the matrices seen so far, filled on first sight.  The
-    value is then ``inv @ rhs`` plus one step of iterative refinement,
-    ``x -= inv @ r`` with r the policy's rows of ``relations.apply(x)``;
-    the refinement brings the residual back to the level of a direct
-    solve.  ``relations``, the ``Relations(sys, lam)`` kernel that also
-    gives the right-hand side, is built here when not given.
+    inverses of the matrices seen so far, filled on first sight by
+    ``_policy_inverse`` (a low-rank update of the nearest cached inverse
+    at lam, or a full inversion).  The value is then ``inv @ rhs`` plus
+    one step of iterative refinement, ``x -= inv @ r`` with r the
+    policy's rows of ``relations.apply(x)``; the refinement brings the
+    residual back to the level of a direct solve.  ``relations``, the
+    ``Relations(sys, lam)`` kernel that also gives the right-hand side,
+    is built here when not given.
     """
     if not lam > 0.0:
         raise BadValue("policy_evaluate requires lam > 0")
@@ -172,8 +181,7 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
             key = (lam, policy.tobytes())
             inv = sys.inverses.get(key)
             if inv is None:
-                inv = sys.inverses[key] = np.linalg.inv(
-                    policy_matrix(sys, lam, policy))
+                inv = sys.inverses[key] = _policy_inverse(sys, lam, policy)
             flat = inv @ rhs
             flat -= inv @ rel.apply(flat)[rows]
     except np.linalg.LinAlgError as exc:
@@ -183,8 +191,41 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
     return flat.reshape(sys.m, sys.num_states)
 
 
+def _policy_inverse(sys: DiscreteSystem, lam: float,
+                    policy: Policy) -> np.ndarray:
+    """Inverse of the policy matrix on a system that carries ``inverses``.
+
+    Take the cached inverse inv0 at lam whose policy differs from this
+    one in the fewest field entries r, k of them.  When UPDATE_RATIO * k
+    < S, the Woodbury identity updates it in O(k S^2): with D this
+    policy's rows r less inv0's, inv0 - inv0[:, r] (I + D inv0[:, r])^-1
+    D inv0 (singular only with the policy matrix: ``LinAlgError``).
+    Otherwise the matrix is built and inverted.  S <= UPDATE_RATIO skips
+    the scan.
+    """
+    flat = policy.ravel()
+    nearest = None
+    if UPDATE_RATIO < flat.size:
+        for (lam_k, bytes_k), inv in sys.inverses.items():
+            if lam_k == lam and len(bytes_k) == flat.nbytes:
+                old = np.frombuffer(bytes_k, dtype=flat.dtype)
+                changed = np.flatnonzero(old != flat)
+                if nearest is None or len(changed) < len(nearest[0]):
+                    nearest = changed, old, inv
+    if nearest is None or UPDATE_RATIO * len(nearest[0]) >= flat.size:
+        WORK["inversions"] += 1
+        return np.linalg.inv(policy_matrix(sys, lam, policy))
+    WORK["inverse_updates"] += 1
+    r, old, inv0 = nearest
+    d = _linearized_rows(sys, lam, policy_rows(sys, policy)[r]) - \
+        _linearized_rows(sys, lam, policy_rows(sys, old)[r])
+    left = inv0[:, r]
+    return inv0 - left @ np.linalg.solve(np.eye(len(r)) + d @ left, d @ inv0)
+
+
 IMPROVE_TOL = 1e-11
 COARSE_FLOOR = 16   # fewest points per axis of a coarse start's grid
+UPDATE_RATIO = 8    # a cached inverse is updated when 8 * changed rows < S
 
 
 def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,

@@ -224,8 +224,9 @@ def test_manifest_counts_each_stage_own_work(tmp_path):
     assert run_experiment(_small_spec("full", out)).status == 0
     stages = {stage["name"]: stage["counters"] for stage in json.loads(
         (out / "manifest.json").read_text())["stages"]}
-    assert all(set(c) == {"howard_steps", "policy_evaluations", "lp_solves",
-                          "pivots"} for c in stages.values())
+    assert all(set(c) == {"howard_steps", "policy_evaluations", "inversions",
+                          "inverse_updates", "lp_solves", "pivots"}
+               for c in stages.values())
     assert stages["ergodic"]["howard_steps"] > 0
     assert stages["ergodic"]["lp_solves"] == 0
     assert stages["mather"]["lp_solves"] == 1
@@ -378,6 +379,36 @@ def test_emit_plotdata_empty_ladder(tmp_path):
     emit_plotdata(empty, path)
     assert path.read_text().splitlines() == ["# lambda value_at_probe "
                                              "sup_norm cauchy_gap"]
+
+
+def test_result_json_is_strict_json(tmp_path):
+    # eikonal-f's solve has no contraction estimate: a NaN
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    spec = ExperimentSpec(instance="eikonal-f", pipeline="solve",
+                          output_dir=str(tmp_path))
+    assert run_experiment(spec).status == 0
+    doc = json.loads((tmp_path / "result.json").read_text(),
+                     parse_constant=reject)
+    assert doc["sections"]["diagnostics"]["contraction_estimate"] == "nan"
+
+
+def test_rejected_config_replaces_an_earlier_record(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    out = tmp_path / "o"
+    text = f"instance = eikonal-f\npipeline = solve\noutput_dir = {out}\n"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 0
+    assert json.loads((out / "result.json").read_text())["pass"] is True
+    cfg.write_text(text + "lambda = abc\n")
+    assert main(["run", str(cfg)]) == 2
+    record = json.loads((out / "result.json").read_text())
+    assert record["pass"] is False
+    assert record["error"]["type"] == "BadValue"
+    with pytest.raises(BadValue) as info:
+        parse_config("instance = a\npipeline = dance\n")
+    assert info.value.output_dir is None
 
 
 def test_dumps_precise_float_formatting():

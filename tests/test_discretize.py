@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import discountlab as dl
-from discountlab.discretize import (Relations, bellman_policy,
+from discountlab.discretize import (Relations, _linearized_rows,
+                                    bellman_policy,
                                     coarse_system, control_values,
                                     default_eta_spec, drift_stencil,
                                     linearized_matrix, policy_matrix, prolong,
@@ -231,6 +232,8 @@ def test_stencil_matches_row_by_row_reference(zoo_id):
                 [[sys_.var_index(i, x, policy[i, x]) for x in range(S)]
                  for i in range(sys_.m)])
             assert np.array_equal(policy_matrix(sys_, lam, policy), A[rows])
+            some = rng.choice(rows, size=3, replace=False)
+            assert np.array_equal(_linearized_rows(sys_, lam, some), A[some])
 
 
 def _reference_control_values(sys_, lam, u):

@@ -266,8 +266,9 @@ def test_ergodic_howard_counts_are_pinned(zoo_id, N, lam, tol, sweeps,
 
 def test_ergodic_builds_each_frozen_policy_matrix_once(monkeypatch):
     # 37 evaluations: the cold first sweep's 7 coarse ones build their own
-    # matrices, and the 30 on the fine grid see 2 distinct policies, each
-    # inverted on first sight (a matrix per evaluation would be 37)
+    # matrices, and the 30 on the fine grid see 2 distinct policies, one
+    # inverted and one updated from it on first sight, the update building
+    # no full matrix (a matrix per evaluation would be 37)
     calls = []
     build = solver.policy_matrix
 
@@ -285,7 +286,8 @@ def test_ergodic_builds_each_frozen_policy_matrix_once(monkeypatch):
 @pytest.mark.parametrize("zoo_id, N, lam", [
     ("constant-coupling", None, 0.25), ("linear-B", None, 0.05),
     ("quadratic-plc", None, 0.05), ("eikonal-f", None, 0.01),
-    ("eikonal-f", 128, 0.01), ("eikonal-f", 1024, 0.01)])
+    ("eikonal-f", 128, 0.01), ("eikonal-f", 1024, 0.01),
+    ("linear-B", 128, 0.05), ("quadratic-plc", 64, 0.05)])
 def test_inverse_evaluation_matches_the_dense_solve(zoo_id, N, lam):
     # every policy the ergodic solve inverted, on the last sweep's cost
     sys_ = dl.standard_system(zoo_id, **({} if N is None else {"N": N}))
@@ -300,6 +302,26 @@ def test_inverse_evaluation_matches_the_dense_solve(zoo_id, N, lam):
             assert np.max(np.abs(fast - dense)) <= 1e-13 * scale
             checked += 1
     assert checked >= sys_.m
+
+
+@pytest.mark.parametrize("zoo_id, N, lam, tol, inversions, updates", [
+    ("eikonal-f", 128, 0.01, 1e-9, 1, 1),
+    ("linear-B", 128, 0.05, 1e-12, 2, 11),
+    ("quadratic-plc", 64, 0.05, 1e-12, 4, 12),
+    ("eikonal-f", 6, 0.01, 1e-12, 4, 0),
+    ("quadratic-plc", 8, 0.05, 1e-12, 12, 0)])
+def test_ergodic_inverse_work_is_pinned(zoo_id, N, lam, tol, inversions,
+                                        updates):
+    # a new frozen policy is an update of its nearest cached inverse when
+    # 8 * (entries changed) < S; S <= 8 never updates
+    sys_ = dl.standard_system(zoo_id, N=N)
+    before = dict(solver.WORK)
+    dl.ergodic_solve(sys_, lam, tol=tol)
+    assert solver.WORK["inversions"] - before["inversions"] == inversions
+    assert solver.WORK["inverse_updates"] - before["inverse_updates"] \
+        == updates
+    assert sum(len(s.inverses) for s in sys_.uncoupled) == \
+        inversions + updates
 
 
 def test_negative_tolerances_are_rejected(instance_a, monkeypatch):
