@@ -1,7 +1,9 @@
-"""Ergodic constants by damped fixed-point iteration.
+"""Ergodic constants by Anderson-mixed fixed-point iteration.
 
 One sweep of the map freezes the coupling slot at the current field,
-solves the uncoupled scalar systems, and renormalizes to minimum zero.
+solves the uncoupled scalar systems, and renormalizes to minimum zero;
+the next field mixes the last few sweeps (a damped step when there is
+no usable history).
 A fixed point solves H_discrete[u] = c exactly with c read off the
 normalization; for the eikonal family the constant equals minus the
 grid minimum of the forcing, here exactly -1 at every even resolution.

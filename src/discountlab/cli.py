@@ -96,29 +96,35 @@ def _coerce(name, kind, raw):
 def parse_config(text: str) -> ExperimentSpec:
     """Parse a flat key = value document into an ExperimentSpec.
 
-    Every line's key and raw value are read before any value is coerced,
-    so a ``BadValue`` for a value of a well-formed document carries the
-    document's ``output_dir`` (None when the document names none).
+    Every line is read before anything is raised, and every line's key
+    and raw value before any value is coerced, so the ``ParseError``,
+    ``UnknownKey`` or ``BadValue`` that rejects a document carries the
+    ``output_dir`` of its first well-formed ``output_dir = ...`` line
+    (None when it has none).  The first error in line order is raised.
     """
     known = {f.name: f.type for f in fields(ExperimentSpec)}
-    raws = {}
+    raws, error = {}, None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {raw_line!r}",
-                             line=lineno)
-        key, _, raw = line.partition("=")
+        key, eq, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
         field_name = _KEY_TO_FIELD.get(key, key)
-        if field_name not in known:
-            raise UnknownKey(f"unknown configuration key {key!r} "
-                             f"(line {lineno})")
-        if field_name in raws:
-            raise ParseError(f"duplicate key {key!r}", line=lineno)
-        raws[field_name] = raw
+        if not eq:
+            error = error or ParseError(
+                f"expected 'key = value', got {raw_line!r}", line=lineno)
+        elif field_name not in known:
+            error = error or UnknownKey(
+                f"unknown configuration key {key!r} (line {lineno})")
+        elif field_name in raws:
+            error = error or ParseError(f"duplicate key {key!r}",
+                                        line=lineno)
+        else:
+            raws[field_name] = raw
     try:
+        if error is not None:
+            raise error
         values = {name: _coerce(_FIELD_TO_KEY.get(name, name), known[name],
                                 raw)
                   for name, raw in raws.items()}
@@ -129,8 +135,9 @@ def parse_config(text: str) -> ExperimentSpec:
         if spec.pipeline not in PIPELINES:
             raise BadValue(f"pipeline must be one of {PIPELINES}, "
                            f"got {spec.pipeline!r}")
-    except BadValue as exc:
-        raise BadValue(str(exc), output_dir=raws.get("output_dir")) from None
+    except (ParseError, UnknownKey, BadValue) as exc:
+        exc.output_dir = raws.get("output_dir")
+        raise
     return spec
 
 
@@ -184,12 +191,22 @@ def dumps_precise(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+def _write_fresh(path: Path, text: str) -> bytes:
+    """Write ``text`` (UTF-8) to a new file at ``path`` and return its
+    bytes.  The old file is unlinked first: a new inode is cheaper than
+    truncating and rewriting one in place, and a write that fails leaves
+    none of the old content behind."""
+    data = text.encode()
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+    return data
+
+
 def _csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") if isinstance(v, float)
-                              else str(v) for v in row) + "\n")
+    lines = [",".join(header)]
+    lines += [",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                       for v in row) for row in rows]
+    _write_fresh(path, "\n".join(lines) + "\n")
 
 
 def emit_plotdata(sweep, path, probe=(0, 0)) -> None:
@@ -199,11 +216,11 @@ def emit_plotdata(sweep, path, probe=(0, 0)) -> None:
     gap to the next rung (nan on the last row).
     """
     k, z = probe
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# lambda value_at_probe sup_norm cauchy_gap\n")
-        for (lam, sup, gap, _), v in zip(sweep.csv_rows(), sweep.fields):
-            fh.write(" ".join(format(x, ".17g") for x in
-                              (lam, float(v[k, z]), sup, gap)) + "\n")
+    rows = [(lam, float(v[k, z]), sup, gap)
+            for (lam, sup, gap, _), v in zip(sweep.csv_rows(), sweep.fields)]
+    lines = ["# lambda value_at_probe sup_norm cauchy_gap"]
+    lines += [" ".join(format(x, ".17g") for x in row) for row in rows]
+    _write_fresh(Path(path), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +495,8 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
 
     result = {"pipeline": spec.pipeline, "instance": spec.instance,
               "seed": spec.seed, "pass": bool(passed), "sections": sections}
-    result_bytes = (dumps_precise(result) + "\n").encode()
-    (out / "result.json").write_bytes(result_bytes)
+    result_bytes = _write_fresh(out / "result.json",
+                                dumps_precise(result) + "\n")
     for name, (header, rows) in run.tables.items():
         _csv(out / f"{name}.csv", header, rows)
     manifest = {"spec": {(_FIELD_TO_KEY.get(f.name, f.name)):
@@ -493,7 +510,7 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
                 "stages": run.stages,
                 "wall_time_s": time.perf_counter() - started,
                 "determinism_sha256": hashlib.sha256(result_bytes).hexdigest()}
-    (out / "manifest.json").write_text(dumps_precise(manifest) + "\n")
+    _write_fresh(out / "manifest.json", dumps_precise(manifest) + "\n")
     return ExitReport(0 if passed else 1, str(out / "result.json"), passed)
 
 
@@ -501,7 +518,7 @@ def _write_error(out: Path, exc: DiscountLabError, pipeline, instance):
     """The ``"pass": false`` record of a run stopped by ``exc``."""
     record = {"error": {"type": type(exc).__name__, "message": str(exc)},
               "pipeline": pipeline, "instance": instance, "pass": False}
-    (out / "result.json").write_text(dumps_precise(record) + "\n")
+    _write_fresh(out / "result.json", dumps_precise(record) + "\n")
 
 
 def _version():

@@ -82,7 +82,12 @@ class DivergentSweep(DiscountLabError):
 
 
 class ParseError(DiscountLabError):
-    """Malformed experiment configuration text."""
+    """Malformed experiment configuration text.
+
+    ``.output_dir`` is set as on ``BadValue``.
+    """
+
+    output_dir = None
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -92,7 +97,12 @@ class ParseError(DiscountLabError):
 
 
 class UnknownKey(DiscountLabError):
-    """An experiment configuration used a key this package does not define."""
+    """An experiment configuration used a key this package does not define.
+
+    ``.output_dir`` is set as on ``BadValue``.
+    """
+
+    output_dir = None
 
 
 class BadValue(DiscountLabError):

@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import discountlab as dl
 from discountlab.cli import (PIPELINES, ExperimentSpec, dumps_precise,
                              emit_plotdata, main, parse_config,
                              run_experiment, serialize_config)
-from discountlab.errors import BadValue, ParseError, UnknownKey
+from discountlab.errors import (BadValue, DiscountLabError, ParseError,
+                                UnknownKey)
 
 
 def test_parse_minimal_config_fills_defaults():
@@ -225,12 +227,30 @@ def test_manifest_counts_each_stage_own_work(tmp_path):
     stages = {stage["name"]: stage["counters"] for stage in json.loads(
         (out / "manifest.json").read_text())["stages"]}
     assert all(set(c) == {"howard_steps", "policy_evaluations", "inversions",
-                          "inverse_updates", "lp_solves", "pivots"}
+                          "inverse_updates", "ergodic_sweeps", "lp_solves",
+                          "pivots"}
                for c in stages.values())
     assert stages["ergodic"]["howard_steps"] > 0
+    assert stages["ergodic"]["ergodic_sweeps"] == json.loads(
+        (out / "result.json").read_text())["sections"]["ergodic"][
+            "outer_iterations"]
     assert stages["ergodic"]["lp_solves"] == 0
     assert stages["mather"]["lp_solves"] == 1
     assert stages["mather"]["howard_steps"] == 0
+
+
+def test_manifest_reports_the_ergodic_sweeps(tmp_path):
+    # only the ergodic stage sweeps, on every pipeline that runs it; the
+    # count stays out of result.json (eikonal-f N=6 takes 6 sweeps)
+    for pipeline in ("sweep", "mather", "selection", "ergodic"):
+        out = tmp_path / pipeline
+        assert run_experiment(_small_spec(pipeline, out)).status == 0
+        stages = {stage["name"]: stage["counters"]["ergodic_sweeps"]
+                  for stage in json.loads(
+                      (out / "manifest.json").read_text())["stages"]}
+        assert stages.pop("ergodic") == 6, pipeline
+        assert not any(stages.values()), pipeline
+        assert "ergodic_sweeps" not in (out / "result.json").read_text()
 
 
 def test_full_sections_match_single_pipelines(tmp_path):
@@ -395,20 +415,43 @@ def test_result_json_is_strict_json(tmp_path):
 
 
 def test_rejected_config_replaces_an_earlier_record(tmp_path):
+    # a value, an unknown key, a line without "=" and a duplicate key,
+    # each placed before the output_dir line that the record goes to
     cfg = tmp_path / "exp.cfg"
     out = tmp_path / "o"
-    text = f"instance = eikonal-f\npipeline = solve\noutput_dir = {out}\n"
-    cfg.write_text(text)
-    assert main(["run", str(cfg)]) == 0
-    assert json.loads((out / "result.json").read_text())["pass"] is True
-    cfg.write_text(text + "lambda = abc\n")
-    assert main(["run", str(cfg)]) == 2
-    record = json.loads((out / "result.json").read_text())
-    assert record["pass"] is False
-    assert record["error"]["type"] == "BadValue"
-    with pytest.raises(BadValue) as info:
-        parse_config("instance = a\npipeline = dance\n")
-    assert info.value.output_dir is None
+    lines = ["instance = eikonal-f", "pipeline = solve", f"output_dir = {out}"]
+    for bad_line, error in (("lambda = abc", "BadValue"),
+                            ("lamda = 0.1", "UnknownKey"),
+                            ("no equals sign", "ParseError"),
+                            ("instance = linear-B", "ParseError")):
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["run", str(cfg)]) == 0
+        assert json.loads((out / "result.json").read_text())["pass"] is True
+        cfg.write_text("\n".join(lines[:2] + [bad_line] + lines[2:]) + "\n")
+        assert main(["run", str(cfg)]) == 2, bad_line
+        record = json.loads((out / "result.json").read_text())
+        assert record["pass"] is False, bad_line
+        assert record["error"]["type"] == error, bad_line
+        with pytest.raises(DiscountLabError) as info:
+            parse_config(f"instance = a\npipeline = dance\n{bad_line}\n")
+        assert info.value.output_dir is None
+
+
+def test_rerun_writes_new_files(tmp_path):
+    # a hard link to an earlier run's files keeps their content: the
+    # files are replaced, not rewritten in place
+    out = tmp_path / "o"
+    spec = _small_spec("sweep", out)
+    assert run_experiment(spec).status == 0
+    names = ("result.json", "manifest.json", "sweep.csv", "sweep.dat")
+    before = {}
+    for name in names:
+        (tmp_path / name).hardlink_to(out / name)
+        before[name] = (tmp_path / name).read_bytes()
+    assert run_experiment(replace(spec, lambda_start=0.25)).status == 0
+    for name in names:
+        assert (tmp_path / name).read_bytes() == before[name], name
+        assert (out / name).read_bytes() != before[name], name
 
 
 def test_dumps_precise_float_formatting():
