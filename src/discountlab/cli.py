@@ -58,7 +58,7 @@ class ExperimentSpec:
     rungs: int = 18
     tol: float = 1e-10
     ergodic_lambda: float = 0.05
-    ergodic_tol: float = 1e-10
+    ergodic_tol: float = limits.ERGODIC_TOL
     damping: float = 0.5
     grid_points: int = 0           # 0 = per-instance default
     xi_radius: float = 0.0         # 0 = per-instance default

@@ -58,6 +58,9 @@ FACE_DEDUP_TOL = 1e-7
 SUPPORT_TOL = 1e-9         # reduced cost above this: > 0
 LIMIT_GAP_TOL = 1e-5       # sweep limit vs selection field, sup norm
 PAIRING_TOL = 1e-6         # <nu, limit> over the Mather representatives
+# Default stopping rule of the ergodic solve that normalizes a system: an
+# error dc in the constant shows as dc / lam in the sweep's smallest rungs.
+ERGODIC_TOL = 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +76,7 @@ def shift_costs(sys: DiscreteSystem, shift) -> DiscreteSystem:
 
 
 def ergodic_normalize(sys: DiscreteSystem, lam: float = 0.05,
-                      tol: float = 1e-11, damping: float = 0.5):
+                      tol: float = ERGODIC_TOL, damping: float = 0.5):
     """Shift costs by the ergodic constants so the shifted constant is 0."""
     result = ergodic_solve(sys, lam, tol=tol, damping=damping)
     return shift_costs(sys, result.c), result

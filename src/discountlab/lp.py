@@ -26,10 +26,10 @@ infeasible for the problem takes the cold two-phase path instead.
 is factorized and priced once, and each right-hand side costs one solve
 for its basic values and the same certification, bit for bit.
 
-Problems here are desk scale (a few hundred rows and columns), so the
-tableau stays dense and every basis is factorized by ``np.linalg.solve``,
-and exact vertex answers feed the basis enumeration used as an
-independent oracle.
+Problems here are desk scale (a few hundred rows and columns): the
+revised simplex keeps A and X = [B^-1 | x_B] dense, a pivot updates X
+alone, and every basis is factorized by ``np.linalg.solve``.  Exact
+vertex answers feed the basis enumeration used as an independent oracle.
 
 An Infeasible return carries a Farkas certificate in ``ray``: the
 phase-1 duals, mapped to the original rows, give y with A^T y <= 0
@@ -57,7 +57,7 @@ REFACTOR_EVERY = 150
 MAX_BASES = 3_000_000       # most column subsets one enumeration solves
 ENUM_CHUNK = 65536          # column subsets solved per vectorized batch
 # Work done in this process so far, read by difference (manifest.json).
-WORK = {"lp_solves": 0, "pivots": 0}
+WORK = {"lp_solves": 0, "pivots": 0, "refactorizations": 0}
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -116,7 +116,7 @@ class LPSolution:
 
 def lp_solve(problem: LPProblem,
              basis: Optional[np.ndarray] = None) -> LPSolution:
-    """Two-phase dense primal simplex with certified returns.
+    """Two-phase revised primal simplex with certified returns.
 
     ``basis`` is the ``LPSolution.basis`` of a problem with the same
     constraint matrix and senses.  Phase 2 then starts from it, skipping
@@ -128,12 +128,12 @@ def lp_solve(problem: LPProblem,
     WORK["lp_solves"] += 1
     std = _Standardized(problem)
     budget = 200 * sum(std.A.shape) + 20000
-    state = None if basis is None else _warm_tableau(std, basis)
+    state = None if basis is None else _warm_start(std, basis)
     failed_warm = int(basis is not None and state is None)
 
     phase1 = 0
     if state is None:
-        state = _Tableau(std)
+        state = _Revised(std)
         if std.needs_phase1:
             cost1 = np.zeros(std.A.shape[1])
             cost1[std.artificial] = 1.0
@@ -176,7 +176,7 @@ def lp_solve_rhs(problem: LPProblem, basis, rhs) -> list:
     """
     columns = [replace(problem, b=b) for b in np.asarray(rhs, dtype=float).T]
     std = _Standardized(replace(problem, b=np.zeros(len(problem.b))))
-    state = _warm_tableau(std, basis)
+    state = _warm_start(std, basis)
     if state is None or state.entering(std.c, 0) >= 0:
         return [lp_solve(p, basis=basis) for p in columns]
     B = std.A[np.ix_(state.kept_rows, state.basis)]
@@ -221,8 +221,8 @@ def _certified(problem, std, state, xB, duals, iterations, counters):
                       basis=final, **counters)
 
 
-def _warm_tableau(std: "_Standardized", basis):
-    """Phase-2 tableau refactorized on a handed-back basis, or ``None``
+def _warm_start(std: "_Standardized", basis):
+    """Phase-2 kernel refactorized on a handed-back basis, or ``None``
     when that basis is singular or primal infeasible for ``std.b``,
     including on a row it drops as redundant."""
     basis = np.asarray(basis)
@@ -231,14 +231,13 @@ def _warm_tableau(std: "_Standardized", basis):
     if basis.shape != (rows,) or not np.issubdtype(basis.dtype, np.integer) \
             or np.any(basis < -1) or np.any(basis >= real):
         raise ValueError("basis does not fit this problem's standard form")
-    kept = np.nonzero(basis >= 0)[0]
-    state = _Tableau(std, np.maximum(basis, 0))
-    state.restrict(kept, std.artificial)
+    state = _Revised(std, np.maximum(basis, 0))
+    state.restrict(basis >= 0, basis >= 0, std.artificial)
     try:
         state.refactor()
     except NumericalBreakdown:
         return None
-    if _misses_dropped_rows(std, state, state.rhs, std.b):
+    if _misses_dropped_rows(std, state, state.X[:, -1], std.b):
         return None
     return state
 
@@ -313,23 +312,29 @@ class _Standardized:
         return y
 
 
-class _Tableau:
-    """Dense simplex tableau over a fixed standard-form matrix.
+class _Revised:
+    """Revised simplex over a fixed standard-form matrix.
 
-    The leaving row is chosen by Harris's ratio test under Dantzig
-    pricing and by the exact minimum ratio, least basic index first,
-    under Bland's rule.  The tableau is refactorized from the original
-    matrix every ``REFACTOR_EVERY`` pivots and before any optimality
-    verdict, so accumulated pivot drift can neither stall Bland's rule
-    on noise reduced costs nor produce a false optimum.  Every pivot is
-    a dense rank-1 update and every factorization a dense LU solve.
+    The kernel keeps the standard-form matrix A, in row order for pricing
+    and transposed once for reading columns, and one array
+    X = [B^-1 | x_B] (rows x rows+1), so a pivot is one rank-1 update of
+    X, not of a rows x cols tableau (Chvatal, *Linear Programming*, 1983,
+    ch. 7).  Pricing forms y = c_B B^-1 and then c - y A; the entering
+    column B^-1 a_q feeds the ratio test and the unbounded ray.  The
+    leaving row is chosen by Harris's ratio test under Dantzig pricing and
+    by the exact minimum ratio, least basic index first, under Bland's
+    rule.  X is rebuilt by one dense solve on B every ``REFACTOR_EVERY``
+    pivots and before any optimality verdict, so accumulated pivot drift
+    can neither stall Bland's rule on noise reduced costs nor produce a
+    false optimum.
     """
 
     def __init__(self, std: "_Standardized", basis=None):
-        self.A0 = std.A.copy()
-        self.b0 = std.b.copy()
-        self.T = std.A.copy()
-        self.rhs = std.b.copy()
+        self.A = std.A.copy()           # priced by rows: y A
+        self.AT = std.A.T.copy()        # read by columns: B^-1 a_q
+        self.eye_b = np.eye(len(std.b), len(std.b) + 1)    # [I | b]
+        self.eye_b[:, -1] = std.b
+        self.X = self.eye_b.copy()      # the cold start basis is I
         self.basis = (std.basis if basis is None else basis).astype(int)
         self.bland_after = 2 * sum(std.A.shape)
         self.kept_rows = np.arange(std.A.shape[0])
@@ -342,47 +347,44 @@ class _Tableau:
         return {"refactorizations": self.refactorizations + failed_warm,
                 "phase1_iterations": phase1, "bland": self.bland}
 
-    def _pivot(self, row, col):
-        piv = self.T[row, col]
-        self.T[row] /= piv
-        self.rhs[row] /= piv
-        factors = self.T[:, col].copy()
-        factors[row] = 0.0
-        self.T -= np.outer(factors, self.T[row])
-        self.rhs -= factors * self.rhs[row]
-        self.T[:, col] = 0.0
-        self.T[row, col] = 1.0
+    def column(self, q):
+        """The entering column B^-1 a_q."""
+        return self.X[:, :-1] @ self.AT[q]
+
+    def _pivot(self, row, col, d):
+        """Enter ``col`` at ``row``; ``d`` is ``column(col)``, overwritten."""
+        self.X[row] /= d[row]
+        d[row] = 0.0
+        self.X -= d[:, None] * self.X[row]
         self.basis[row] = col
         self.pivots_since_refactor += 1
 
     def refactor(self):
-        """Rebuild the tableau from the original data on the current basis."""
+        """Rebuild X by one solve on the current basis of the original A."""
         self.refactorizations += 1
-        B = self.A0[:, self.basis]
+        WORK["refactorizations"] += 1
         try:
-            X = np.linalg.solve(B, np.column_stack([self.A0, self.b0]))
+            self.X = np.linalg.solve(self.A[:, self.basis], self.eye_b)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"refactorization failed: {exc}")
-        self.T, self.rhs = X[:, :-1], X[:, -1]
-        self.T[:, self.basis] = 0.0
-        self.T[np.arange(len(self.basis)), self.basis] = 1.0
-        if float(np.min(self.rhs, initial=0.0)) < -FEAS_TOL:
+        rhs = self.X[:, -1]
+        if float(rhs.min(initial=0.0)) < -FEAS_TOL:
             raise NumericalBreakdown("refactorization lost feasibility")
-        np.maximum(self.rhs, 0.0, out=self.rhs)
+        np.maximum(rhs, 0.0, out=rhs)
         self.pivots_since_refactor = 0
 
     def objective(self, c):
-        return float(c[self.basis] @ self.rhs)
+        return float(c[self.basis] @ self.X[:, -1])
 
     def entering(self, c, it):
         """The column to enter at iteration ``it`` under costs ``c``, or -1
         when no reduced cost is below -OPT_TOL."""
-        red = c - c[self.basis] @ self.T
+        red = c - (c[self.basis] @ self.X[:, :-1]) @ self.A
         red[self.basis] = 0.0
         if it >= self.bland_after:
-            negs = np.nonzero(red < -OPT_TOL)[0]
+            negs = (red < -OPT_TOL).nonzero()[0]
             return int(negs[0]) if len(negs) else -1
-        cand = int(np.argmin(red))
+        cand = int(red.argmin())
         return cand if red[cand] < -OPT_TOL else -1
 
     def run(self, c, budget, start_iter=0):
@@ -396,25 +398,26 @@ class _Tableau:
                     return OPTIMAL, it
                 self.refactor()
                 continue
-            col = self.T[:, enter]
-            eligible = np.nonzero(col > 1e-9)[0]
+            col = self.column(enter)
+            eligible = (col > 1e-9).nonzero()[0]
             if len(eligible) == 0:
-                eligible = np.nonzero(col > PIVOT_TOL)[0]
+                eligible = (col > PIVOT_TOL).nonzero()[0]
             if len(eligible) == 0:
-                self.ray = self._ray(enter)
+                self.ray = np.zeros(len(self.AT))
+                self.ray[enter] = 1.0
+                self.ray[self.basis] = -col
                 return UNBOUNDED, it
-            alpha, rhs = col[eligible], self.rhs[eligible]
+            alpha, rhs = col[eligible], self.X[eligible, -1]
             ratios = rhs / alpha
             if it >= self.bland_after:
-                ties = eligible[ratios <= np.min(ratios) + 1e-12]
-                leave = int(ties[np.argmin(self.basis[ties])])
+                ties = eligible[ratios <= ratios.min() + 1e-12]
+                leave = int(ties[self.basis[ties].argmin()])
             else:
                 # Harris: the largest pivot among rows whose ratio is within
                 # the step that keeps every basic value above -FEAS_TOL
-                bound = np.min((rhs + FEAS_TOL) / alpha)
-                near = ratios <= bound
-                leave = int(eligible[near][np.argmax(alpha[near])])
-            self._pivot(leave, enter)
+                near = ratios <= ((rhs + FEAS_TOL) / alpha).min()
+                leave = int(eligible[near][alpha[near].argmax()])
+            self._pivot(leave, enter, col)
             self.bland |= it >= self.bland_after
             it += 1
             WORK["pivots"] += 1
@@ -422,45 +425,42 @@ class _Tableau:
                 raise NumericalBreakdown(
                     f"simplex exceeded {budget} iterations")
 
-    def _ray(self, enter):
-        d = np.zeros(self.T.shape[1])
-        d[enter] = 1.0
-        d[self.basis] = -self.T[:, enter]
-        return d
-
     def purge_artificials(self, artificial):
-        """Pivot zero-level artificials out of the basis, dropping rows
-        whose non-artificial entries are all zero (redundant rows)."""
-        drop = []
+        """Pivot zero-level artificials out of the basis, dropping each
+        whose row of B^-1 A is zero off the artificials, with the
+        constraint row it belongs to (a redundant row)."""
+        keep, rows = np.ones((2, len(self.basis)), dtype=bool)
         for r in range(len(self.basis)):
             if not artificial[self.basis[r]]:
                 continue
-            row = np.where(artificial, 0.0, np.abs(self.T[r]))
-            best = int(np.argmax(row))
+            row = np.where(artificial, 0.0, np.abs(self.X[r, :-1] @ self.A))
+            best = int(row.argmax())
             if row[best] > 1e-7:
-                self._pivot(r, best)
+                self._pivot(r, best, self.column(best))
             else:
-                drop.append(r)
-        keep = np.setdiff1d(np.arange(len(self.basis)), drop) if drop \
-            else slice(None)
-        self.restrict(keep, artificial)
+                keep[r] = False
+                rows[self.AT[self.basis[r]].argmax()] = False
+        self.restrict(keep, rows, artificial)
 
-    def restrict(self, keep, artificial):
-        """Keep only the tableau rows ``keep``; artificials never price
-        back in."""
-        self.T = self.T[keep]
-        self.rhs = self.rhs[keep]
-        self.basis = self.basis[keep]
-        self.kept_rows = self.kept_rows[keep]
-        self.A0 = self.A0[keep]
-        self.b0 = self.b0[keep]
-        self.T[:, artificial] = 0.0
-        self.A0[:, artificial] = 0.0
+    def restrict(self, keep, rows, artificial):
+        """Keep the basis positions flagged in ``keep`` and the constraint
+        rows flagged in ``rows``; artificials never price back in.  X stays
+        exact when each dropped position holds a dropped row's artificial;
+        else a refactor must follow."""
+        if not keep.all():
+            with_rhs = np.append(rows, True)
+            self.X = self.X[np.ix_(keep, with_rhs)]
+            self.eye_b = self.eye_b[np.ix_(rows, with_rhs)]
+            self.A = self.A[rows]
+            self.AT = self.AT[:, rows]
+            self.basis = self.basis[keep]
+            self.kept_rows = self.kept_rows[rows]
+        self.A[:, artificial] = 0.0
+        self.AT[artificial] = 0.0
 
     def basic_solve(self, B, rhs, transpose=False):
         """Fresh solve on the basis matrix ``B`` (the kept rows and basic
-        columns of the standard form), not the tableau: B^-1 rhs, or
-        B^-T rhs."""
+        columns of the standard form), not on X: B^-1 rhs, or B^-T rhs."""
         try:
             return np.linalg.solve(B.T if transpose else B, rhs)
         except np.linalg.LinAlgError as exc:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -21,6 +22,14 @@ def test_parse_minimal_config_fills_defaults():
     assert spec.pipeline == "duality"
     assert spec.lam == 1.0
     assert spec.rungs == 18 and spec.lambda_ratio == 0.5  # defaults
+
+
+def test_ergodic_tol_defaults_read_one_constant():
+    # the CLI key and ergodic_normalize stop the normalizing solve alike
+    spec = parse_config("instance = linear-B\npipeline = selection\n")
+    tol = inspect.signature(dl.limits.ergodic_normalize).parameters["tol"]
+    assert spec.ergodic_tol is tol.default is dl.limits.ERGODIC_TOL
+    assert dl.limits.ERGODIC_TOL == 1e-11
 
 
 def test_parse_rejects_unknown_pipeline():
@@ -228,14 +237,16 @@ def test_manifest_counts_each_stage_own_work(tmp_path):
         (out / "manifest.json").read_text())["stages"]}
     assert all(set(c) == {"howard_steps", "policy_evaluations", "inversions",
                           "inverse_updates", "ergodic_sweeps", "lp_solves",
-                          "pivots"}
+                          "pivots", "refactorizations"}
                for c in stages.values())
     assert stages["ergodic"]["howard_steps"] > 0
     assert stages["ergodic"]["ergodic_sweeps"] == json.loads(
         (out / "result.json").read_text())["sections"]["ergodic"][
             "outer_iterations"]
     assert stages["ergodic"]["lp_solves"] == 0
+    assert stages["ergodic"]["refactorizations"] == 0
     assert stages["mather"]["lp_solves"] == 1
+    assert stages["mather"]["refactorizations"] >= 1   # optimality check
     assert stages["mather"]["howard_steps"] == 0
 
 

@@ -299,9 +299,9 @@ def test_basis_must_fit_the_standard_form():
 
 def test_cold_path_keeps_its_pivot_counts():
     # pivots of the cold two-phase path on each zoo instance's first seed
-    # LP and summed-seed LP, the same since the first dense kernel
+    # LP and summed-seed LP, with reduced costs priced as c - (c_B B^-1) A
     counts = {"constant-coupling": (8, 8), "linear-B": (26, 26),
-              "quadratic-plc": (65, 62), "eikonal-f": (50, 50)}
+              "quadratic-plc": (65, 61), "eikonal-f": (50, 50)}
     for name, (seeded, summed) in counts.items():
         seeds, total = _measure_problems(name)
         assert lp_solve(seeds[0]).iterations == seeded, name
@@ -359,6 +359,36 @@ def test_kernel_counters():
     assert warm.iterations == warm.phase1_iterations == 0
     assert warm.refactorizations == 1
     assert not warm.bland
+
+
+def test_purge_drops_the_row_its_artificial_belongs_to():
+    # an artificial basic at another row's position (one that re-entered
+    # in phase 1): the redundant row dropped with it is its own, and the
+    # kept part of [B^-1 | x_B] is the inverse of the kept basis
+    std = _Standardized(LPProblem(c=[1.0, 1.0], A=[[1.0, 1.0], [1.0, 1.0]],
+                                  b=[1.0, 1.0], senses=["=", "="]))
+    state = lp._Revised(std, np.array([3, 0]))    # row 1's artificial first
+    state.refactor()
+    state.purge_artificials(std.artificial)
+    assert state.basis.tolist() == [0] and state.kept_rows.tolist() == [0]
+    kept = state.X.copy()
+    state.refactor()
+    assert np.array_equal(state.X, kept)
+
+
+def test_frequent_refactorization_keeps_the_optimum(monkeypatch):
+    # [B^-1 | x_B] rebuilt every 2 pivots: the rebuild path that few LPs
+    # reach at REFACTOR_EVERY = 150 gives the same certified optimum
+    problems = [_measure_problems(name)[1] for name in ZOO] + [_klee_minty(5)]
+    expected = [lp_solve(p) for p in problems]
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", 2)
+    for problem, ref in zip(problems, expected):
+        sol = lp_solve(problem)
+        _assert_certified(sol)
+        assert sol.status == ref.status
+        assert sol.objective_value == pytest.approx(ref.objective_value,
+                                                    rel=0.0, abs=1e-9)
+        assert sol.refactorizations >= sol.iterations // 2 > 0
 
 
 def test_warm_start_checks_the_rows_its_basis_dropped():
