@@ -551,7 +551,7 @@ def main(argv=None) -> int:
             spec = parse_config(text)
         except DiscountLabError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            out = getattr(exc, "output_dir", None)
+            out = exc.output_dir
             if out is not None and Path(out).is_dir():
                 # an earlier run's result.json must not outlive this config
                 try:

@@ -47,6 +47,7 @@ bit-identical to the operator used by the solver.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -161,10 +162,13 @@ def sample_controls(model_or_table, mode: int, xi_radius: float,
     always exactly representable), crossed with the given eta vectors.
     Each eta must satisfy the cone sign conditions exactly.  Costs come
     from the model's closed-form running cost when available, otherwise
-    from table lookups; a control without a finite cost is rejected.
+    from table lookups; a control without a finite cost is rejected, and
+    so is a negative or non-finite xi_radius (``BadValue``).
     """
     if xi_count < 1:
         raise BadValue("xi_count must be >= 1")
+    if not 0.0 <= xi_radius < math.inf:
+        raise BadValue(f"xi_radius must be finite and >= 0, got {xi_radius}")
     if isinstance(model_or_table, LagrangianTable):
         return _controls_from_table_grid(model_or_table, mode, xi_radius,
                                          xi_count, eta_spec)
@@ -224,9 +228,10 @@ class DiscreteSystem:
     cost: list              # per mode, (S, A_i)
     label: str = ""
     # Inverse policy matrices by (lam, policy.tobytes()) for
-    # ``policy_evaluate``, each inverted or updated from the nearest one
-    # at its lam: a dict on the ``uncoupled`` systems only, None (the
-    # dense solve) on every other system and ``replace`` copy.
+    # ``policy_evaluate``, each inverted or updated from the newest one
+    # when that is at its lam and close: a dict on the ``uncoupled``
+    # systems only, None (the dense solve) on every other system and
+    # ``replace`` copy.
     inverses: Optional[dict] = field(default=None, init=False)
 
     @property
@@ -370,9 +375,9 @@ def _certified_system(grid: TorusGrid, controls: Sequence[ModeControls],
 
     Verifies for every (i, x, a): finite cost, eta finite and exactly in
     cone(i), so nonpositive off-diagonal coefficients, and the diagonal
-    ``drift_stencil`` gives plus eta_{a,i} >= 0.  Rejects control sets
-    that do not cover all modes: each mode needs a control, and every eta
-    one entry per mode.
+    ``drift_stencil`` gives plus eta_{a,i} finite and >= 0 (a NaN or
+    infinite xi fails here).  Rejects control sets that do not cover all
+    modes: each mode needs a control, and every eta one entry per mode.
     """
     m = len(controls)
     if m == 0 or any(len(mc) == 0 or mc.eta.shape[1] != m
@@ -388,9 +393,10 @@ def _certified_system(grid: TorusGrid, controls: Sequence[ModeControls],
                 raise CouplingOutsideCone(
                     f"mode {i} control {a} eta={mc.eta[a].tolist()}")
             diag = drift_stencil(grid, mc.xi[a])[0] + mc.eta[a, i]
-            if diag < 0.0:
+            if not 0.0 <= diag < math.inf:
                 raise CouplingOutsideCone(
-                    f"mode {i} control {a}: negative diagonal {diag}")
+                    f"mode {i} control {a}: diagonal {diag} is negative "
+                    f"or not finite")
     return DiscreteSystem(grid=grid, controls=list(controls), cost=cost,
                           label=label)
 

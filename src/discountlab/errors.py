@@ -2,7 +2,13 @@
 
 
 class DiscountLabError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``.output_dir`` is the output directory that a rejected configuration
+    document names, when ``parse_config`` read one.
+    """
+
+    output_dir = None
 
 
 class BadDimension(DiscountLabError):
@@ -82,12 +88,7 @@ class DivergentSweep(DiscountLabError):
 
 
 class ParseError(DiscountLabError):
-    """Malformed experiment configuration text.
-
-    ``.output_dir`` is set as on ``BadValue``.
-    """
-
-    output_dir = None
+    """Malformed experiment configuration text."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -97,21 +98,8 @@ class ParseError(DiscountLabError):
 
 
 class UnknownKey(DiscountLabError):
-    """An experiment configuration used a key this package does not define.
-
-    ``.output_dir`` is set as on ``BadValue``.
-    """
-
-    output_dir = None
+    """An experiment configuration used a key this package does not define."""
 
 
 class BadValue(DiscountLabError):
-    """An experiment configuration value failed validation.
-
-    ``.output_dir`` is the output directory that a rejected configuration
-    document names, when ``parse_config`` read one.
-    """
-
-    def __init__(self, message, output_dir=None):
-        super().__init__(message)
-        self.output_dir = output_dir
+    """An experiment configuration value failed validation."""

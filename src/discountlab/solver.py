@@ -48,15 +48,15 @@ evaluations.  The first sweep starts cold.  Those evaluations keep
 landing on the same few policies, and a policy's matrix does not depend
 on the cost, so the frozen systems, and only they, evaluate through
 inverses stored on the system (``DiscreteSystem.inverses``, None on every
-other system).  Each (lam, policy) gets its inverse once, on first sight;
-a policy that differs from a cached one in few field entries gets it by
-a low-rank (Woodbury) update of the nearest cached inverse, any other by
-``np.linalg.inv``.  A value therefore depends on (lam, policy, cost) and,
-in the last bits, on which inverses the solve had cached before it: the
-same run repeats bit for bit, but one policy evaluated after another
-history may differ at roundoff.  Every other system, coarse copies of a
-frozen one included, is solved once per matrix with ``np.linalg.solve``,
-the oracle of the inverse path.
+other system).  Each (lam, policy) gets its inverse once, on first sight:
+by a low-rank (Woodbury) update of the newest cached inverse when that
+one is at lam and its policy differs from this one in few field entries,
+otherwise by ``np.linalg.inv``.  A value therefore depends on (lam,
+policy, cost) and, in the last bits, on the order of the inverses the
+solve had cached before it: the same run repeats bit for bit, but one
+policy evaluated after another history may differ at roundoff.  Every
+other system, coarse copies of a frozen one included, is solved once per
+matrix with ``np.linalg.solve``, the oracle of the inverse path.
 """
 
 from __future__ import annotations
@@ -167,11 +167,12 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
     are solved again with new costs (``DiscreteSystem.uncoupled``)
     carries a dict there, keyed by ``(lam, policy.tobytes())``, of the
     inverses of the matrices seen so far, filled on first sight by
-    ``_policy_inverse`` (a low-rank update of the nearest cached inverse
-    at lam, or a full inversion).  The value is then ``inv @ rhs`` plus
-    one step of iterative refinement, ``x -= inv @ r`` with r the
-    policy's rows of ``relations.apply(x)``; the refinement brings the
-    residual back to the level of a direct solve.  ``relations``, the
+    ``_policy_inverse`` (a low-rank update of the newest cached inverse
+    when it is at lam and its policy is close, else a full inversion).
+    The value is then ``inv @ rhs`` plus one step of iterative
+    refinement, ``x -= inv @ r`` with r the policy's rows of
+    ``relations.apply(x)``; the refinement brings the residual back to
+    the level of a direct solve.  ``relations``, the
     ``Relations(sys, lam)`` kernel that also gives the right-hand side,
     is built here when not given.
     """
@@ -202,28 +203,25 @@ def _policy_inverse(sys: DiscreteSystem, lam: float,
                     policy: Policy) -> np.ndarray:
     """Inverse of the policy matrix on a system that carries ``inverses``.
 
-    Take the cached inverse inv0 at lam whose policy differs from this
-    one in the fewest field entries r, k of them.  When UPDATE_RATIO * k
-    < S, the Woodbury identity updates it in O(k S^2): with D this
-    policy's rows r less inv0's, inv0 - inv0[:, r] (I + D inv0[:, r])^-1
-    D inv0 (singular only with the policy matrix: ``LinAlgError``).
-    Otherwise the matrix is built and inverted.  S <= UPDATE_RATIO skips
-    the scan.
+    The newest cached inverse inv0 (the dict keeps insertion order) is
+    updated when it is at lam, for a policy of this length that differs
+    from this one in k field entries r with UPDATE_RATIO * k < S: with D
+    this policy's rows r less inv0's, the Woodbury identity gives
+    inv0 - inv0[:, r] (I + D inv0[:, r])^-1 D inv0 in O(k S^2) (singular
+    only with the policy matrix: ``LinAlgError``).  Otherwise the matrix
+    is built and inverted.
     """
     flat = policy.ravel()
-    nearest = None
-    if UPDATE_RATIO < flat.size:
-        for (lam_k, bytes_k), inv in sys.inverses.items():
-            if lam_k == lam and len(bytes_k) == flat.nbytes:
-                old = np.frombuffer(bytes_k, dtype=flat.dtype)
-                changed = np.flatnonzero(old != flat)
-                if nearest is None or len(changed) < len(nearest[0]):
-                    nearest = changed, old, inv
-    if nearest is None or UPDATE_RATIO * len(nearest[0]) >= flat.size:
+    r = None
+    if sys.inverses:
+        (lam0, key0), inv0 = next(reversed(sys.inverses.items()))
+        if lam0 == lam and len(key0) == flat.nbytes:
+            old = np.frombuffer(key0, dtype=flat.dtype)
+            r = np.flatnonzero(old != flat)
+    if r is None or UPDATE_RATIO * len(r) >= flat.size:
         WORK["inversions"] += 1
         return np.linalg.inv(policy_matrix(sys, lam, policy))
     WORK["inverse_updates"] += 1
-    r, old, inv0 = nearest
     d = _linearized_rows(sys, lam, policy_rows(sys, policy)[r]) - \
         _linearized_rows(sys, lam, policy_rows(sys, old)[r])
     left = inv0[:, r]

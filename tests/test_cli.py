@@ -626,7 +626,7 @@ def test_pruned_exact_face_fits_the_default_budget(tmp_path, overrides):
 
 
 @pytest.mark.parametrize("pipeline, key", [
-    ("solve", "tol"), ("ergodic", "ergodic_tol")])
+    ("solve", "tol"), ("ergodic", "ergodic_tol"), ("solve", "xi_radius")])
 def test_negative_tolerance_is_a_usage_error(tmp_path, monkeypatch,
                                              pipeline, key):
     # rejected before any solve is made

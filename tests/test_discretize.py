@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import discountlab as dl
-from discountlab.discretize import (Relations, _linearized_rows,
-                                    bellman_policy,
+from discountlab.discretize import (ModeControls, Relations,
+                                    _linearized_rows, bellman_policy,
                                     coarse_system, control_values,
                                     default_eta_spec, drift_stencil,
                                     linearized_matrix, policy_matrix, prolong,
                                     sample_controls, system_from_json,
                                     system_to_json)
-from discountlab.errors import (BadDimension, BadResolution,
+from discountlab.errors import (BadDimension, BadResolution, BadValue,
                                 CouplingOutsideCone, MissingCost)
 
 
@@ -94,6 +94,27 @@ def test_sample_controls_rejects_cone_violations():
     m = dl.make_model("constant-coupling")
     with pytest.raises(CouplingOutsideCone):
         sample_controls(m, 0, 1.0, 3, [np.array([1.0, 1.0])])
+
+
+def test_sample_controls_rejects_bad_xi_radius():
+    # a negative radius would reverse the control order: [1, 0, -1]
+    m = dl.make_model("eikonal-f")
+    for radius in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(BadValue):
+            sample_controls(m, 0, radius, 3, [np.zeros(1)])
+        with pytest.raises(BadValue):
+            dl.standard_system("eikonal-f", N=8, xi_radius=radius)
+    assert sample_controls(m, 0, 0.0, 3, [np.zeros(1)]).xi.tolist() == \
+        [[0.0]] * 3
+
+
+@pytest.mark.parametrize("xi", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_drift_fails_the_certificate(xi):
+    # NaN passes a bare `diag < 0` test; an infinite weight is no stencil
+    mc = ModeControls(np.array([[0.0], [xi]]), np.zeros((2, 1)),
+                      lambda x: np.zeros((len(x), 2)))
+    with pytest.raises(CouplingOutsideCone):
+        dl.assemble_system(dl.build_grid(1, 8), [mc])
 
 
 def test_sample_controls_rejects_infinite_cost():

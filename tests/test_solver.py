@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import discountlab as dl
-from discountlab.discretize import Relations, bellman_policy
+from discountlab.discretize import Relations, bellman_policy, policy_matrix
 from discountlab import solver
 from discountlab.errors import (BadValue, NoConvergence, NotASubsolution,
                                 NotASupersolution)
@@ -373,7 +373,7 @@ def test_inverse_evaluation_matches_the_dense_solve(zoo_id, N, lam):
     ("quadratic-plc", 8, 0.05, 1e-12, 13, 0)])
 def test_ergodic_inverse_work_is_pinned(zoo_id, N, lam, tol, inversions,
                                         updates):
-    # a new frozen policy is an update of its nearest cached inverse when
+    # a new frozen policy is an update of the newest cached inverse when
     # 8 * (entries changed) < S; S <= 8 never updates
     sys_ = dl.standard_system(zoo_id, N=N)
     before = dict(solver.WORK)
@@ -383,6 +383,34 @@ def test_ergodic_inverse_work_is_pinned(zoo_id, N, lam, tol, inversions,
         == updates
     assert sum(len(s.inverses) for s in sys_.uncoupled) == \
         inversions + updates
+
+
+def test_a_new_policy_updates_only_the_newest_inverse():
+    # cache: all-left, then left/stay/right in turn; S = 64, so an update
+    # needs k < 8 changed entries
+    scalar = dl.standard_system("eikonal-f", N=64).uncoupled[0]
+    lam, S = 0.05, scalar.num_states
+    older = np.zeros((1, S), dtype=np.intp)
+    newer = np.arange(S, dtype=np.intp)[None, :] % 3
+    for policy in (older, newer):
+        policy_evaluate(scalar, lam, policy)
+    cached = dict(scalar.inverses)
+
+    def work_of(policy):
+        scalar.inverses = dict(cached)
+        before = dict(solver.WORK)
+        policy_evaluate(scalar, lam, policy)
+        return (solver.WORK["inversions"] - before["inversions"],
+                solver.WORK["inverse_updates"] - before["inverse_updates"])
+
+    near_newer, near_older = newer.copy(), older.copy()
+    near_newer[0, 10:17] = (newer[0, 10:17] + 1) % 3
+    near_older[0, 10:17] = 1
+    assert work_of(near_newer) == (0, 1)
+    inv = scalar.inverses[(lam, near_newer.tobytes())]
+    exact = np.linalg.inv(policy_matrix(scalar, lam, near_newer))
+    assert np.max(np.abs(inv - exact)) <= 1e-12 * np.max(np.abs(exact))
+    assert work_of(near_older) == (1, 0)
 
 
 def test_negative_tolerances_are_rejected(instance_a, monkeypatch):
