@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import limits, lp, measures, model, solver
+from . import discretize, limits, lp, measures, model, solver
 from .discretize import default_eta_spec, standard_system, system_from_json
 from .errors import (BadValue, DiscountLabError, ParseError, UnknownKey)
 from .model import ZOO_IDS
@@ -247,14 +247,15 @@ def _build_system(spec: ExperimentSpec):
 
 def _totals() -> dict:
     """The clock and the solvers' work counters, so far in this process."""
-    return dict(wall_s=time.perf_counter(), **solver.WORK, **lp.WORK)
+    return dict(wall_s=time.perf_counter(), **discretize.WORK, **solver.WORK,
+                **lp.WORK)
 
 
 def _stage(method):
     """A cached ``_Run`` stage that records in ``stages``, once, its wall
-    time and work ``counters`` (Howard steps, policy evaluations, full
-    and updated policy inverses, LP solves, pivots), less those of the
-    stages it triggered."""
+    time and work ``counters`` (stencil builds, Howard steps, policy
+    evaluations, full and updated policy inverses, LP solves, pivots),
+    less those of the stages it triggered."""
     name = method.__name__
 
     @wraps(method)

@@ -23,17 +23,22 @@ every lam > 0.  That certificate is what makes every downstream identity
 exact, and it is re-verified at assembly.
 
 A ``DiscreteSystem`` is its grid, each mode's controls and each mode's
-cost tensor; everything else about it is derived from those three.  The
-variants the package solves (shifted costs, frozen couplings, the grid
-of N/2 points) are ``dataclasses.replace`` copies of a system that
-change only the grid, the controls or the cost, and start with no
-``inverses``.
+cost tensor; everything else about it is derived from those three.
+Assembly runs once per mode, over the stacked control rows: one probe
+and one cost call of the model's ``lagrangian_hint``, and one cone and
+diagonal check that names the first failing control.  The variants the
+package solves (shifted costs, frozen couplings, the grid of N/2
+points) are ``dataclasses.replace`` copies of a system that change only
+the grid, the controls or the cost, and start with no ``inverses``; a
+cost-only copy comes from ``with_cost`` and shares the stencil and
+layout of the system it copies.
 
 The same stencil coefficients drive three consumers: the Bellman
 residual, the per-policy linear solves, and (transposed) the
 closed-measure constraint matrix.  ``DiscreteSystem.stencil`` is their
 single source: the lam-independent coefficients, built once per system
-as COO triplets, plus the diagonal slots where lam is added; next to it,
+(one scalar walk over the blocks, one numpy expansion over the grid) as
+COO triplets, plus the diagonal slots where lam is added; next to it,
 ``DiscreteSystem.layout`` is the flat (i, x, a) row order.  A
 ``Relations`` kernel, one per (system, lam), applies all the triplets
 to a field in one gather-multiply-``bincount``; the Bellman residual,
@@ -61,6 +66,8 @@ from .model import (HamiltonianModel, LagrangianTable, in_coupling_cone,
 
 ValueField = np.ndarray   # shape (m, S)
 Policy = np.ndarray       # int array, shape (m, S)
+# Work done in this process so far, read by difference (manifest.json).
+WORK = {"stencils": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +142,10 @@ def _control_rows(m: int, n: int, mode: int, xi_radius: float,
     for e in etas:
         if e.shape != (m,):
             raise CouplingOutsideCone(f"eta {e.tolist()} has wrong length")
-        if not in_coupling_cone(e, mode):
-            raise CouplingOutsideCone(
-                f"eta {e.tolist()} violates the cone of mode {mode}")
+    cone = in_coupling_cone(np.stack(etas), mode)
+    if not cone.all():
+        raise CouplingOutsideCone(f"eta {etas[int(cone.argmin())].tolist()} "
+                                  f"violates the cone of mode {mode}")
     xis = product_grid(_symmetric_axis(float(xi_radius), int(xi_count)), n)
     return (np.repeat(xis, len(etas), axis=0),
             np.tile(np.stack(etas), (len(xis), 1)))
@@ -177,20 +185,17 @@ def sample_controls(model_or_table, mode: int, xi_radius: float,
                                       xi_count, eta_spec)
     if model.lagrangian_hint is None:
         raise MissingCost(f"model {model.zoo_id!r} provides no cost source")
-    probe = np.zeros((1, model.n))
-    for r, e in zip(xi_rows, eta_rows):
-        val = np.asarray(model.lagrangian_hint(probe, mode, r, e), dtype=float)
-        if not np.all(np.isfinite(val)):
-            raise MissingCost(
-                f"no finite cost for mode {mode} control xi={r.tolist()}, "
-                f"eta={e.tolist()}")
 
     def cost_fn(x_points):
-        cols = [np.asarray(model.lagrangian_hint(x_points, mode, r, e),
-                           dtype=float)
-                for r, e in zip(xi_rows, eta_rows)]
-        return np.stack(cols, axis=-1)
+        return np.asarray(model.lagrangian_hint(x_points, mode, xi_rows,
+                                                eta_rows), dtype=float)
 
+    probe = cost_fn(np.zeros((1, model.n)))
+    finite = np.isfinite(probe).reshape(-1, len(xi_rows)).all(axis=0)
+    if not finite.all():
+        xi, eta = xi_rows[finite.argmin()], eta_rows[finite.argmin()]
+        raise MissingCost(f"no finite cost for mode {mode} control "
+                          f"xi={xi.tolist()}, eta={eta.tolist()}")
     return ModeControls(xi_rows, eta_rows, cost_fn)
 
 
@@ -297,31 +302,32 @@ class DiscreteSystem:
         rows (i, x, a) over all x are: the diagonal weight of xi_a . D_h
         (lam is added there), one block per upwind neighbor term, and one
         block per nonzero coupling eta_{a,j}.  Entries that share a
-        (row, column) are summed in this order by every consumer.
+        (row, column) are summed in this order by every consumer.  The
+        blocks are walked as scalars, each with its weight and source
+        states from ``drift_stencil``, then expanded over x at once.
         """
-        S, m = self.num_states, self.m
-        states = np.arange(S)
-        rows, cols, vals, on_diag = [], [], [], []
-
-        def block(r, c, v, diag=False):
-            rows.append(r)
-            cols.append(c)
-            vals.append(np.full(S, v, dtype=float))
-            on_diag.append(np.full(S, diag))
-
+        WORK["stencils"] += 1
+        S, states = self.num_states, np.arange(self.num_states)
+        # (mode, control, column block, value, source states) per block
+        slots, lam = [], []
         for i, mc in enumerate(self.controls):
-            for a in range(len(mc)):
-                r = self.layout.base[i * S:(i + 1) * S] + a
-                diag, terms = drift_stencil(self.grid, mc.xi[a])
-                block(r, i * S + states, diag, diag=True)
+            for a, (xi, eta) in enumerate(zip(mc.xi.tolist(),
+                                              mc.eta.tolist())):
+                diag, terms = drift_stencil(self.grid, xi)
+                lam.append(len(slots))
+                slots.append((i, a, i, diag, states))
                 for nbr, w in terms:
-                    block(r, i * S + nbr, w)
-                for j in range(m):
-                    if mc.eta[a, j] != 0.0:
-                        block(r, j * S + states, mc.eta[a, j])
-        return Stencil(rows=np.concatenate(rows), cols=np.concatenate(cols),
-                       vals=np.concatenate(vals),
-                       lam_slots=np.flatnonzero(np.concatenate(on_diag)))
+                    slots.append((i, a, i, w, nbr))
+                for j, e in enumerate(eta):
+                    if e != 0.0:
+                        slots.append((i, a, j, e, states))
+        mode, ctl, block, vals, srcs = zip(*slots)
+        rows = self.layout.base.reshape(-1, S)[list(mode)] \
+            + np.array(ctl)[:, None]
+        return Stencil(rows=rows.ravel(),
+                       cols=np.concatenate(srcs) + np.repeat(block, S) * S,
+                       vals=np.repeat(vals, S),
+                       lam_slots=(np.array(lam)[:, None] * S + states).ravel())
 
 
 class Stencil(NamedTuple):
@@ -376,8 +382,10 @@ def _certified_system(grid: TorusGrid, controls: Sequence[ModeControls],
     Verifies for every (i, x, a): finite cost, eta finite and exactly in
     cone(i), so nonpositive off-diagonal coefficients, and the diagonal
     ``drift_stencil`` gives plus eta_{a,i} finite and >= 0 (a NaN or
-    infinite xi fails here).  Rejects control sets that do not cover all
-    modes: each mode needs a control, and every eta one entry per mode.
+    infinite xi fails here).  Each mode's controls are checked at once,
+    and the first failing one is named.  Rejects control sets that do not
+    cover all modes: each mode needs a control, and every eta one entry
+    per mode.
     """
     m = len(controls)
     if m == 0 or any(len(mc) == 0 or mc.eta.shape[1] != m
@@ -388,15 +396,18 @@ def _certified_system(grid: TorusGrid, controls: Sequence[ModeControls],
             raise MissingCost(f"mode {i} cost tensor has shape {ci.shape}")
         if not np.all(np.isfinite(ci)):
             raise MissingCost(f"mode {i} has non-finite cost entries")
-        for a in range(len(mc)):
-            if not in_coupling_cone(mc.eta[a], i):
+        cone = in_coupling_cone(mc.eta, i)
+        # drift_stencil's diagonal, the sum of its weights, for every row
+        diag = (np.abs(mc.xi) * grid.N).sum(axis=1) + mc.eta[:, i]
+        bad = ~cone | ~((0.0 <= diag) & (diag < math.inf))
+        if bad.any():
+            a = int(bad.argmax())
+            if not cone[a]:
                 raise CouplingOutsideCone(
                     f"mode {i} control {a} eta={mc.eta[a].tolist()}")
-            diag = drift_stencil(grid, mc.xi[a])[0] + mc.eta[a, i]
-            if not 0.0 <= diag < math.inf:
-                raise CouplingOutsideCone(
-                    f"mode {i} control {a}: diagonal {diag} is negative "
-                    f"or not finite")
+            raise CouplingOutsideCone(
+                f"mode {i} control {a}: diagonal {diag[a]} is negative "
+                f"or not finite")
     return DiscreteSystem(grid=grid, controls=list(controls), cost=cost,
                           label=label)
 
@@ -529,6 +540,16 @@ def _accumulate(rows, cols, vals, nrows, ncols) -> np.ndarray:
 def policy_rows(sys: DiscreteSystem, policy: Policy) -> np.ndarray:
     """Flat (i, x, a) row the policy selects at each field entry i*S + x."""
     return sys.layout.base + policy.ravel()
+
+
+def with_cost(sys: DiscreteSystem, cost: list, label: str) -> DiscreteSystem:
+    """The copy of ``sys`` with another cost, the one way to make one.  The
+    grid and controls are the same, so it shares the stencil and layout
+    of ``sys`` (built there first if need be); it starts with no
+    ``inverses``."""
+    copy = replace(sys, cost=cost, label=label)
+    copy.__dict__.update(stencil=sys.stencil, layout=sys.layout)
+    return copy
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,13 @@ the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .discretize import DiscreteSystem, ValueField, linearized_matrix
+from .discretize import (DiscreteSystem, ValueField, linearized_matrix,
+                         with_cost)
 from .errors import (BadValue, DivergentSweep, EnumerationTooLarge,
                      InfeasibleLP, NumericalBreakdown, UnboundedLP)
 from .lp import (FEAS_TOL, INFEASIBLE, OPTIMAL, LPProblem,
@@ -69,10 +70,10 @@ ERGODIC_TOL = 1e-11
 
 def shift_costs(sys: DiscreteSystem, shift) -> DiscreteSystem:
     """New system with cost_i + shift_i (conjugate of subtracting shift_i
-    from the Hamiltonian of mode i)."""
+    from the Hamiltonian of mode i); it shares the stencil of ``sys``."""
     shift = np.asarray(shift, dtype=float) * np.ones(sys.m)
-    return replace(sys, cost=[c + s for c, s in zip(sys.cost, shift)],
-                   label=f"{sys.label}+shift")
+    return with_cost(sys, [c + s for c, s in zip(sys.cost, shift)],
+                     f"{sys.label}+shift")
 
 
 def ergodic_normalize(sys: DiscreteSystem, lam: float = 0.05,

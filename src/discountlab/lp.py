@@ -336,6 +336,7 @@ class _Revised:
         self.eye_b[:, -1] = std.b
         self.X = self.eye_b.copy()      # the cold start basis is I
         self.basis = (std.basis if basis is None else basis).astype(int)
+        self.artificial = std.artificial
         self.bland_after = 2 * sum(std.A.shape)
         self.kept_rows = np.arange(std.A.shape[0])
         self.ray = None
@@ -352,7 +353,12 @@ class _Revised:
         return self.X[:, :-1] @ self.AT[q]
 
     def _pivot(self, row, col, d):
-        """Enter ``col`` at ``row``; ``d`` is ``column(col)``, overwritten."""
+        """Enter ``col`` at ``row``; ``d`` is ``column(col)``, overwritten.
+        An artificial that leaves has its column zeroed, so it never prices
+        back in."""
+        if self.artificial[self.basis[row]]:
+            self.A[:, self.basis[row]] = 0.0
+            self.AT[self.basis[row]] = 0.0
         self.X[row] /= d[row]
         d[row] = 0.0
         self.X -= d[:, None] * self.X[row]

@@ -56,8 +56,10 @@ class HamiltonianModel:
     each other, as numpy broadcasts them; the result then has their
     broadcast shape, or any shape that broadcasts to it.
     ``lagrangian_hint(x, i, xi, eta)``, when present, returns the
-    closed-form running cost (``inf`` outside the domain); ``x`` may carry
-    leading axes, ``(xi, eta)`` is a single control.
+    closed-form running cost (``inf`` outside the domain) of a stack of
+    controls: ``xi`` has shape (A, n) and ``eta`` shape (A, m), one row
+    per control, ``x`` has shape (..., n), and the result has shape
+    (..., A), column a the cost of control a at every point.
     """
 
     m: int
@@ -73,20 +75,21 @@ class HamiltonianModel:
                                  np.asarray(u, dtype=float)), dtype=float)
 
 
-def cone_excess(eta, mode: int) -> float:
-    """How far eta lies outside cone(mode), by exact sign comparisons:
-    max(0, off-mode entries, -sum), or inf for a non-finite entry."""
-    excess = 0.0
-    for j, v in enumerate(eta):
-        if not math.isfinite(v):
-            return math.inf
-        if j != mode and v > excess:
-            excess = float(v)
-    return max(excess, -float(np.sum(eta)))
+def cone_excess(eta, mode: int) -> np.ndarray:
+    """How far each row of eta (..., m) lies outside cone(mode), by exact
+    sign comparisons: max(0, off-mode entries, -sum), or inf for a row
+    with a non-finite entry."""
+    eta = np.asarray(eta, dtype=float)
+    finite = np.isfinite(eta).all(axis=-1)
+    clean = np.where(finite[..., None], eta, 0.0)
+    total = clean.sum(axis=-1)
+    clean[..., mode] = 0.0          # so the row max is max(0, off-mode)
+    return np.where(finite, np.maximum(clean.max(axis=-1), -total), np.inf)
 
 
-def in_coupling_cone(eta, mode: int) -> bool:
-    """Exact membership of eta in cone(mode): ``cone_excess`` is 0."""
+def in_coupling_cone(eta, mode: int) -> np.ndarray:
+    """Exact membership of each row of eta in cone(mode): ``cone_excess``
+    is 0."""
     return cone_excess(eta, mode) == 0.0
 
 
@@ -114,9 +117,9 @@ def make_model(zoo_id: str, **params) -> HamiltonianModel:
             return np.abs(p[..., 0]) + u[..., i] + off
 
         def lag(x, i, xi, eta):
-            if abs(float(xi[0])) > 1.0 or not _eta_is(eta, _unit(2, i)):
-                return _inf_like(x)
-            return np.zeros(np.shape(x)[:-1]) - off
+            ok = _domain(xi, 1.0) & _eta_is(eta, _unit(2, i))
+            zero = np.zeros(np.shape(x)[:-1] + (1,))
+            return zero - np.where(ok, off, -np.inf)
 
         return HamiltonianModel(2, 1, H, lag, zoo_id, opts)
 
@@ -134,9 +137,8 @@ def make_model(zoo_id: str, **params) -> HamiltonianModel:
             return np.abs(p[..., 0]) - _lb_forcing(x, i) + coupling
 
         def lag(x, i, xi, eta):
-            if abs(float(xi[0])) > 1.0 or not _eta_is(eta, B[i]):
-                return _inf_like(x)
-            return _lb_forcing(x, i)
+            ok = _domain(xi, 1.0) & _eta_is(eta, B[i])
+            return np.where(ok, _lb_forcing(x, i)[..., None], np.inf)
 
         return HamiltonianModel(2, 1, H, lag, zoo_id, {"B": B})
 
@@ -152,13 +154,12 @@ def make_model(zoo_id: str, **params) -> HamiltonianModel:
 
         def lag(x, i, xi, eta):
             # eta traces the segment {s*(e_i - e_other) : 0 <= s <= theta}
-            e = np.asarray(eta, dtype=float)
-            s = e[i]
-            seg = np.zeros(2)
-            seg[i], seg[1 - i] = s, -s
-            if not (0.0 <= s <= th and _eta_is(e, seg)):
-                return _inf_like(x)
-            return 0.5 * float(xi[0]) ** 2 + _qp_potential(x, i)
+            s = np.asarray(eta, dtype=float)[:, i]
+            seg = np.outer(s, _unit(2, i) - _unit(2, 1 - i))
+            ok = (0.0 <= s) & (s <= th) & _eta_is(eta, seg)
+            cost = 0.5 * np.asarray(xi, dtype=float)[:, 0] ** 2 \
+                + _qp_potential(x, i)[..., None]
+            return np.where(ok, cost, np.inf)
 
         return HamiltonianModel(2, 1, H, lag, zoo_id, opts)
 
@@ -174,9 +175,8 @@ def make_model(zoo_id: str, **params) -> HamiltonianModel:
             return np.abs(p[..., 0]) - f(x)
 
         def lag(x, i, xi, eta):
-            if abs(float(xi[0])) > 1.0 or not _eta_is(eta, np.zeros(1)):
-                return _inf_like(x)
-            return f(x)
+            ok = _domain(xi, 1.0) & _eta_is(eta, np.zeros(1))
+            return np.where(ok, f(x)[..., None], np.inf)
 
         return HamiltonianModel(1, 1, H, lag, zoo_id, opts)
 
@@ -196,13 +196,15 @@ def _unit(m, i):
     return e
 
 
+def _domain(xi, radius):
+    """Per control row: not |xi_0| > radius (so a NaN drift is kept)."""
+    return ~(np.abs(np.asarray(xi, dtype=float)[:, 0]) > radius)
+
+
 def _eta_is(eta, target):
+    """Per control row: eta equals target (a row, or one row per control)."""
     eta = np.asarray(eta, dtype=float)
-    return eta.shape == np.shape(target) and bool(np.all(eta == target))
-
-
-def _inf_like(x):
-    return np.full(np.shape(x)[:-1], np.inf)
+    return np.all(eta == target, axis=-1)
 
 
 def _lb_forcing(x, i):
@@ -514,7 +516,7 @@ def legendre_transform(model: HamiltonianModel, mode: int, x,
     P = np.repeat(p_grid, len(u_grid), axis=0)
     U = np.tile(u_grid, (len(p_grid), 1))
     values = np.full((len(x_points), len(xi_grid), len(eta_grid)), np.inf)
-    admissible = np.array([in_coupling_cone(e, mode) for e in eta_grid])
+    admissible = in_coupling_cone(eta_grid, mode)
     for ix, xp in enumerate(x_points):
         hvals = model.eval(np.broadcast_to(xp, (len(P), model.n)), mode, P, U)
         for b, eta in enumerate(eta_grid):
@@ -593,7 +595,7 @@ def check_coupling_domain(table: LagrangianTable) -> StructureReport:
     count = 0
     for (x, xi, eta, _val) in table.finite_entries():
         count += 1
-        excess = cone_excess(eta, table.mode)
+        excess = float(cone_excess(eta, table.mode))
         if excess > worst:
             worst = excess
             witness = {"x": np.asarray(x).tolist(), "xi": xi.tolist(),

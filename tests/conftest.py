@@ -93,10 +93,9 @@ def two_d_system():
         return np.abs(p[..., 0]) + np.abs(p[..., 1]) - f(x)
 
     def lag2(x, i, xi, eta):
-        if max(abs(float(xi[0])), abs(float(xi[1]))) > 1.0 \
-                or float(eta[0]) != 0.0:
-            return np.full(np.shape(x)[:-1], np.inf)
-        return f(x)
+        # one column per control row of (xi, eta)
+        ok = (np.abs(xi).max(axis=1) <= 1.0) & (eta[:, 0] == 0.0)
+        return np.where(ok, f(x)[..., None], np.inf)
 
     model = dl.HamiltonianModel(1, 2, H2, lag2)
     controls = [dl.sample_controls(model, 0, 1.0, 3, [np.zeros(1)])]

@@ -235,10 +235,13 @@ def test_manifest_counts_each_stage_own_work(tmp_path):
     assert run_experiment(_small_spec("full", out)).status == 0
     stages = {stage["name"]: stage["counters"] for stage in json.loads(
         (out / "manifest.json").read_text())["stages"]}
-    assert all(set(c) == {"howard_steps", "policy_evaluations", "inversions",
-                          "inverse_updates", "ergodic_sweeps", "lp_solves",
-                          "pivots", "refactorizations"}
+    assert all(set(c) == {"stencils", "howard_steps", "policy_evaluations",
+                          "inversions", "inverse_updates", "ergodic_sweeps",
+                          "lp_solves", "pivots", "refactorizations"}
                for c in stages.values())
+    # the base system's and the frozen mode's; the cost-shifted copy that
+    # the limit stages run on shares the base system's
+    assert sum(c["stencils"] for c in stages.values()) == 2
     assert stages["ergodic"]["howard_steps"] > 0
     assert stages["ergodic"]["ergodic_sweeps"] == json.loads(
         (out / "result.json").read_text())["sections"]["ergodic"][

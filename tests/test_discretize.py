@@ -1,16 +1,17 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 import discountlab as dl
-from discountlab.discretize import (ModeControls, Relations,
+from discountlab.discretize import (WORK, ModeControls, Relations, Stencil,
                                     _linearized_rows, bellman_policy,
                                     coarse_system, control_values,
                                     default_eta_spec, drift_stencil,
                                     linearized_matrix, policy_matrix, prolong,
                                     sample_controls, system_from_json,
-                                    system_to_json)
+                                    system_to_json, with_cost)
 from discountlab.errors import (BadDimension, BadResolution, BadValue,
                                 CouplingOutsideCone, MissingCost)
 
@@ -121,6 +122,34 @@ def test_sample_controls_rejects_infinite_cost():
     m = dl.make_model("eikonal-f")
     with pytest.raises(MissingCost):
         sample_controls(m, 0, 2.0, 3, [np.zeros(1)])
+
+
+def test_sample_controls_names_the_first_control_without_a_cost():
+    # finite everywhere but at the middle control, xi = 0
+    def lag(x, i, xi, eta):
+        return np.where(xi[:, 0] == 0.0, np.inf, 1.0) \
+            + np.zeros(np.shape(x)[:-1] + (1,))
+
+    model = dl.HamiltonianModel(1, 1, lambda x, i, p, u: np.abs(p[..., 0]),
+                                lag)
+    with pytest.raises(MissingCost, match=re.escape(
+            "no finite cost for mode 0 control xi=[0.0], eta=[0.0]")):
+        sample_controls(model, 0, 1.0, 3, [np.zeros(1)])
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (2, 1)])
+def test_certificate_names_the_first_failing_control(bad):
+    # a cone violation (eta = -1 < 0 in a one-mode system) and a NaN drift
+    # on two controls: the lower-numbered one is reported, as in a loop
+    # over the controls that checks the cone before the diagonal
+    cone, drift = bad
+    xi, eta = np.zeros((4, 1)), np.zeros((4, 1))
+    eta[cone], xi[drift] = -1.0, np.nan
+    mc = ModeControls(xi, eta, lambda x: np.zeros((len(x), 4)))
+    message = "mode 0 control 1 eta=[-1.0]" if cone == 1 else \
+        "mode 0 control 1: diagonal nan is negative or not finite"
+    with pytest.raises(CouplingOutsideCone, match=f"^{re.escape(message)}$"):
+        dl.assemble_system(dl.build_grid(1, 8), [mc])
 
 
 def test_upwind_directional_examples():
@@ -255,6 +284,73 @@ def test_stencil_matches_row_by_row_reference(zoo_id):
             assert np.array_equal(policy_matrix(sys_, lam, policy), A[rows])
             some = rng.choice(rows, size=3, replace=False)
             assert np.array_equal(_linearized_rows(sys_, lam, some), A[some])
+
+
+def _reference_stencil(sys_):
+    """``DiscreteSystem.stencil`` built the slow way: for each control, one
+    numpy block per slot (diagonal, upwind neighbors, nonzero couplings),
+    concatenated at the end."""
+    S, states = sys_.num_states, np.arange(sys_.num_states)
+    rows, cols, vals, on_diag = [], [], [], []
+
+    def block(r, c, v, diag=False):
+        rows.append(r)
+        cols.append(c)
+        vals.append(np.full(S, v, dtype=float))
+        on_diag.append(np.full(S, diag))
+
+    for i, mc in enumerate(sys_.controls):
+        for a in range(len(mc)):
+            r = sys_.layout.base[i * S:(i + 1) * S] + a
+            diag, terms = drift_stencil(sys_.grid, mc.xi[a])
+            block(r, i * S + states, diag, diag=True)
+            for nbr, w in terms:
+                block(r, i * S + nbr, w)
+            for j in range(sys_.m):
+                if mc.eta[a, j] != 0.0:
+                    block(r, j * S + states, mc.eta[a, j])
+    return Stencil(rows=np.concatenate(rows), cols=np.concatenate(cols),
+                   vals=np.concatenate(vals),
+                   lam_slots=np.flatnonzero(np.concatenate(on_diag)))
+
+
+_STENCIL_CASES = {
+    **{zoo: lambda request, zoo=zoo: dl.standard_system(zoo)
+       for zoo in dl.model.ZOO_IDS},
+    # N = 2: each axis's forward neighbor is its backward neighbor
+    "two-d-2": lambda request: request.getfixturevalue("two_d_system")(2),
+    "two-d-4": lambda request: request.getfixturevalue("two_d_system")(4),
+    # loaded from JSON, couplings of both signs, 18 and 17 controls
+    "loaded-uneven": lambda request: request.getfixturevalue(
+        "instance_b_uneven"),
+    "uncoupled": lambda request: dl.standard_system(
+        "quadratic-plc").uncoupled[1],
+    "coarse": lambda request: coarse_system(dl.standard_system("linear-B",
+                                                               N=16)),
+}
+
+
+@pytest.mark.parametrize("case", _STENCIL_CASES)
+def test_stencil_matches_the_block_by_block_reference(case, request):
+    # the same triplets in the same order, bit for bit, so every bincount
+    # over them sums exactly as the reference's would
+    sys_ = _STENCIL_CASES[case](request)
+    for got, ref in zip(sys_.stencil, _reference_stencil(sys_)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_cost_only_copies_share_the_stencil():
+    sys_ = dl.standard_system("quadratic-plc")
+    built = WORK["stencils"]
+    shifted = dl.shift_costs(sys_, [1.0, 2.0])
+    copy = with_cost(shifted, [c.copy() for c in sys_.cost], "again")
+    assert WORK["stencils"] == built + 1        # the parent's, built once
+    assert shifted.stencil is sys_.stencil is copy.stencil
+    assert shifted.layout is sys_.layout is copy.layout
+    assert shifted.label == "quadratic-plc+shift" and copy.inverses is None
+    assert np.array_equal(shifted.cost[1], sys_.cost[1] + 2.0)
+    assert np.array_equal(linearized_matrix(copy, 0.5),
+                          _reference_linearized(sys_, 0.5))
 
 
 def _reference_control_values(sys_, lam, u):

@@ -5,8 +5,8 @@ import discountlab as dl
 from discountlab import limits
 from discountlab.errors import (BadValue, DivergentSweep, NumericalBreakdown,
                                UnboundedLP)
-from discountlab.lp import (OPTIMAL, LPProblem, enumerate_basic_solutions,
-                            lp_solve)
+from discountlab.lp import (OPTIMAL, LPProblem, _Standardized,
+                            enumerate_basic_solutions, lp_solve)
 from discountlab.limits import (closedness_residual, ergodic_normalize,
                                 face_support, mather_from_sweep,
                                 stencil_norm)
@@ -291,6 +291,27 @@ def _support_by_columns(A_exact, b_exact, dual):
         basis = sol.basis
         positive |= sol.x[:weights] > limits.SUPPORT_TOL
     return candidates[positive[candidates]]
+
+
+def test_no_artificial_re_enters_on_the_face_oracle_lps(request,
+                                                       monkeypatch):
+    # on the eikonal-f-10 face, row 9's artificial prices negative again in
+    # phase 1 of the oracle's first LP after it has left the basis
+    sys_ = _face_system("eikonal-f-10", request)
+    _, min_value, dual = dl.mather_lp(sys_)
+    A_exact, b_exact = limits.exact_face(sys_, min_value)
+    artificial = _Standardized(LPProblem(
+        c=np.zeros(A_exact.shape[1]), A=A_exact, b=b_exact,
+        senses=["="] * len(b_exact))).artificial
+    entered, pivot = [], dl.lp._Revised._pivot
+
+    def recording(state, row, col, d):
+        entered.append(col)
+        return pivot(state, row, col, d)
+
+    monkeypatch.setattr(dl.lp._Revised, "_pivot", recording)
+    _support_by_columns(A_exact, b_exact, dual)
+    assert entered and not artificial[entered].any()
 
 
 @pytest.mark.parametrize("case", _FALLBACK_FACES + ["eikonal-f-flat-16",

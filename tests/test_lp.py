@@ -330,7 +330,7 @@ def test_subsolution_lp_keeps_its_pivot_counts():
     # measured on the dense kernel, the one path every LP runs
     counts = [("quadratic-plc", {}, 49), ("quadratic-plc", {"N": 16}, 103),
               ("eikonal-f", {"N": 6}, 7), ("linear-B", {}, 28),
-              ("constant-coupling", {}, 32)]
+              ("constant-coupling", {}, 30)]
     for name, kwargs, pivots in counts:
         _, sol = _subsolution_problem(name, **kwargs)
         assert sol.iterations == pivots, (name, kwargs)
