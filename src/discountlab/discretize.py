@@ -208,18 +208,16 @@ def _controls_from_table_grid(table: LagrangianTable, mode: int,
         raise MissingCost(f"table covers mode {table.mode}, not {mode}")
     xi_rows, eta_rows = _control_rows(table.m, table.n, mode, xi_radius,
                                       xi_count, eta_spec)
-    cols = []
-    for r, e in zip(xi_rows, eta_rows):
-        try:
-            vals = table.lookup(r, e)
-        except KeyError as exc:
-            raise MissingCost(str(exc))
-        if not np.all(np.isfinite(vals)):
-            raise MissingCost(f"table cost infinite at xi={r.tolist()}, "
-                              f"eta={e.tolist()}")
-        cols.append(np.asarray(vals, dtype=float))
-    return ModeControls(xi_rows, eta_rows,
-                        _table_cost_fn(table, np.stack(cols, axis=-1)))
+    try:
+        values = table.lookup(xi_rows, eta_rows)
+    except KeyError as exc:
+        raise MissingCost(exc.args[0])
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        r = int(finite.argmin())
+        raise MissingCost(f"table cost infinite at xi={xi_rows[r].tolist()}, "
+                          f"eta={eta_rows[r].tolist()}")
+    return ModeControls(xi_rows, eta_rows, _table_cost_fn(table, values))
 
 
 # ---------------------------------------------------------------------------

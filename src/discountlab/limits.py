@@ -51,7 +51,7 @@ from .lp import (FEAS_TOL, INFEASIBLE, OPTIMAL, LPProblem,
                  enumerate_basic_solutions, lp_solve)
 from .measures import MeasureVector, _measure_of, _measure_problem, \
     assemble_closed_constraints, check_subsolution, green_poisson, \
-    subsolution_lp, validate_lam0_rows
+    subsolution_lp, validate_rows
 from .solver import ergodic_solve, policy_iterate
 
 DIVERGENCE_BOUND = 1e6
@@ -311,7 +311,7 @@ def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
         exhaustive = False
     rows = np.zeros((len(vertices), ncols))
     rows[:, support] = vertices[:, :-1]
-    validate_lam0_rows(rows)
+    validate_rows(sys, 0.0, rows)
     return MatherSet(representatives=[MeasureVector.from_flat(sys, row, 0.0)
                                       for row in _dedup(rows)],
                      min_value=min_value, exhaustive=exhaustive,

@@ -23,8 +23,10 @@ phase 2 from it and is optimal after 0 pivots whenever the basis is
 primal feasible for the new ``b``.  A basis that is singular or primal
 infeasible for the problem takes the cold two-phase path instead.
 ``lp_solve_rhs`` does this for many right-hand sides at once: the basis
-is factorized and priced once, and each right-hand side costs one solve
-for its basic values and the same certification, bit for bit.
+is priced once, one batched LAPACK call solves every right-hand side's
+basic values (one LU per right-hand side, not one shared), the screens
+run elementwise over all of them, and each keeps its own certification
+residuals, bit for bit as its own warm-started LP.
 
 Problems here are desk scale (a few hundred rows and columns): the
 revised simplex keeps A and X = [B^-1 | x_B] dense, a pivot updates X
@@ -157,8 +159,11 @@ def lp_solve(problem: LPProblem,
 
     B = std.A[np.ix_(state.kept_rows, state.basis)]
     xB = state.basic_solve(B, std.b[state.kept_rows])
-    return _certified(problem, std, state, xB, state.duals(std, B),
-                      iterations, counters)
+    [sol] = _certified(problem, std, state, xB[None], problem.b[:, None],
+                       state.duals(std, B), iterations, counters)
+    if isinstance(sol, NumericalBreakdown):
+        raise sol
+    return sol
 
 
 def lp_solve_rhs(problem: LPProblem, basis, rhs) -> list:
@@ -168,57 +173,61 @@ def lp_solve_rhs(problem: LPProblem, basis, rhs) -> list:
 
     An optimal basis stays optimal for every right-hand side it keeps
     primal feasible (Chvatal, *Linear Programming*, 1983, ch. 10), so the
-    standard form, the basis factorization, the duals and the pricing
-    are shared.  A column gets its own ``lp_solve`` when the basis does
-    not fit it or it fails certification, or when it has a negative entry
-    (which flips its row in the standard form); every column does when
-    the basis is singular or not optimal.
+    standard form, the duals and the pricing are shared.  One batched
+    ``np.linalg.solve`` gives every column its basic values, by one LU of
+    B per column as the column's own solve does (one solve of B against
+    all columns moves bits), and the screens run over all columns at
+    once.  A column gets its own ``lp_solve`` when the basis does not fit
+    it or it fails certification, or when it has a negative entry (which
+    flips its row in the standard form); every column does when the
+    basis is singular or not optimal.
     """
-    columns = [replace(problem, b=b) for b in np.asarray(rhs, dtype=float).T]
+    rhs = np.asarray(rhs, dtype=float)
     std = _Standardized(replace(problem, b=np.zeros(len(problem.b))))
     state = _warm_start(std, basis)
     if state is None or state.entering(std.c, 0) >= 0:
-        return [lp_solve(p, basis=basis) for p in columns]
+        return [lp_solve(replace(problem, b=b), basis=basis) for b in rhs.T]
     B = std.A[np.ix_(state.kept_rows, state.basis)]
-    duals, counters = state.duals(std, B), state.counters(0, 0)
-
-    def on_basis(p):
-        """``p``'s 0-pivot solution on this basis, or ``None`` when the
-        basis does not fit ``p.b`` or fails certification."""
-        if np.any(p.b < 0.0):
-            return None         # a flipped row changes the standard form
-        xB = state.basic_solve(B, p.b[state.kept_rows])
-        if np.min(xB, initial=0.0) < -FEAS_TOL \
-                or _misses_dropped_rows(std, state, xB, p.b):
-            return None
-        try:
-            return _certified(p, std, state, xB, duals, 0, counters)
-        except NumericalBreakdown:
-            return None
-
-    return [on_basis(p) or lp_solve(p, basis=basis) for p in columns]
+    duals = state.duals(std, B)
+    XB = state.basic_solve(np.broadcast_to(B, (rhs.shape[1],) + B.shape),
+                           rhs[state.kept_rows].T[..., None])[..., 0]
+    misfit = np.any(rhs < 0.0, axis=0) \
+        | (np.min(XB, axis=1, initial=0.0) < -FEAS_TOL)
+    fits = [j for j in np.flatnonzero(~misfit).tolist()
+            if not _misses_dropped_rows(std, state, XB[j], rhs[:, j])]
+    sols = dict(zip(fits, _certified(problem, std, state, XB[fits],
+                                     rhs[:, fits], duals, 0,
+                                     state.counters(0, 0))))
+    return [sols[j] if isinstance(sols.get(j), LPSolution)
+            else lp_solve(replace(problem, b=b), basis=basis)
+            for j, b in enumerate(rhs.T)]
 
 
-def _certified(problem, std, state, xB, duals, iterations, counters):
-    """The Optimal solution with basic values ``xB`` on ``state``'s basis,
-    once its primal feasibility and complementary slackness residuals
-    pass; ``duals`` is the pair ``state.duals(std, B)``."""
+def _certified(problem, std, state, XB, rhs, duals, iterations, counters):
+    """Per row of ``XB``, the basic values on ``state``'s basis for that
+    column of ``rhs``: the Optimal solution once its primal feasibility
+    and complementary slackness residuals pass, else the (unraised)
+    ``NumericalBreakdown``; ``duals`` is the pair ``state.duals(std, B)``."""
     y_kept, red = duals
-    x_std = np.zeros(std.A.shape[1])
-    x_std[state.basis] = xB
-    x = std.to_original(x_std)
+    X_std = np.zeros((len(XB), std.A.shape[1]))
+    X_std[:, state.basis] = XB
+    slackness = np.max(np.abs(X_std * red), axis=1, initial=0.0).tolist()
     dual = std.dual_to_original(y_kept, state.kept_rows)
-    feas = _primal_residual(problem, x, std.equality)
-    cs = float(np.max(np.abs(x_std * red), initial=0.0))
-    if feas > FEAS_TOL or cs > CS_TOL:
-        raise NumericalBreakdown(
-            f"certification failed: feasibility {feas:.3e}, slackness {cs:.3e}")
-    obj = float(problem.c @ x)
     final = np.full(len(std.b), -1)
     final[state.kept_rows] = state.basis
-    return LPSolution(OPTIMAL, x, obj, dual, iterations,
-                      feasibility_residual=feas, slackness_residual=cs,
-                      basis=final, **counters)
+    out = []
+    for x_std, b, cs in zip(X_std, rhs.T, slackness):
+        x = std.to_original(x_std)
+        feas = _primal_residual(problem, b, x, std.equality)
+        if feas > FEAS_TOL or cs > CS_TOL:
+            out.append(NumericalBreakdown(f"certification failed: feasibility "
+                                          f"{feas:.3e}, slackness {cs:.3e}"))
+            continue
+        out.append(LPSolution(OPTIMAL, x, float(problem.c @ x), dual.copy(),
+                              iterations, feasibility_residual=feas,
+                              slackness_residual=cs, basis=final.copy(),
+                              **counters))
+    return out
 
 
 def _warm_start(std: "_Standardized", basis):
@@ -479,9 +488,10 @@ class _Revised:
         return y, std.c - std.A[self.kept_rows].T @ y
 
 
-def _primal_residual(p: LPProblem, x: np.ndarray, equality) -> float:
-    """Worst violation of ``p`` at ``x``; ``equality`` flags its '=' rows."""
-    res = p.A @ x - p.b
+def _primal_residual(p: LPProblem, b, x: np.ndarray, equality) -> float:
+    """Worst violation of ``p``'s rows with right-hand side ``b`` at ``x``;
+    ``equality`` flags its '=' rows."""
+    res = p.A @ x - b
     # '<=' rows count only their excess.  As in a max over the rows from
     # 0.0, a NaN row is skipped (fmax) and a zero result is +0.0.
     worst = max(0.0, float(np.fmax.reduce(

@@ -30,9 +30,10 @@ one cold LP and its duals:
 - the measure minimum is one LP seeded with sum e_(k,z).  Its optimal
   basis is dual feasible for every seed, so it is optimal for each seed
   e_(k,z) that it keeps primal feasible, B^-1 e_(k,z) >= 0.  One pass of
-  ``lp_solve_rhs`` certifies every seed from that one basis, exactly as
-  the seed's own LP would be certified, and solves a seed that the
-  basis does not fit as its own LP;
+  ``lp_solve_rhs`` certifies every seed on that basis, bit for bit as
+  the seed's own warm LP: one batched LAPACK call solves each seed's
+  basic values, the screens run over all seeds at once, and a seed that
+  the basis does not fit is solved as its own LP;
 - the subsolution maximum is read off the duals of that same LP.  Its
   LP dual is max sum u s.t. A u <= L, the greatest-subsolution LP: for
   lam > 0 the subsolutions have a greatest element (the solution), so
@@ -95,8 +96,7 @@ class MeasureVector:
 
     def discount_mass(self, sys: DiscreteSystem) -> float:
         """<mu, (lam + sum_j eta_j) 1>, the discounted normalization."""
-        return sum(float((w * (self.lam_tag + mc.eta.sum(axis=1))).sum())
-                   for w, mc in zip(self.weights, sys.controls))
+        return float(self.flat() @ _mass_coefficients(sys, self.lam_tag))
 
     def pair_cost(self, sys: DiscreteSystem) -> float:
         return float(sum((w * sys.cost[i]).sum()
@@ -112,13 +112,7 @@ class MeasureVector:
         return np.concatenate([w.sum(axis=1) for w in self.weights])
 
     def validate(self, sys: DiscreteSystem):
-        if self.lam_tag > 0.0:
-            _check_nonnegative(self.flat())
-            norm = self.discount_mass(sys)
-            if abs(norm - 1.0) > MASS_TOL:
-                raise BadValue(f"discounted mass {norm} != 1")
-        else:
-            validate_lam0_rows(self.flat()[None, :])
+        validate_rows(sys, self.lam_tag, self.flat()[None, :])
 
     def tv_distance(self, other: "MeasureVector") -> float:
         return float(sum(np.abs(a - b).sum()
@@ -133,18 +127,30 @@ class MeasureVector:
         return {"lambda_tag": self.lam_tag, "entries": entries}
 
 
-def _check_nonnegative(rows: np.ndarray):
-    if float(np.min(rows, initial=0.0)) < 0.0:
-        raise BadValue("negative weight")
+def _mass_coefficients(sys: DiscreteSystem, lam: float) -> np.ndarray:
+    """lam + sum_j eta_{a,j} at every flat (i, x, a) row: pairing a
+    measure with it gives its discounted mass."""
+    return np.concatenate([np.tile(lam + mc.eta.sum(axis=1), sys.num_states)
+                           for mc in sys.controls])
 
 
-def validate_lam0_rows(rows: np.ndarray):
-    """The lam = 0 validity rule on flat weight rows, one measure per row:
-    every weight >= 0 and every total mass <= 1 + ZERO_MASS_TOL."""
-    _check_nonnegative(rows)
-    mass = float(np.max(rows.sum(axis=1), initial=0.0))
-    if mass > 1.0 + ZERO_MASS_TOL:
-        raise BadValue(f"mass {mass} exceeds 1")
+def validate_rows(sys: DiscreteSystem, lam: float, rows: np.ndarray):
+    """The measure-validity rule on flat weight rows, one measure per row:
+    every weight >= 0, and the discounted mass within ``MASS_TOL`` of 1
+    for lam > 0, the total mass at most 1 + ``ZERO_MASS_TOL`` for lam = 0.
+    The ``BadValue`` raised names the first failing row."""
+    negative = np.min(rows, axis=1, initial=0.0) < 0.0
+    if lam > 0.0:
+        mass = rows @ _mass_coefficients(sys, lam)
+        bad, rule = np.abs(mass - 1.0) > MASS_TOL, "discounted mass {} != 1"
+    else:
+        mass = rows.sum(axis=1)
+        bad, rule = mass > 1.0 + ZERO_MASS_TOL, "mass {} exceeds 1"
+    bad |= negative
+    if bad.any():
+        r = int(bad.argmax())
+        raise BadValue(f"measure row {r}: " + ("negative weight" if negative[r]
+                                                else rule.format(mass[r])))
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +197,21 @@ def _measure_problem(sys: DiscreteSystem, lam: float, z: Optional[int] = None,
     return problem
 
 
+def _measure_rows(sys: DiscreteSystem, lam: float, sols) -> np.ndarray:
+    """The weight rows, clamped at 0, of measure-LP solutions, once every
+    solution is Optimal and every row passes ``validate_rows``."""
+    for sol in sols:
+        if sol.status != OPTIMAL:
+            raise SingularSystem(f"measure LP returned {sol.status}")
+    rows = np.maximum(np.stack([sol.x for sol in sols]), 0.0)
+    validate_rows(sys, lam, rows)
+    return rows
+
+
 def _measure_of(sys: DiscreteSystem, lam: float, sol):
     """The validated measure of a measure-LP solution, and the solution."""
-    if sol.status != OPTIMAL:
-        raise SingularSystem(f"measure LP returned {sol.status}")
-    mu = MeasureVector.from_flat(sys, np.maximum(sol.x, 0.0), lam)
-    mu.validate(sys)
-    return mu, sol
+    return MeasureVector.from_flat(sys, _measure_rows(sys, lam, [sol])[0],
+                                   lam), sol
 
 
 def green_poisson(sys: DiscreteSystem, lam: float, z: int, k: int):
@@ -363,7 +377,8 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
     The measure side is one LP seeded with the sum of all point masses;
     one ``lp_solve_rhs`` pass over its optimal basis then certifies every
     point's seed, and solves a seed the basis does not fit as its own LP.
-    Each seed's measure is validated as ``green_poisson``'s is.  The
+    Each seed's measure is validated as ``green_poisson``'s is, all in
+    one call.  The
     subsolution side is that LP's duals, the greatest subsolution; a
     dual field with a Bellman residual above ``FEAS_TOL`` anywhere is no
     subsolution and raises ``NumericalBreakdown``.
@@ -380,12 +395,9 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
     check_subsolution(sys, lam, sub, "summed-seed duals")
     points = [(z, k) for k in range(sys.m) for z in range(sys.num_states)]
     seeds = lp_solve_rhs(problem, summed.basis, np.eye(len(problem.b)))
-    reports = []
-    for (z, k), sol in zip(points, seeds):
-        _measure_of(sys, lam, sol)
-        reports.append(_duality_report(z, k, lam, float(u[k, z]), sol,
-                                       float(sub[k, z])))
-    return reports
+    _measure_rows(sys, lam, seeds)
+    return [_duality_report(z, k, lam, float(u[k, z]), sol, float(sub[k, z]))
+            for (z, k), sol in zip(points, seeds)]
 
 
 @dataclass

@@ -454,19 +454,27 @@ class LagrangianTable:
             yield (self.x_points[ix], self.xi_grid[a], self.eta_grid[b],
                    float(self.values[ix, a, b]))
 
-    def lookup(self, xi, eta) -> np.ndarray:
-        """Per-x values at an exact (xi, eta) grid match, else raises."""
-        a = _grid_index(self.xi_grid, xi)
-        b = _grid_index(self.eta_grid, eta)
+    def lookup(self, xi_rows, eta_rows) -> np.ndarray:
+        """Per-x values at exact (xi, eta) grid matches, one column per
+        row pair, (nx, len(xi_rows)); raises ``KeyError`` naming the first
+        pair off the grids."""
+        xi_rows = np.asarray(xi_rows, dtype=float)
+        eta_rows = np.asarray(eta_rows, dtype=float)
+        a = _grid_indices(self.xi_grid, xi_rows)
+        b = _grid_indices(self.eta_grid, eta_rows)
+        missing = (a < 0) | (b < 0)
+        if missing.any():
+            r = int(missing.argmax())
+            raise KeyError(f"control xi={xi_rows[r].tolist()}, "
+                           f"eta={eta_rows[r].tolist()} not on the table grids")
         return self.values[:, a, b]
 
 
-def _grid_index(grid, point):
-    point = np.asarray(point, dtype=float)
-    hits = np.nonzero(np.all(np.abs(grid - point) <= 1e-12, axis=1))[0]
-    if len(hits) == 0:
-        raise KeyError(f"point {point.tolist()} not on grid")
-    return int(hits[0])
+def _grid_indices(grid, points) -> np.ndarray:
+    """Per point, the first grid row within 1e-12 of it in every
+    coordinate, or -1."""
+    hits = np.all(np.abs(grid[None] - points[:, None]) <= 1e-12, axis=2)
+    return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
 
 
 def _as_grid(arr, width):

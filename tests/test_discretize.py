@@ -492,6 +492,42 @@ def test_table_backed_sampling_rejects_missing_points():
         sample_controls(tab, 0, 0.5, 3, [np.zeros(1)])   # 0.5 not on grid
 
 
+def _hint_table(model, mode, x_points, xi_grid, eta_grid):
+    """The model's closed-form cost at every grid (x, xi, eta), as a table."""
+    xi_rows = np.repeat(xi_grid, len(eta_grid), axis=0)
+    eta_rows = np.tile(eta_grid, (len(xi_grid), 1))
+    values = model.lagrangian_hint(x_points, mode, xi_rows, eta_rows)
+    return dl.model.LagrangianTable(
+        mode=mode, m=model.m, n=model.n, x_points=x_points, xi_grid=xi_grid,
+        eta_grid=eta_grid, values=values.reshape(len(x_points), len(xi_grid),
+                                                 len(eta_grid)))
+
+
+def test_table_backed_costs_are_the_hint_costs():
+    # a table of the hint's own values on grids wider than the samples
+    # and out of order: the row lookup finds every control's column
+    model, g = dl.make_model("quadratic-plc"), dl.build_grid(1, 8)
+    etas = default_eta_spec(model, 1)
+    xi_grid = np.array([[1.0], [-2.0], [0.0], [-0.5], [-1.0], [2.0]])
+    eta_grid = np.vstack([etas[1], [0.5, -0.5], etas[0]])
+    tab = _hint_table(model, 1, g.x, xi_grid, eta_grid)
+    from_table = sample_controls(tab, 1, 1.0, 3, etas)
+    from_hint = sample_controls(model, 1, 1.0, 3, etas)
+    assert len(from_table) == 6
+    assert np.array_equal(from_table.xi, from_hint.xi)
+    assert np.array_equal(from_table.eta, from_hint.eta)
+    assert np.array_equal(from_table.cost_fn(g.x), from_hint.cost_fn(g.x))
+    # the first control off the grids (xi = 0.5), then the first control
+    # with an infinite cost, is the one named
+    with pytest.raises(MissingCost, match=re.escape(
+            f"xi=[0.5], eta={etas[0].tolist()} not on the table grids")):
+        sample_controls(tab, 1, 0.5, 3, etas)
+    tab.values[5, 2, 0] = np.inf
+    with pytest.raises(MissingCost, match=re.escape(
+            f"infinite at xi=[0.0], eta={etas[1].tolist()}")):
+        sample_controls(tab, 1, 1.0, 3, etas)
+
+
 # ---------------------------------------------------------------------------
 # grid coarsening
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def unpruned_face(sys_):
     _, min_value, _ = dl.mather_lp(sys_)
     A, b = limits.exact_face(sys_, min_value)
     raw = enumerate_basic_solutions(A, b, tol=1e-8)[:, :-1]
-    dl.measures.validate_lam0_rows(raw)
+    dl.measures.validate_rows(sys_, 0.0, raw)
     return limits._dedup(raw)
 
 

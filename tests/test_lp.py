@@ -516,6 +516,47 @@ def test_rhs_pass_checks_the_rows_its_basis_dropped(monkeypatch):
         _assert_same_solution(sol, lp_solve(replace(first, b=b), basis=basis))
 
 
+def test_rhs_pass_reads_the_kept_rows_of_each_column(monkeypatch):
+    # row 2 is row 1 minus row 0: the warm basis drops it, so the batched
+    # screens read rows 0, 1 and 3 of each column.  The columns: three
+    # the basis fits, one that passes the min(x_B) screen but misses the
+    # dropped row, one with a negative basic value, one negative entry
+    first = LPProblem(c=[1.0, 2.0, 1.0, 0.0],
+                      A=[[1.0, 1.0, 0.0, 0.0], [1.0, 2.0, 1.0, 0.0],
+                         [0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]],
+                      b=[2.0, 5.0, 3.0, 4.0], senses=["=", "=", "=", "<="])
+    basis = lp_solve(first).basis
+    assert list(basis).index(-1) == 2
+    rhs = np.array([[2.0, 5.0, 3.0, 4.0], [3.0, 7.0, 4.0, 4.0],
+                    [0.0, 4.0, 4.0, 4.0], [2.0, 6.0, 3.0, 4.0],
+                    [1.0, 1.0, 0.0, 4.0], [2.0, 5.0, 3.0, -1.0]]).T
+    sols, handed = _rhs_pass(first, basis, rhs, monkeypatch)
+    assert handed == 3
+    assert [sol.iterations for sol in sols[:3]] == [0, 0, 0]
+    assert sols[3].status == INFEASIBLE
+    for b, sol in zip(rhs.T, sols):
+        _assert_same_solution(sol, lp_solve(replace(first, b=b), basis=basis))
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_rhs_pass_makes_two_basic_solves_whatever_k(k, monkeypatch):
+    # the duals, then every column's basic values in one batched call
+    seeds, summed = _measure_problems("quadratic-plc")
+    basis = lp_solve(summed).basis
+    calls = []
+    solve = lp._Revised.basic_solve
+
+    def counted(self, B, rhs, transpose=False):
+        calls.append(transpose)
+        return solve(self, B, rhs, transpose)
+
+    monkeypatch.setattr(lp._Revised, "basic_solve", counted)
+    sols = lp_solve_rhs(summed, basis,
+                        np.stack([p.b for p in seeds[:k]], axis=1))
+    assert calls == [True, False]
+    assert all(sol.iterations == 0 for sol in sols) and len(sols) == k
+
+
 class _LoopStandardized:
     """The column-by-column standard form the kernel used to build: the
     reference that the array construction must reproduce bit for bit."""

@@ -280,6 +280,22 @@ def test_field_duality_audit_checks_its_dual_field(instance_b, monkeypatch):
         dl.field_duality_audit(instance_b, 0.5)
 
 
+def test_field_duality_audit_validates_every_seed_measure(instance_a,
+                                                          monkeypatch):
+    # one seed's weights doubled: its discounted mass reads 2, and the
+    # one validation of all seed rows names that seed's row
+    solve = dl.measures.lp_solve_rhs
+
+    def doubled(problem, basis, rhs):
+        sols = solve(problem, basis, rhs)
+        sols[5] = replace(sols[5], x=2.0 * sols[5].x)
+        return sols
+
+    monkeypatch.setattr(dl.measures, "lp_solve_rhs", doubled)
+    with pytest.raises(BadValue, match="measure row 5: discounted mass 2"):
+        dl.field_duality_audit(instance_a, 0.5)
+
+
 def test_field_duality_audit_rejects_zero_lambda(instance_a):
     with pytest.raises(BadValue):
         dl.field_duality_audit(instance_a, 0.0)
