@@ -536,7 +536,16 @@ def _accumulate(rows, cols, vals, nrows, ncols) -> np.ndarray:
 
 
 def policy_rows(sys: DiscreteSystem, policy: Policy) -> np.ndarray:
-    """Flat (i, x, a) row the policy selects at each field entry i*S + x."""
+    """Flat (i, x, a) row the policy selects at each field entry i*S + x.
+
+    For lam > 0 these rows are also a feasible basis of every measure LP
+    (``measures.assemble_closed_constraints``) whose b >= 0: those LPs
+    have only '=' rows and no free columns, so their standard-form
+    columns are the weight columns in order.  The basis matrix is
+    ``policy_matrix(sys, lam, policy)``^T, and the M-matrix certificate
+    makes its inverse nonnegative (d'Epenoux, Management Science 10,
+    1963).
+    """
     return sys.layout.base + policy.ravel()
 
 

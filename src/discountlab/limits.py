@@ -38,20 +38,20 @@ the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .discretize import (DiscreteSystem, ValueField, linearized_matrix,
-                         with_cost)
+                         policy_rows, with_cost)
 from .errors import (BadValue, DivergentSweep, EnumerationTooLarge,
                      InfeasibleLP, NumericalBreakdown, UnboundedLP)
 from .lp import (FEAS_TOL, INFEASIBLE, OPTIMAL, LPProblem,
                  enumerate_basic_solutions, lp_solve)
 from .measures import MeasureVector, _measure_of, _measure_problem, \
-    assemble_closed_constraints, check_subsolution, green_poisson, \
-    subsolution_lp, validate_rows
+    assemble_closed_constraints, check_subsolution, subsolution_lp, \
+    validate_rows
 from .solver import ergodic_solve, policy_iterate
 
 DIVERGENCE_BOUND = 1e6
@@ -95,6 +95,7 @@ class SweepResult:
     cauchy_gaps: list
     sup_norms: list              # max |v| per rung
     divergent: bool = False
+    policies: list = field(default_factory=list)   # Howard's, per rung
 
     @property
     def limit_candidate(self) -> ValueField:
@@ -130,14 +131,15 @@ def discount_sweep(sys: DiscreteSystem, lam_start: float = 0.5,
     """
     if not lam_start > 0.0 or not (0.0 < ratio < 1.0) or rungs < 2:
         raise BadValue("need lam_start > 0, ratio in (0,1), rungs >= 2")
-    lambdas, fields, diags, norms = [], [], [], []
+    lambdas, fields, diags, norms, policies = [], [], [], [], []
     u_prev = None
     divergent = False
     for j in range(rungs):
         lam = lam_start * ratio ** j
-        u, _, diag = policy_iterate(sys, lam, tol=tol, u0=u_prev)
+        u, policy, diag = policy_iterate(sys, lam, tol=tol, u0=u_prev)
         lambdas.append(lam)
         fields.append(u)
+        policies.append(policy)
         diags.append(diag)
         norms.append(float(np.max(np.abs(u))))
         u_prev = u
@@ -147,7 +149,8 @@ def discount_sweep(sys: DiscreteSystem, lam_start: float = 0.5,
     gaps = [float(np.max(np.abs(fields[j + 1] - fields[j])))
             for j in range(len(fields) - 1)]
     return SweepResult(lambdas=lambdas, fields=fields, diagnostics=diags,
-                       cauchy_gaps=gaps, sup_norms=norms, divergent=divergent)
+                       cauchy_gaps=gaps, sup_norms=norms, divergent=divergent,
+                       policies=policies)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +172,18 @@ def mather_from_sweep(sys: DiscreteSystem, sweep: SweepResult, z: int,
                       k: int) -> MeasureVector:
     """lam * (optimal measure) at the smallest rung, re-tagged lam = 0.
 
-    Its closedness residual is O(lam_min) and <nu, L> = lam * v_k(z).
+    The Green-Poisson LP starts from the basis of the sweep's policy at
+    that rung, which is optimal: the measure returned is lam times that
+    policy's occupation measure seeded at (z, k), one optimal vertex of
+    the LP.  Its closedness residual is O(lam_min) and
+    <nu, L> = lam * v_k(z).
     """
     if sweep.divergent:
         raise DivergentSweep("sweep was flagged divergent")
     lam = sweep.lambdas[-1]
-    mu, _ = green_poisson(sys, lam, z, k)
+    basis = policy_rows(sys, sweep.policies[-1])
+    mu, _ = _measure_of(sys, lam, lp_solve(_measure_problem(sys, lam, z, k),
+                                           basis=basis))
     weights = [lam * w for w in mu.weights]
     return MeasureVector(lam_tag=0.0, weights=weights)
 

@@ -59,7 +59,8 @@ REFACTOR_EVERY = 150
 MAX_BASES = 3_000_000       # most column subsets one enumeration solves
 ENUM_CHUNK = 65536          # column subsets solved per vectorized batch
 # Work done in this process so far, read by difference (manifest.json).
-WORK = {"lp_solves": 0, "pivots": 0, "refactorizations": 0}
+WORK = {"lp_solves": 0, "pivots": 0, "phase1_pivots": 0,
+        "refactorizations": 0}
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -140,6 +141,7 @@ def lp_solve(problem: LPProblem,
             cost1 = np.zeros(std.A.shape[1])
             cost1[std.artificial] = 1.0
             status, phase1 = state.run(cost1, budget)
+            WORK["phase1_pivots"] += phase1
             if status == UNBOUNDED:
                 raise NumericalBreakdown("phase 1 reported unbounded")
             if state.objective(cost1) > FEAS_TOL:

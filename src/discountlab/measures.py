@@ -24,12 +24,15 @@ agreement at one point to fixed tolerances and is the package's central
 oracle.
 
 ``field_duality_audit`` obtains the three numbers at every point from
-one cold LP and its duals:
+one LP and its duals:
 
 - the solver value is read off one policy iteration;
-- the measure minimum is one LP seeded with sum e_(k,z).  Its optimal
-  basis is dual feasible for every seed, so it is optimal for each seed
-  e_(k,z) that it keeps primal feasible, B^-1 e_(k,z) >= 0.  One pass of
+- the measure minimum is one LP seeded with sum e_(k,z), started from
+  the basis of the cheapest control at every field entry (a crash
+  basis: no phase 1), never from the solver's policy, so that it finds
+  its own optimum.  That optimal basis is dual feasible for every seed,
+  so it is optimal for each seed e_(k,z) that it keeps primal
+  feasible, B^-1 e_(k,z) >= 0.  One pass of
   ``lp_solve_rhs`` certifies every seed on that basis, bit for bit as
   the seed's own warm LP: one batched LAPACK call solves each seed's
   basic values, the screens run over all seeds at once, and a seed that
@@ -371,14 +374,21 @@ def duality_audit(sys: DiscreteSystem, lam: float, z: int, k: int,
 
 
 def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
-    """``duality_audit`` at every (z, k), mode-major, from one cold LP and
-    its duals.
+    """``duality_audit`` at every (z, k), mode-major, from one LP and its
+    duals.
 
-    The measure side is one LP seeded with the sum of all point masses;
-    one ``lp_solve_rhs`` pass over its optimal basis then certifies every
+    The measure side is one LP seeded with the sum of all point masses.
+    It starts from the basis of the cheapest control at every field
+    entry, which needs no phase 1, and pivots to its own optimum.
+    Howard's policy would start it at an optimum in 0 pivots, but then
+    the measure side would only re-check the solver's answer, and the
+    three numbers would no longer be found independently.  One
+    ``lp_solve_rhs`` pass over its optimal basis then certifies every
     point's seed, and solves a seed the basis does not fit as its own LP.
-    Each seed's measure is validated as ``green_poisson``'s is, all in
-    one call.  The
+    With b = 1 > 0 every row needs positive weight on its own field
+    entry's columns, so every basic feasible solution is a policy basis,
+    and its nonnegative inverse fits every seed.  Each seed's measure is
+    validated as ``green_poisson``'s is, all in one call.  The
     subsolution side is that LP's duals, the greatest subsolution; a
     dual field with a Bellman residual above ``FEAS_TOL`` anywhere is no
     subsolution and raises ``NumericalBreakdown``.
@@ -387,7 +397,9 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
         raise BadValue("duality audit requires lam > 0")
     problem = _measure_problem(sys, lam, 0, 0)
     u, _, _ = policy_iterate(sys, lam, tol=1e-10)
-    summed = lp_solve(replace(problem, b=np.ones_like(problem.b)))
+    crash = np.array([c.argmin(axis=1) for c in sys.cost])
+    summed = lp_solve(replace(problem, b=np.ones_like(problem.b)),
+                      basis=policy_rows(sys, crash))
     if summed.status != OPTIMAL:
         raise SingularSystem(f"summed-seed measure LP returned "
                              f"{summed.status}")

@@ -11,6 +11,7 @@ import discountlab as dl
 from discountlab.cli import (PIPELINES, ExperimentSpec, dumps_precise,
                              emit_plotdata, main, parse_config,
                              run_experiment, serialize_config)
+from discountlab.discretize import policy_rows
 from discountlab.errors import (BadValue, DiscountLabError, ParseError,
                                 UnknownKey)
 
@@ -89,9 +90,9 @@ def test_parse_serialize_fixpoint():
         == serialize_config(spec)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the cold measure "
-                   "LP's refactorization finds B singular at this size")
 def test_mather_pipeline_runs_on_quadratic_plc_at_n36(tmp_path):
+    # the cold measure LP breaks down here (ROADMAP item 1); the pipeline
+    # starts it from the sweep's policy instead
     spec = ExperimentSpec(instance="quadratic-plc", pipeline="mather",
                           grid_points=36, ergodic_lambda=0.05,
                           ergodic_tol=1e-12, output_dir=str(tmp_path / "out"))
@@ -189,10 +190,17 @@ def test_duality_solves_one_lp_per_field(tmp_path, monkeypatch):
                           grid_points=8, output_dir=str(tmp_path))
     assert run_experiment(spec).status == 0
     assert len(subsolution) == 0
-    # the summed-seed measure LP, cold, whose duals are the greatest
-    # subsolution; each of the m * S = 16 point seeds is certified on its
-    # basis
-    assert [kwargs.get("basis") for _, kwargs in lps] == [None]
+    # the summed-seed measure LP, whose duals are the greatest
+    # subsolution, started from the cheapest control at every field entry
+    # and not from Howard's policy; each of the m * S = 16 point seeds is
+    # certified on its basis
+    [(_, kwargs)] = lps
+    sys_ = dl.standard_system("quadratic-plc", N=8)
+    crash = np.array([c.argmin(axis=1) for c in sys_.cost])
+    assert np.array_equal(kwargs["basis"], policy_rows(sys_, crash))
+    _, howard, _ = dl.policy_iterate(sys_, 0.5, tol=1e-10)
+    assert not np.array_equal(crash, howard)
+    assert not np.array_equal(kwargs["basis"], policy_rows(sys_, howard))
 
 
 def test_duality_reports_the_probe_point(tmp_path):
@@ -246,8 +254,14 @@ def test_manifest_counts_each_stage_own_work(tmp_path):
         (out / "manifest.json").read_text())["stages"]}
     assert all(set(c) == {"stencils", "howard_steps", "policy_evaluations",
                           "inversions", "inverse_updates", "ergodic_sweeps",
-                          "lp_solves", "pivots", "refactorizations"}
+                          "lp_solves", "pivots", "phase1_pivots",
+                          "refactorizations"}
                for c in stages.values())
+    # both lam > 0 measure LPs start from a policy basis: no phase 1, and
+    # the sweep's optimal policy leaves the Green-Poisson LP no pivot
+    assert stages["audits"]["phase1_pivots"] == 0
+    assert stages["green_poisson"]["lp_solves"] == 1
+    assert stages["green_poisson"]["pivots"] == 0
     # the base system's and the frozen mode's; the cost-shifted copy that
     # the limit stages run on shares the base system's
     assert sum(c["stencils"] for c in stages.values()) == 2

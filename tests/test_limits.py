@@ -10,6 +10,7 @@ from discountlab.lp import (OPTIMAL, LPProblem, _Standardized,
 from discountlab.limits import (closedness_residual, ergodic_normalize,
                                 face_support, mather_from_sweep,
                                 stencil_norm)
+from discountlab.measures import DUALITY_TOL
 
 
 def test_sweep_constant_coupling_closed_form(instance_a):
@@ -90,6 +91,28 @@ def test_mather_from_sweep_concentrates(eikonal32_normalized):
     lam_min = sweep.lambdas[-1]
     assert closedness_residual(eikonal32_normalized, nu) <= \
         5 * lam_min * (1 + stencil_norm(eikonal32_normalized))
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("constant-coupling", {}), ("linear-B", {}), ("quadratic-plc", {}),
+    ("eikonal-f", {}), ("eikonal-f", dict(N=32))],
+    ids=["constant-coupling", "linear-B", "quadratic-plc", "eikonal-f",
+         "eikonal-f-32"])
+def test_mather_from_sweep_is_the_last_policys_occupation(name, sizes):
+    # the sweep's last policy is an optimal basis of the Green-Poisson LP:
+    # 0 pivots, and the measure is lam times its occupation measure
+    work, _ = ergodic_normalize(dl.standard_system(name, **sizes))
+    sweep = dl.discount_sweep(work)
+    lam, policy = sweep.lambdas[-1], sweep.policies[-1]
+    before = dict(dl.lp.WORK)
+    nu = mather_from_sweep(work, sweep, 0, 0)
+    assert dl.lp.WORK["lp_solves"] - before["lp_solves"] == 1
+    assert dl.lp.WORK["pivots"] == before["pivots"]
+    occupation = dl.occupation_from_policy(work, lam, policy, 0, 0)
+    scaled = lam * occupation.flat()
+    assert np.max(np.abs(nu.flat() - scaled)) <= 1e-12 * np.max(scaled)
+    _, cold = dl.green_poisson(work, lam, 0, 0)
+    assert abs(nu.pair_cost(work) / lam - cold) <= DUALITY_TOL
 
 
 def test_face_zero_only_for_positive_total_coupling(

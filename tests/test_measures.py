@@ -5,7 +5,9 @@ import pytest
 
 import discountlab as dl
 from discountlab.errors import BadValue, NumericalBreakdown, UnboundedLP
-from discountlab.measures import MeasureVector
+from discountlab.discretize import policy_rows
+from discountlab.lp import CS_TOL, FEAS_TOL, OPTIMAL, lp_solve
+from discountlab.measures import MeasureVector, _measure_problem
 
 
 def test_constraint_shape_and_rhs(instance_a):
@@ -247,8 +249,9 @@ def test_field_duality_audit_matches_per_point_oracle(name, sizes):
                                   "quadratic-plc", "eikonal-f"])
 def test_field_duality_audit_makes_one_lp_call(name, monkeypatch):
     # the summed-seed measure LP, whose duals are the greatest
-    # subsolution; every point's seed is certified on its basis without
-    # an LP of its own
+    # subsolution, started from the cheapest control at every field entry
+    # and not from Howard's policy; every point's seed is certified on its
+    # basis without an LP of its own
     calls = []
     solve = dl.lp.lp_solve
 
@@ -261,7 +264,36 @@ def test_field_duality_audit_makes_one_lp_call(name, monkeypatch):
     sys_ = dl.standard_system(name)
     reports = dl.field_duality_audit(sys_, 0.5)
     assert len(reports) == sys_.m * sys_.num_states
-    assert calls == [None]
+    crash = np.array([c.argmin(axis=1) for c in sys_.cost])
+    [basis] = calls
+    assert np.array_equal(basis, policy_rows(sys_, crash))
+    _, howard, _ = dl.policy_iterate(sys_, 0.5, tol=1e-10)
+    # on constant-coupling the cheapest control is Howard's
+    assert np.array_equal(crash, howard) == (name == "constant-coupling")
+    if name != "constant-coupling":
+        assert not np.array_equal(basis, policy_rows(sys_, howard))
+
+
+@pytest.mark.parametrize("name", ["constant-coupling", "linear-B",
+                                  "quadratic-plc", "eikonal-f"])
+def test_field_duality_audit_lp_needs_no_phase1(name, monkeypatch):
+    # with b = 1 > 0 every basic feasible solution of the summed-seed LP
+    # is a policy basis: one weight column per field entry
+    sols = []
+    solve = dl.lp.lp_solve
+
+    def kept(problem, basis=None):
+        sols.append(solve(problem, basis=basis))
+        return sols[-1]
+
+    monkeypatch.setattr(dl.measures, "lp_solve", kept)
+    sys_ = dl.standard_system(name)
+    dl.field_duality_audit(sys_, 0.5)
+    [summed] = sols
+    assert summed.phase1_iterations == 0
+    entries = np.searchsorted(sys_.layout.base, summed.basis, "right") - 1
+    assert np.array_equal(np.sort(entries),
+                          np.arange(sys_.m * sys_.num_states))
 
 
 def test_field_duality_audit_checks_its_dual_field(instance_b, monkeypatch):
@@ -299,6 +331,21 @@ def test_field_duality_audit_validates_every_seed_measure(instance_a,
 def test_field_duality_audit_rejects_zero_lambda(instance_a):
     with pytest.raises(BadValue):
         dl.field_duality_audit(instance_a, 0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalBreakdown,
+                   reason="ROADMAP item 1: the cold measure LP's "
+                   "refactorization finds B singular at this size")
+@pytest.mark.parametrize("name, N", [("quadratic-plc", 36), ("linear-B", 60)])
+def test_cold_measure_lp_solves_at_the_last_rung(name, N):
+    # the Green-Poisson LP of the mather pipeline at the sweep's last rung,
+    # solved cold instead of from the sweep's policy
+    work, _ = dl.ergodic_normalize(dl.standard_system(name, N=N), lam=0.05,
+                                   tol=1e-12)
+    sol = lp_solve(_measure_problem(work, 0.5 * 2.0 ** -17, 0, 0))
+    assert sol.status == OPTIMAL
+    assert sol.feasibility_residual <= FEAS_TOL
+    assert sol.slackness_residual <= CS_TOL
 
 
 def test_green_poisson_survives_pivot_drift(instance_b_normalized):
