@@ -230,11 +230,11 @@ class DiscreteSystem:
     controls: list          # per mode, ModeControls
     cost: list              # per mode, (S, A_i)
     label: str = ""
-    # Inverse policy matrices by (lam, policy.tobytes()) for
-    # ``policy_evaluate``, each inverted or updated from the newest one
-    # when that is at its lam and close: a dict on the ``uncoupled``
-    # systems only, None (the dense solve) on every other system and
-    # ``replace`` copy.
+    # (inverse policy matrix, entries changed since its last inversion)
+    # by (lam, policy.tobytes()) for ``policy_evaluate``, each inverted or
+    # updated from the newest one when that is at its lam and close: a
+    # dict on the ``uncoupled`` systems only, None (the dense solve) on
+    # every other system and ``replace`` copy.
     inverses: Optional[dict] = field(default=None, init=False)
 
     @property

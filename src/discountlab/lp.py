@@ -22,11 +22,11 @@ the right-hand side, so a problem that differs only in ``b`` starts
 phase 2 from it and is optimal after 0 pivots whenever the basis is
 primal feasible for the new ``b``.  A basis that is singular or primal
 infeasible for the problem takes the cold two-phase path instead.
-``lp_solve_rhs`` does this for many right-hand sides at once: the basis
-is priced once, one batched LAPACK call solves every right-hand side's
-basic values (one LU per right-hand side, not one shared), the screens
-run elementwise over all of them, and each keeps its own certification
-residuals, bit for bit as its own warm-started LP.
+``lp_solve(..., rhs=R)`` certifies many right-hand sides on the LP's own
+final basis in the pass that certifies the LP: one solve on B against
+[b | R] gives every basic value, one on B^T the duals, and the screens
+and residuals run over all columns at once.  Each column agrees with its
+own warm-started LP to roundoff, not bit for bit.
 
 Problems here are desk scale (a few hundred rows and columns): the
 revised simplex keeps A and X = [B^-1 | x_B] dense, a pivot updates X
@@ -115,10 +115,12 @@ class LPSolution:
     refactorizations: int = 0
     phase1_iterations: int = 0
     bland: bool = False
+    # With ``lp_solve``'s ``rhs``: the solution of each of its columns.
+    columns: Optional[list] = None
 
 
-def lp_solve(problem: LPProblem,
-             basis: Optional[np.ndarray] = None) -> LPSolution:
+def lp_solve(problem: LPProblem, basis: Optional[np.ndarray] = None,
+             rhs: Optional[np.ndarray] = None):
     """Two-phase revised primal simplex with certified returns.
 
     ``basis`` is the ``LPSolution.basis`` of a problem with the same
@@ -127,8 +129,32 @@ def lp_solve(problem: LPProblem,
     feasible vertex instead of from scratch.  When the basis is singular
     or not primal feasible for this ``b``, the cold two-phase path runs
     instead.  ``None`` is the cold path.
+
+    With ``rhs``, a (rows, k) array, the solution's ``columns[j]`` stands
+    for ``lp_solve(replace(problem, b=rhs[:, j]), basis=final)``, final
+    being the solution's basis.  An optimal basis stays optimal for every
+    right-hand side it keeps primal feasible (Chvatal, *Linear
+    Programming*, 1983, ch. 10), so the one certification pass of the
+    LP's own ``b`` (``_certified``) runs over every column at once, and a
+    column that fails it is solved as that LP.  Every column is, from
+    ``basis``, when the LP itself is not Optimal.  A certified column
+    matches its own solve in status, basis, duals and counters; its point,
+    objective and residuals only to roundoff, as its basic values come
+    from one solve against all columns.
     """
     WORK["lp_solves"] += 1
+    cols = problem.b[:, None] if rhs is None \
+        else np.column_stack([problem.b, np.asarray(rhs, dtype=float)])
+    sol, *columns = _simplex(problem, basis, cols)
+    if rhs is not None:
+        sol.columns = columns + [lp_solve(replace(problem, b=b), basis=basis)
+                                 for b in cols[:, 1 + len(columns):].T]
+    return sol
+
+
+def _simplex(problem, basis, cols) -> list:
+    """The simplex run of ``lp_solve``: the LP's solution alone when it is
+    not Optimal, else ``_certified`` over the columns ``cols`` = [b | rhs]."""
     std = _Standardized(problem)
     budget = 200 * sum(std.A.shape) + 20000
     state = None if basis is None else _warm_start(std, basis)
@@ -147,89 +173,64 @@ def lp_solve(problem: LPProblem,
             if state.objective(cost1) > FEAS_TOL:
                 B = std.A[:, state.basis]
                 y = state.basic_solve(B, cost1[state.basis], transpose=True)
-                return LPSolution(INFEASIBLE, None, math.nan, None, phase1,
-                                  ray=std.dual_to_original(y, state.kept_rows),
-                                  **state.counters(phase1, failed_warm))
+                ray = std.dual_to_original(y, state.kept_rows)
+                counters = state.counters(phase1, failed_warm)
+                return [LPSolution(INFEASIBLE, None, math.nan, None, phase1,
+                                   ray=ray, **counters)]
             state.purge_artificials(std.artificial)
 
     status, iterations = state.run(std.c, budget, start_iter=phase1)
     counters = state.counters(phase1, failed_warm)
     if status == UNBOUNDED:
-        ray = std.to_original(state.ray)
-        return LPSolution(UNBOUNDED, None, -math.inf, None, iterations, ray=ray,
-                          **counters)
-
-    B = std.A[np.ix_(state.kept_rows, state.basis)]
-    xB = state.basic_solve(B, std.b[state.kept_rows])
-    [sol] = _certified(problem, std, state, xB[None], problem.b[:, None],
-                       state.duals(std, B), iterations, counters)
-    if isinstance(sol, NumericalBreakdown):
-        raise sol
-    return sol
+        return [LPSolution(UNBOUNDED, None, -math.inf, None, iterations,
+                           ray=std.to_original(state.ray), **counters)]
+    return _certified(problem, std, state, cols, iterations, counters)
 
 
-def lp_solve_rhs(problem: LPProblem, basis, rhs) -> list:
-    """``lp_solve(replace(problem, b=col), basis=basis)`` for each column
-    ``col`` of the (rows, k) array ``rhs``, bit for bit; ``problem.b`` is
-    not used.
+def _certified(problem, std, state, cols, iterations, counters) -> list:
+    """The Optimal solutions on ``state``'s final basis for the columns of
+    ``cols``, the LP's own ``b`` first, all from one factorization pass.
 
-    An optimal basis stays optimal for every right-hand side it keeps
-    primal feasible (Chvatal, *Linear Programming*, 1983, ch. 10), so the
-    standard form, the duals and the pricing are shared.  One batched
-    ``np.linalg.solve`` gives every column its basic values, by one LU of
-    B per column as the column's own solve does (one solve of B against
-    all columns moves bits), and the screens run over all columns at
-    once.  A column gets its own ``lp_solve`` when the basis does not fit
-    it or it fails certification, or when it has a negative entry (which
-    flips its row in the standard form); every column does when the
-    basis is singular or not optimal.
+    One solve on B gives every column's basic values and one on B^T the
+    duals.  The certification residuals run over all columns at once:
+    primal feasibility on every row of ``problem`` (the rows the basis
+    dropped as redundant included) and on the bounds, and complementary
+    slackness.  The LP's own column raises ``NumericalBreakdown`` when one
+    fails.  Any other column is solved as its own LP from the final basis
+    when one fails, when a basic value is below -``FEAS_TOL`` (a free
+    column's part included) or when its standard form has a negative
+    entry (its own would flip that row); otherwise it gets this pass's
+    duals and basis, 0 pivots and the one factorization of a warm start.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    std = _Standardized(replace(problem, b=np.zeros(len(problem.b))))
-    state = _warm_start(std, basis)
-    if state is None or state.entering(std.c, 0) >= 0:
-        return [lp_solve(replace(problem, b=b), basis=basis) for b in rhs.T]
+    C = std.row_sign[:, None] * cols            # the standard-form columns
     B = std.A[np.ix_(state.kept_rows, state.basis)]
-    duals = state.duals(std, B)
-    XB = state.basic_solve(np.broadcast_to(B, (rhs.shape[1],) + B.shape),
-                           rhs[state.kept_rows].T[..., None])[..., 0]
-    misfit = np.any(rhs < 0.0, axis=0) \
+    XB = state.basic_solve(B, C[state.kept_rows]).T
+    y_kept, red = state.duals(std, B)
+    real = state.basis < len(std.orig)          # no slack, no artificial
+    support = std.orig[state.basis[real]]
+    X = np.zeros((len(XB), std.n_orig))
+    X[:, support] = 0.0 + std.sign[state.basis[real]] * XB[:, real]
+    feas = _primal_residual(problem, X, cols, support, std.equality)
+    slack = np.max(np.abs(XB * red[state.basis]), axis=1, initial=0.0)
+    fails = (feas > FEAS_TOL) | (slack > CS_TOL)
+    if fails[0]:
+        raise NumericalBreakdown(f"certification failed: feasibility "
+                                 f"{feas[0]:.3e}, slackness {slack[0]:.3e}")
+    misfit = fails | np.any(C < 0.0, axis=0) \
         | (np.min(XB, axis=1, initial=0.0) < -FEAS_TOL)
-    fits = [j for j in np.flatnonzero(~misfit).tolist()
-            if not _misses_dropped_rows(std, state, XB[j], rhs[:, j])]
-    sols = dict(zip(fits, _certified(problem, std, state, XB[fits],
-                                     rhs[:, fits], duals, 0,
-                                     state.counters(0, 0))))
-    return [sols[j] if isinstance(sols.get(j), LPSolution)
-            else lp_solve(replace(problem, b=b), basis=basis)
-            for j, b in enumerate(rhs.T)]
-
-
-def _certified(problem, std, state, XB, rhs, duals, iterations, counters):
-    """Per row of ``XB``, the basic values on ``state``'s basis for that
-    column of ``rhs``: the Optimal solution once its primal feasibility
-    and complementary slackness residuals pass, else the (unraised)
-    ``NumericalBreakdown``; ``duals`` is the pair ``state.duals(std, B)``."""
-    y_kept, red = duals
-    X_std = np.zeros((len(XB), std.A.shape[1]))
-    X_std[:, state.basis] = XB
-    slackness = np.max(np.abs(X_std * red), axis=1, initial=0.0).tolist()
+    misfit[0] = False                           # certified above
+    objective = X @ problem.c
     dual = std.dual_to_original(y_kept, state.kept_rows)
     final = np.full(len(std.b), -1)
     final[state.kept_rows] = state.basis
-    out = []
-    for x_std, b, cs in zip(X_std, rhs.T, slackness):
-        x = std.to_original(x_std)
-        feas = _primal_residual(problem, b, x, std.equality)
-        if feas > FEAS_TOL or cs > CS_TOL:
-            out.append(NumericalBreakdown(f"certification failed: feasibility "
-                                          f"{feas:.3e}, slackness {cs:.3e}"))
-            continue
-        out.append(LPSolution(OPTIMAL, x, float(problem.c @ x), dual.copy(),
-                              iterations, feasibility_residual=feas,
-                              slackness_residual=cs, basis=final.copy(),
-                              **counters))
-    return out
+    warm = {"refactorizations": 1, "phase1_iterations": 0, "bland": False}
+    return [lp_solve(replace(problem, b=cols[:, j]), basis=final) if misfit[j]
+            else LPSolution(OPTIMAL, X[j], float(objective[j]), dual.copy(),
+                            0 if j else iterations,
+                            feasibility_residual=float(feas[j]),
+                            slackness_residual=float(slack[j]),
+                            basis=final.copy(), **(warm if j else counters))
+            for j in range(len(X))]
 
 
 def _warm_start(std: "_Standardized", basis):
@@ -248,21 +249,12 @@ def _warm_start(std: "_Standardized", basis):
         state.refactor()
     except NumericalBreakdown:
         return None
-    if _misses_dropped_rows(std, state, state.X[:, -1], std.b):
+    dropped = basis < 0
+    residual = std.A[np.ix_(dropped, state.basis)] @ state.X[:, -1] \
+        - std.b[dropped]
+    if float(np.max(np.abs(residual), initial=0.0)) > FEAS_TOL:
         return None
     return state
-
-
-def _misses_dropped_rows(std, state, xB, b) -> bool:
-    """Whether the basic point ``xB``, clamped at 0, misses right-hand
-    side ``b`` on a row that ``state`` dropped as redundant."""
-    if len(state.kept_rows) == len(b):
-        return False
-    dropped = np.ones(len(b), dtype=bool)
-    dropped[state.kept_rows] = False
-    residual = std.A[np.ix_(dropped, state.basis)] @ np.maximum(xB, 0.0) \
-        - b[dropped]
-    return float(np.max(np.abs(residual), initial=0.0)) > FEAS_TOL
 
 
 class _Standardized:
@@ -490,16 +482,17 @@ class _Revised:
         return y, std.c - std.A[self.kept_rows].T @ y
 
 
-def _primal_residual(p: LPProblem, b, x: np.ndarray, equality) -> float:
-    """Worst violation of ``p``'s rows with right-hand side ``b`` at ``x``;
-    ``equality`` flags its '=' rows."""
-    res = p.A @ x - b
+def _primal_residual(p: LPProblem, X, cols, support, equality):
+    """Worst violation of ``p``'s rows and bounds at each row of ``X``,
+    whose right-hand side is that column of ``cols``; ``X`` is 0 off the
+    columns ``support``, and ``equality`` flags ``p``'s '=' rows."""
+    res = p.A[:, support] @ X[:, support].T - cols
     # '<=' rows count only their excess.  As in a max over the rows from
     # 0.0, a NaN row is skipped (fmax) and a zero result is +0.0.
-    worst = max(0.0, float(np.fmax.reduce(
-        np.where(equality, np.abs(res), res), initial=0.0)))
-    bound = np.min(x[~p.free], initial=0.0)
-    return max(worst, -min(bound, 0.0))
+    worst = np.fmax.reduce(np.where(equality[:, None], np.abs(res), res),
+                           axis=0, initial=0.0)
+    bound = np.min(X[:, ~p.free], axis=1, initial=0.0)
+    return np.maximum(worst, -np.minimum(bound, 0.0))
 
 
 # ---------------------------------------------------------------------------

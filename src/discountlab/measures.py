@@ -32,11 +32,12 @@ one LP and its duals:
   basis: no phase 1), never from the solver's policy, so that it finds
   its own optimum.  That optimal basis is dual feasible for every seed,
   so it is optimal for each seed e_(k,z) that it keeps primal
-  feasible, B^-1 e_(k,z) >= 0.  One pass of
-  ``lp_solve_rhs`` certifies every seed on that basis, bit for bit as
-  the seed's own warm LP: one batched LAPACK call solves each seed's
-  basic values, the screens run over all seeds at once, and a seed that
-  the basis does not fit is solved as its own LP;
+  feasible, B^-1 e_(k,z) >= 0.  The pass that certifies that LP
+  certifies every seed on its final basis too (``lp_solve``'s ``rhs``):
+  one factorization of B solves all seeds' basic values, the screens
+  and residuals run over all seeds at once, each seed agrees with its
+  own warm LP to roundoff, and a seed that the basis does not fit is
+  solved as its own LP;
 - the subsolution maximum is read off the duals of that same LP.  Its
   LP dual is max sum u s.t. A u <= L, the greatest-subsolution LP: for
   lam > 0 the subsolutions have a greatest element (the solution), so
@@ -64,8 +65,7 @@ from .discretize import (DiscreteSystem, Policy, ValueField,
                          policy_rows)
 from .errors import (BadValue, InfeasibleLP, NumericalBreakdown,
                      SingularSystem, UnboundedLP)
-from .lp import (FEAS_TOL, OPTIMAL, UNBOUNDED, LPProblem, lp_solve,
-                 lp_solve_rhs)
+from .lp import FEAS_TOL, OPTIMAL, UNBOUNDED, LPProblem, lp_solve
 from .solver import policy_iterate
 
 MASS_TOL = 1e-9
@@ -382,16 +382,16 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
     entry, which needs no phase 1, and pivots to its own optimum.
     Howard's policy would start it at an optimum in 0 pivots, but then
     the measure side would only re-check the solver's answer, and the
-    three numbers would no longer be found independently.  One
-    ``lp_solve_rhs`` pass over its optimal basis then certifies every
-    point's seed, and solves a seed the basis does not fit as its own LP.
-    With b = 1 > 0 every row needs positive weight on its own field
-    entry's columns, so every basic feasible solution is a policy basis,
-    and its nonnegative inverse fits every seed.  Each seed's measure is
-    validated as ``green_poisson``'s is, all in one call.  The
-    subsolution side is that LP's duals, the greatest subsolution; a
-    dual field with a Bellman residual above ``FEAS_TOL`` anywhere is no
-    subsolution and raises ``NumericalBreakdown``.
+    three numbers would no longer be found independently.  The same
+    ``lp_solve`` call certifies every point's seed on its optimal basis,
+    from one factorization of B, and solves a seed the basis does not fit
+    as its own LP.  With b = 1 > 0 every row needs positive weight on its
+    own field entry's columns, so every basic feasible solution is a
+    policy basis, and its nonnegative inverse fits every seed.  Each
+    seed's measure is validated as ``green_poisson``'s is, all in one
+    call.  The subsolution side is that LP's duals, the greatest
+    subsolution; a dual field with a Bellman residual above ``FEAS_TOL``
+    anywhere is no subsolution and raises ``NumericalBreakdown``.
     """
     if not lam > 0.0:
         raise BadValue("duality audit requires lam > 0")
@@ -399,17 +399,17 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
     u, _, _ = policy_iterate(sys, lam, tol=1e-10)
     crash = np.array([c.argmin(axis=1) for c in sys.cost])
     summed = lp_solve(replace(problem, b=np.ones_like(problem.b)),
-                      basis=policy_rows(sys, crash))
+                      basis=policy_rows(sys, crash),
+                      rhs=np.eye(len(problem.b)))
     if summed.status != OPTIMAL:
         raise SingularSystem(f"summed-seed measure LP returned "
                              f"{summed.status}")
     sub = summed.dual.reshape(sys.m, sys.num_states)
     check_subsolution(sys, lam, sub, "summed-seed duals")
     points = [(z, k) for k in range(sys.m) for z in range(sys.num_states)]
-    seeds = lp_solve_rhs(problem, summed.basis, np.eye(len(problem.b)))
-    _measure_rows(sys, lam, seeds)
+    _measure_rows(sys, lam, summed.columns)
     return [_duality_report(z, k, lam, float(u[k, z]), sol, float(sub[k, z]))
-            for (z, k), sol in zip(points, seeds)]
+            for (z, k), sol in zip(points, summed.columns)]
 
 
 @dataclass

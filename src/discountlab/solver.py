@@ -50,7 +50,7 @@ on the cost, so the frozen systems, and only they, evaluate through
 inverses stored on the system (``DiscreteSystem.inverses``, None on every
 other system).  Each (lam, policy) gets its inverse once, on first sight:
 by a low-rank (Woodbury) update of the newest cached inverse when that
-one is at lam and its policy differs from this one in few field entries,
+one is at lam and few field entries changed since its last inversion,
 otherwise by ``np.linalg.inv``.  A value therefore depends on (lam,
 policy, cost) and, in the last bits, on the order of the inverses the
 solve had cached before it: the same run repeats bit for bit, but one
@@ -168,7 +168,8 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
     carries a dict there, keyed by ``(lam, policy.tobytes())``, of the
     inverses of the matrices seen so far, filled on first sight by
     ``_policy_inverse`` (a low-rank update of the newest cached inverse
-    when it is at lam and its policy is close, else a full inversion).
+    when it is at lam and its policy is close, else a full inversion),
+    each with its count of entries changed since a full inversion.
     The value is then ``inv @ rhs`` plus one step of iterative
     refinement, ``x -= inv @ r`` with r the policy's rows of
     ``relations.apply(x)``; the refinement brings the residual back to
@@ -187,9 +188,9 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
             flat = np.linalg.solve(policy_matrix(sys, lam, policy), rhs)
         else:
             key = (lam, policy.tobytes())
-            inv = sys.inverses.get(key)
-            if inv is None:
-                inv = sys.inverses[key] = _policy_inverse(sys, lam, policy)
+            if key not in sys.inverses:
+                sys.inverses[key] = _policy_inverse(sys, lam, policy)
+            inv, _ = sys.inverses[key]
             flat = inv @ rhs
             flat -= inv @ rel.apply(flat)[rows]
     except np.linalg.LinAlgError as exc:
@@ -200,37 +201,41 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
 
 
 def _policy_inverse(sys: DiscreteSystem, lam: float,
-                    policy: Policy) -> np.ndarray:
-    """Inverse of the policy matrix on a system that carries ``inverses``.
+                    policy: Policy):
+    """Inverse of the policy matrix on a system that carries ``inverses``,
+    and how many field entries changed since its last full inversion.
 
-    The newest cached inverse inv0 (the dict keeps insertion order) is
-    updated when it is at lam, for a policy of this length that differs
-    from this one in k field entries r with UPDATE_RATIO * k < S: with D
-    this policy's rows r less inv0's, the Woodbury identity gives
-    inv0 - inv0[:, r] (I + D inv0[:, r])^-1 D inv0 in O(k S^2) (singular
-    only with the policy matrix: ``LinAlgError``).  Otherwise the matrix
-    is built and inverted.
+    The newest cached inverse inv0 (the dict keeps insertion order), c
+    entries away from its own inversion, is updated when it is at lam, for
+    a policy of this length that differs from this one in k field entries
+    r with UPDATE_RATIO * (c + k) < S: with D this policy's rows r less
+    inv0's, the Woodbury identity gives inv0 - inv0[:, r]
+    (I + D inv0[:, r])^-1 D inv0 in O(k S^2) (singular only with the
+    policy matrix: ``LinAlgError``).  The bound on c + k caps the chain
+    of updates, and the roundoff it gathers, between two inversions.
+    Otherwise the matrix is built and inverted (c = 0).
     """
     flat = policy.ravel()
     r = None
     if sys.inverses:
-        (lam0, key0), inv0 = next(reversed(sys.inverses.items()))
+        (lam0, key0), (inv0, changed) = next(reversed(sys.inverses.items()))
         if lam0 == lam and len(key0) == flat.nbytes:
             old = np.frombuffer(key0, dtype=flat.dtype)
             r = np.flatnonzero(old != flat)
-    if r is None or UPDATE_RATIO * len(r) >= flat.size:
+    if r is None or UPDATE_RATIO * (changed + len(r)) >= flat.size:
         WORK["inversions"] += 1
-        return np.linalg.inv(policy_matrix(sys, lam, policy))
+        return np.linalg.inv(policy_matrix(sys, lam, policy)), 0
     WORK["inverse_updates"] += 1
     d = _linearized_rows(sys, lam, policy_rows(sys, policy)[r]) - \
         _linearized_rows(sys, lam, policy_rows(sys, old)[r])
     left = inv0[:, r]
-    return inv0 - left @ np.linalg.solve(np.eye(len(r)) + d @ left, d @ inv0)
+    return inv0 - left @ np.linalg.solve(np.eye(len(r)) + d @ left,
+                                         d @ inv0), changed + len(r)
 
 
 IMPROVE_TOL = 1e-11
 COARSE_FLOOR = 16   # fewest points per axis of a coarse start's grid
-UPDATE_RATIO = 8    # a cached inverse is updated when 8 * changed rows < S
+UPDATE_RATIO = 8    # updates while 8 * (entries changed since inversion) < S
 
 
 def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,

@@ -245,19 +245,47 @@ def test_field_duality_audit_matches_per_point_oracle(name, sizes):
         assert abs(rep.subsolution_value - oracle.subsolution_value) <= 1e-12
 
 
+@pytest.mark.parametrize("name, N", [("eikonal-f", 64), ("linear-B", 32)])
+def test_field_duality_audit_certifies_every_seed_at_scale(name, N,
+                                                            monkeypatch):
+    # the one factorization fits all S * m seeds: no seed is handed to an
+    # LP of its own, every point passes, and the corners match the
+    # per-point oracle
+    handed = []
+    solve = dl.lp.lp_solve
+
+    def counted(problem, basis=None):
+        handed.append(problem)
+        return solve(problem, basis=basis)
+
+    sys_ = dl.standard_system(name, N=N)
+    with monkeypatch.context() as patch:
+        patch.setattr(dl.lp, "lp_solve", counted)
+        reports = dl.field_duality_audit(sys_, 0.5)
+    assert handed == []
+    assert all(rep.passed for rep in reports)
+    S, m = sys_.num_states, sys_.m
+    for z, k in {(0, 0), (S - 1, 0), (0, m - 1), (S - 1, m - 1)}:
+        rep, oracle = reports[k * S + z], dl.duality_audit(sys_, 0.5, z, k)
+        assert (rep.z, rep.k) == (z, k)
+        assert abs(rep.measure_value - oracle.measure_value) <= 1e-12
+        assert abs(rep.subsolution_value - oracle.subsolution_value) <= 1e-12
+        assert rep.solver_value == oracle.solver_value
+
+
 @pytest.mark.parametrize("name", ["constant-coupling", "linear-B",
                                   "quadratic-plc", "eikonal-f"])
 def test_field_duality_audit_makes_one_lp_call(name, monkeypatch):
     # the summed-seed measure LP, whose duals are the greatest
     # subsolution, started from the cheapest control at every field entry
     # and not from Howard's policy; every point's seed is certified on its
-    # basis without an LP of its own
+    # final basis in the same call, without an LP of its own
     calls = []
     solve = dl.lp.lp_solve
 
-    def counted(problem, basis=None):
+    def counted(problem, basis=None, rhs=None):
         calls.append(basis)
-        return solve(problem, basis=basis)
+        return solve(problem, basis=basis, rhs=rhs)
 
     monkeypatch.setattr(dl.measures, "lp_solve", counted)
     monkeypatch.setattr(dl.lp, "lp_solve", counted)
@@ -282,8 +310,8 @@ def test_field_duality_audit_lp_needs_no_phase1(name, monkeypatch):
     sols = []
     solve = dl.lp.lp_solve
 
-    def kept(problem, basis=None):
-        sols.append(solve(problem, basis=basis))
+    def kept(problem, basis=None, rhs=None):
+        sols.append(solve(problem, basis=basis, rhs=rhs))
         return sols[-1]
 
     monkeypatch.setattr(dl.measures, "lp_solve", kept)
@@ -301,8 +329,8 @@ def test_field_duality_audit_checks_its_dual_field(instance_b, monkeypatch):
     # they are no subsolution, and the audit must not pass them on
     solve = dl.lp.lp_solve
 
-    def pushed(problem, basis=None):
-        sol = solve(problem, basis=basis)
+    def pushed(problem, basis=None, rhs=None):
+        sol = solve(problem, basis=basis, rhs=rhs)
         dual = sol.dual.copy()
         dual[3] += 1e-6
         return replace(sol, dual=dual)
@@ -316,14 +344,14 @@ def test_field_duality_audit_validates_every_seed_measure(instance_a,
                                                           monkeypatch):
     # one seed's weights doubled: its discounted mass reads 2, and the
     # one validation of all seed rows names that seed's row
-    solve = dl.measures.lp_solve_rhs
+    solve = dl.measures.lp_solve
 
-    def doubled(problem, basis, rhs):
-        sols = solve(problem, basis, rhs)
-        sols[5] = replace(sols[5], x=2.0 * sols[5].x)
-        return sols
+    def doubled(problem, basis=None, rhs=None):
+        sol = solve(problem, basis=basis, rhs=rhs)
+        sol.columns[5] = replace(sol.columns[5], x=2.0 * sol.columns[5].x)
+        return sol
 
-    monkeypatch.setattr(dl.measures, "lp_solve_rhs", doubled)
+    monkeypatch.setattr(dl.measures, "lp_solve", doubled)
     with pytest.raises(BadValue, match="measure row 5: discounted mass 2"):
         dl.field_duality_audit(instance_a, 0.5)
 

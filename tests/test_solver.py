@@ -367,14 +367,15 @@ def test_inverse_evaluation_matches_the_dense_solve(zoo_id, N, lam):
 
 @pytest.mark.parametrize("zoo_id, N, lam, tol, inversions, updates", [
     ("eikonal-f", 128, 0.01, 1e-9, 1, 0),
-    ("linear-B", 128, 0.05, 1e-12, 2, 11),
-    ("quadratic-plc", 64, 0.05, 1e-12, 4, 13),
+    ("linear-B", 128, 0.05, 1e-12, 4, 9),
+    ("quadratic-plc", 64, 0.05, 1e-12, 7, 16),
     ("eikonal-f", 6, 0.01, 1e-12, 4, 0),
     ("quadratic-plc", 8, 0.05, 1e-12, 13, 0)])
 def test_ergodic_inverse_work_is_pinned(zoo_id, N, lam, tol, inversions,
                                         updates):
     # a new frozen policy is an update of the newest cached inverse when
-    # 8 * (entries changed) < S; S <= 8 never updates
+    # 8 * (entries changed since that one's inversion + entries changed
+    # now) < S; S <= 8 never updates
     sys_ = dl.standard_system(zoo_id, N=N)
     before = dict(solver.WORK)
     dl.ergodic_solve(sys_, lam, tol=tol)
@@ -383,6 +384,24 @@ def test_ergodic_inverse_work_is_pinned(zoo_id, N, lam, tol, inversions,
         == updates
     assert sum(len(s.inverses) for s in sys_.uncoupled) == \
         inversions + updates
+
+
+@pytest.mark.parametrize("zoo_id, N", [("linear-B", 128),
+                                       ("quadratic-plc", 64)])
+def test_cached_inverses_stay_near_a_fresh_inversion(zoo_id, N):
+    # the chain of updates between two inversions is capped, so every
+    # cached inverse stays within 5e-12 of np.linalg.inv, relative to the
+    # largest entry (measured: 5.0e-13 on linear-B, 8.9e-16 on
+    # quadratic-plc)
+    sys_ = dl.standard_system(zoo_id, N=N)
+    dl.ergodic_solve(sys_, 0.05, tol=1e-12)
+    for scalar in sys_.uncoupled:
+        for (lam, key), (inv, changed) in scalar.inverses.items():
+            assert solver.UPDATE_RATIO * changed < scalar.num_states
+            policy = np.frombuffer(key, dtype=np.intp).reshape(1, -1)
+            exact = np.linalg.inv(policy_matrix(scalar, lam, policy))
+            assert np.max(np.abs(inv - exact)) \
+                <= 5e-12 * np.max(np.abs(exact))
 
 
 def test_a_new_policy_updates_only_the_newest_inverse():
@@ -407,10 +426,17 @@ def test_a_new_policy_updates_only_the_newest_inverse():
     near_newer[0, 10:17] = (newer[0, 10:17] + 1) % 3
     near_older[0, 10:17] = 1
     assert work_of(near_newer) == (0, 1)
-    inv = scalar.inverses[(lam, near_newer.tobytes())]
+    inv, changed = scalar.inverses[(lam, near_newer.tobytes())]
     exact = np.linalg.inv(policy_matrix(scalar, lam, near_newer))
     assert np.max(np.abs(inv - exact)) <= 1e-12 * np.max(np.abs(exact))
+    assert changed == 7
     assert work_of(near_older) == (1, 0)
+    # one entry more on top of near_newer's 7 would chain 8: inverted
+    cached = {(lam, near_newer.tobytes()): (inv, changed)}
+    further = near_newer.copy()
+    further[0, 40] = (further[0, 40] + 1) % 3
+    assert work_of(further) == (1, 0)
+    assert scalar.inverses[(lam, further.tobytes())][1] == 0
 
 
 def test_negative_tolerances_are_rejected(instance_a, monkeypatch):
