@@ -332,8 +332,9 @@ class _Run:
     @_stage
     def green_poisson(self):
         """lam * the optimal measure at the sweep's smallest rung, seeded
-        at the probe: one Green-Poisson LP on ``work``, started from the
-        sweep's policy at that rung, an optimal basis (0 pivots)."""
+        at the probe: the occupation measure of the sweep's policy at that
+        rung, an optimal basis of the Green-Poisson LP on ``work``, which
+        is not solved (0 LPs)."""
         spec = self.spec
         return limits.mather_from_sweep(self.work, self.sweep,
                                         spec.probe_state, spec.probe_mode)

@@ -544,7 +544,8 @@ def policy_rows(sys: DiscreteSystem, policy: Policy) -> np.ndarray:
     columns are the weight columns in order.  The basis matrix is
     ``policy_matrix(sys, lam, policy)``^T, and the M-matrix certificate
     makes its inverse nonnegative (d'Epenoux, Management Science 10,
-    1963).
+    1963): the measures on it are the policy's occupation measures,
+    which ``measures._basis_measures`` solves for without an LP.
     """
     return sys.layout.base + policy.ravel()
 

@@ -9,7 +9,11 @@ nonzero ergodic constant makes the discounted values blow up like c/lam.
 On the measure side, the rescaled optimal measures lam * mu^lam converge
 to minimizers of <nu, L> over the lam = 0 closed measures (the Mather
 measures; the zero measure is always feasible, so the minimum is <= 0
-and equals 0 exactly on normalized instances).  The optimal face is a
+and equals 0 exactly on normalized instances).  At a sweep's smallest
+rung Howard's policy is an optimal basis of the Green-Poisson LP, so
+``mather_from_sweep`` reads lam * mu^lam off that policy's occupation
+measure once the rung's field passes as a subsolution, and solves no
+LP.  The optimal face is a
 polytope; its vertices are enumerated exactly from bases over the face's
 support.  Mather measures live where the critical subsolution is tight,
 so most weight columns are 0 on the whole face and are pruned first:
@@ -44,14 +48,14 @@ from typing import Optional
 import numpy as np
 
 from .discretize import (DiscreteSystem, ValueField, linearized_matrix,
-                         policy_rows, with_cost)
+                         with_cost)
 from .errors import (BadValue, DivergentSweep, EnumerationTooLarge,
                      InfeasibleLP, NumericalBreakdown, UnboundedLP)
 from .lp import (FEAS_TOL, INFEASIBLE, OPTIMAL, LPProblem,
                  enumerate_basic_solutions, lp_solve)
 from .measures import MeasureVector, _measure_of, _measure_problem, \
-    assemble_closed_constraints, check_subsolution, subsolution_lp, \
-    validate_rows
+    assemble_closed_constraints, check_subsolution, occupation_from_policy, \
+    subsolution_lp, validate_rows
 from .solver import ergodic_solve, policy_iterate
 
 DIVERGENCE_BOUND = 1e6
@@ -172,20 +176,21 @@ def mather_from_sweep(sys: DiscreteSystem, sweep: SweepResult, z: int,
                       k: int) -> MeasureVector:
     """lam * (optimal measure) at the smallest rung, re-tagged lam = 0.
 
-    The Green-Poisson LP starts from the basis of the sweep's policy at
-    that rung, which is optimal: the measure returned is lam times that
-    policy's occupation measure seeded at (z, k), one optimal vertex of
-    the LP.  Its closedness residual is O(lam_min) and
+    The sweep's policy at that rung is an optimal basis of the
+    Green-Poisson LP once the rung's field, that policy's value, is a
+    subsolution to ``FEAS_TOL``: at a policy basis this is the LP's
+    dual-feasibility test, and it raises ``NumericalBreakdown`` when it
+    fails.  The measure returned is lam times that policy's occupation
+    measure seeded at (z, k) (``occupation_from_policy``), one optimal
+    vertex of the LP.  Its closedness residual is O(lam_min) and
     <nu, L> = lam * v_k(z).
     """
     if sweep.divergent:
         raise DivergentSweep("sweep was flagged divergent")
     lam = sweep.lambdas[-1]
-    basis = policy_rows(sys, sweep.policies[-1])
-    mu, _ = _measure_of(sys, lam, lp_solve(_measure_problem(sys, lam, z, k),
-                                           basis=basis))
-    weights = [lam * w for w in mu.weights]
-    return MeasureVector(lam_tag=0.0, weights=weights)
+    check_subsolution(sys, lam, sweep.fields[-1], "the last rung's values")
+    mu = occupation_from_policy(sys, lam, sweep.policies[-1], z, k)
+    return MeasureVector(lam_tag=0.0, weights=[lam * w for w in mu.weights])
 
 
 def mather_lp(sys: DiscreteSystem):

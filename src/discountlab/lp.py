@@ -22,11 +22,9 @@ the right-hand side, so a problem that differs only in ``b`` starts
 phase 2 from it and is optimal after 0 pivots whenever the basis is
 primal feasible for the new ``b``.  A basis that is singular or primal
 infeasible for the problem takes the cold two-phase path instead.
-``lp_solve(..., rhs=R)`` certifies many right-hand sides on the LP's own
-final basis in the pass that certifies the LP: one solve on B against
-[b | R] gives every basic value, one on B^T the duals, and the screens
-and residuals run over all columns at once.  Each column agrees with its
-own warm-started LP to roundoff, not bit for bit.
+Each ``lp_solve`` certifies one right-hand side; a caller that needs
+the points of many on one optimal basis solves that basis itself, as
+``measures`` does for the lam > 0 measures on a policy basis.
 
 Problems here are desk scale (a few hundred rows and columns): the
 revised simplex keeps A and X = [B^-1 | x_B] dense, a pivot updates X
@@ -43,7 +41,7 @@ ch. 9).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Optional
 
@@ -115,12 +113,10 @@ class LPSolution:
     refactorizations: int = 0
     phase1_iterations: int = 0
     bland: bool = False
-    # With ``lp_solve``'s ``rhs``: the solution of each of its columns.
-    columns: Optional[list] = None
 
 
-def lp_solve(problem: LPProblem, basis: Optional[np.ndarray] = None,
-             rhs: Optional[np.ndarray] = None):
+def lp_solve(problem: LPProblem,
+             basis: Optional[np.ndarray] = None) -> LPSolution:
     """Two-phase revised primal simplex with certified returns.
 
     ``basis`` is the ``LPSolution.basis`` of a problem with the same
@@ -129,32 +125,8 @@ def lp_solve(problem: LPProblem, basis: Optional[np.ndarray] = None,
     feasible vertex instead of from scratch.  When the basis is singular
     or not primal feasible for this ``b``, the cold two-phase path runs
     instead.  ``None`` is the cold path.
-
-    With ``rhs``, a (rows, k) array, the solution's ``columns[j]`` stands
-    for ``lp_solve(replace(problem, b=rhs[:, j]), basis=final)``, final
-    being the solution's basis.  An optimal basis stays optimal for every
-    right-hand side it keeps primal feasible (Chvatal, *Linear
-    Programming*, 1983, ch. 10), so the one certification pass of the
-    LP's own ``b`` (``_certified``) runs over every column at once, and a
-    column that fails it is solved as that LP.  Every column is, from
-    ``basis``, when the LP itself is not Optimal.  A certified column
-    matches its own solve in status, basis, duals and counters; its point,
-    objective and residuals only to roundoff, as its basic values come
-    from one solve against all columns.
     """
     WORK["lp_solves"] += 1
-    cols = problem.b[:, None] if rhs is None \
-        else np.column_stack([problem.b, np.asarray(rhs, dtype=float)])
-    sol, *columns = _simplex(problem, basis, cols)
-    if rhs is not None:
-        sol.columns = columns + [lp_solve(replace(problem, b=b), basis=basis)
-                                 for b in cols[:, 1 + len(columns):].T]
-    return sol
-
-
-def _simplex(problem, basis, cols) -> list:
-    """The simplex run of ``lp_solve``: the LP's solution alone when it is
-    not Optimal, else ``_certified`` over the columns ``cols`` = [b | rhs]."""
     std = _Standardized(problem)
     budget = 200 * sum(std.A.shape) + 20000
     state = None if basis is None else _warm_start(std, basis)
@@ -173,64 +145,44 @@ def _simplex(problem, basis, cols) -> list:
             if state.objective(cost1) > FEAS_TOL:
                 B = std.A[:, state.basis]
                 y = state.basic_solve(B, cost1[state.basis], transpose=True)
-                ray = std.dual_to_original(y, state.kept_rows)
-                counters = state.counters(phase1, failed_warm)
-                return [LPSolution(INFEASIBLE, None, math.nan, None, phase1,
-                                   ray=ray, **counters)]
+                return LPSolution(INFEASIBLE, None, math.nan, None, phase1,
+                                  ray=std.dual_to_original(y, state.kept_rows),
+                                  **state.counters(phase1, failed_warm))
             state.purge_artificials(std.artificial)
 
     status, iterations = state.run(std.c, budget, start_iter=phase1)
     counters = state.counters(phase1, failed_warm)
     if status == UNBOUNDED:
-        return [LPSolution(UNBOUNDED, None, -math.inf, None, iterations,
-                           ray=std.to_original(state.ray), **counters)]
-    return _certified(problem, std, state, cols, iterations, counters)
+        return LPSolution(UNBOUNDED, None, -math.inf, None, iterations,
+                          ray=std.to_original(state.ray), **counters)
+    return _certified(problem, std, state, iterations, counters)
 
 
-def _certified(problem, std, state, cols, iterations, counters) -> list:
-    """The Optimal solutions on ``state``'s final basis for the columns of
-    ``cols``, the LP's own ``b`` first, all from one factorization pass.
-
-    One solve on B gives every column's basic values and one on B^T the
-    duals.  The certification residuals run over all columns at once:
-    primal feasibility on every row of ``problem`` (the rows the basis
-    dropped as redundant included) and on the bounds, and complementary
-    slackness.  The LP's own column raises ``NumericalBreakdown`` when one
-    fails.  Any other column is solved as its own LP from the final basis
-    when one fails, when a basic value is below -``FEAS_TOL`` (a free
-    column's part included) or when its standard form has a negative
-    entry (its own would flip that row); otherwise it gets this pass's
-    duals and basis, 0 pivots and the one factorization of a warm start.
+def _certified(problem, std, state, iterations, counters) -> LPSolution:
+    """The Optimal solution on ``state``'s final basis, re-solved from B:
+    one solve on B gives the basic values and one on B^T the duals.
+    ``NumericalBreakdown`` unless primal feasibility, on every row of
+    ``problem`` (the rows the basis dropped as redundant included) and on
+    the bounds, and complementary slackness pass their bounds.
     """
-    C = std.row_sign[:, None] * cols            # the standard-form columns
     B = std.A[np.ix_(state.kept_rows, state.basis)]
-    XB = state.basic_solve(B, C[state.kept_rows]).T
+    xB = state.basic_solve(B, std.b[state.kept_rows])
     y_kept, red = state.duals(std, B)
     real = state.basis < len(std.orig)          # no slack, no artificial
     support = std.orig[state.basis[real]]
-    X = np.zeros((len(XB), std.n_orig))
-    X[:, support] = 0.0 + std.sign[state.basis[real]] * XB[:, real]
-    feas = _primal_residual(problem, X, cols, support, std.equality)
-    slack = np.max(np.abs(XB * red[state.basis]), axis=1, initial=0.0)
-    fails = (feas > FEAS_TOL) | (slack > CS_TOL)
-    if fails[0]:
+    x = np.zeros(std.n_orig)
+    x[support] = 0.0 + std.sign[state.basis[real]] * xB[real]
+    feas = _primal_residual(problem, x, support, std.equality)
+    slack = float(np.max(np.abs(xB * red[state.basis]), initial=0.0))
+    if feas > FEAS_TOL or slack > CS_TOL:
         raise NumericalBreakdown(f"certification failed: feasibility "
-                                 f"{feas[0]:.3e}, slackness {slack[0]:.3e}")
-    misfit = fails | np.any(C < 0.0, axis=0) \
-        | (np.min(XB, axis=1, initial=0.0) < -FEAS_TOL)
-    misfit[0] = False                           # certified above
-    objective = X @ problem.c
-    dual = std.dual_to_original(y_kept, state.kept_rows)
+                                 f"{feas:.3e}, slackness {slack:.3e}")
     final = np.full(len(std.b), -1)
     final[state.kept_rows] = state.basis
-    warm = {"refactorizations": 1, "phase1_iterations": 0, "bland": False}
-    return [lp_solve(replace(problem, b=cols[:, j]), basis=final) if misfit[j]
-            else LPSolution(OPTIMAL, X[j], float(objective[j]), dual.copy(),
-                            0 if j else iterations,
-                            feasibility_residual=float(feas[j]),
-                            slackness_residual=float(slack[j]),
-                            basis=final.copy(), **(warm if j else counters))
-            for j in range(len(X))]
+    return LPSolution(OPTIMAL, x, float(x @ problem.c),
+                      std.dual_to_original(y_kept, state.kept_rows),
+                      iterations, feasibility_residual=feas,
+                      slackness_residual=slack, basis=final, **counters)
 
 
 def _warm_start(std: "_Standardized", basis):
@@ -482,17 +434,15 @@ class _Revised:
         return y, std.c - std.A[self.kept_rows].T @ y
 
 
-def _primal_residual(p: LPProblem, X, cols, support, equality):
-    """Worst violation of ``p``'s rows and bounds at each row of ``X``,
-    whose right-hand side is that column of ``cols``; ``X`` is 0 off the
-    columns ``support``, and ``equality`` flags ``p``'s '=' rows."""
-    res = p.A[:, support] @ X[:, support].T - cols
+def _primal_residual(p: LPProblem, x, support, equality) -> float:
+    """Worst violation of ``p``'s rows and bounds at ``x``, which is 0 off
+    the columns ``support``; ``equality`` flags ``p``'s '=' rows."""
+    res = p.A[:, support] @ x[support] - p.b
     # '<=' rows count only their excess.  As in a max over the rows from
     # 0.0, a NaN row is skipped (fmax) and a zero result is +0.0.
-    worst = np.fmax.reduce(np.where(equality[:, None], np.abs(res), res),
-                           axis=0, initial=0.0)
-    bound = np.min(X[:, ~p.free], axis=1, initial=0.0)
-    return np.maximum(worst, -np.minimum(bound, 0.0))
+    worst = np.fmax.reduce(np.where(equality, np.abs(res), res), initial=0.0)
+    bound = np.min(x[~p.free], initial=0.0)
+    return float(np.maximum(worst, -np.minimum(bound, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,9 @@ one LP and its duals:
   basis: no phase 1), never from the solver's policy, so that it finds
   its own optimum.  That optimal basis is dual feasible for every seed,
   so it is optimal for each seed e_(k,z) that it keeps primal
-  feasible, B^-1 e_(k,z) >= 0.  The pass that certifies that LP
-  certifies every seed on its final basis too (``lp_solve``'s ``rhs``):
-  one factorization of B solves all seeds' basic values, the screens
-  and residuals run over all seeds at once, each seed agrees with its
-  own warm LP to roundoff, and a seed that the basis does not fit is
-  solved as its own LP;
+  feasible, B^-1 e_(k,z) >= 0.  With b = 1 it is a policy basis, whose
+  inverse is nonnegative, so it fits every seed: one solve on B gives
+  all seeds' measures (``_basis_measures``);
 - the subsolution maximum is read off the duals of that same LP.  Its
   LP dual is max sum u s.t. A u <= L, the greatest-subsolution LP: for
   lam > 0 the subsolutions have a greatest element (the solution), so
@@ -51,6 +48,12 @@ A u <= L gives u_k(z) = <A^T mu, u> = <mu, A u> <= <mu, L> (weak
 duality).  So the measure value bounds the field's entry from above,
 and a spread within the tolerance proves the identity at that point
 just as the per-point LPs do.
+
+For lam > 0 the measures on a policy basis are that policy's occupation
+measures, the columns of (policy matrix)^-T (d'Epenoux, Management
+Science 10, 1963).  ``_basis_measures`` is the one place that solves
+for them: the audit's seeds, ``occupation_from_policy`` and, through
+it, the Mather measure of ``limits.mather_from_sweep``.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .discretize import (DiscreteSystem, Policy, ValueField,
-                         bellman_residual, linearized_matrix, policy_matrix,
-                         policy_rows)
+                         _linearized_rows, bellman_residual,
+                         linearized_matrix, policy_rows)
 from .errors import (BadValue, InfeasibleLP, NumericalBreakdown,
                      SingularSystem, UnboundedLP)
 from .lp import FEAS_TOL, OPTIMAL, UNBOUNDED, LPProblem, lp_solve
@@ -71,6 +74,7 @@ from .solver import policy_iterate
 MASS_TOL = 1e-9
 ZERO_MASS_TOL = 1e-12
 DUALITY_TOL = 1e-7
+NEGATIVE_WEIGHT_TOL = 1e-10  # a policy-basis weight below -this: no fit
 SUPPORT_MASS_FLOOR = 1e-10   # support_audit counts weights above this
 
 
@@ -200,21 +204,47 @@ def _measure_problem(sys: DiscreteSystem, lam: float, z: Optional[int] = None,
     return problem
 
 
-def _measure_rows(sys: DiscreteSystem, lam: float, sols) -> np.ndarray:
-    """The weight rows, clamped at 0, of measure-LP solutions, once every
-    solution is Optimal and every row passes ``validate_rows``."""
-    for sol in sols:
-        if sol.status != OPTIMAL:
-            raise SingularSystem(f"measure LP returned {sol.status}")
-    rows = np.maximum(np.stack([sol.x for sol in sols]), 0.0)
+def _measure_of(sys: DiscreteSystem, lam: float, sol):
+    """The validated measure of a measure-LP solution, clamped at 0, and
+    the solution."""
+    if sol.status != OPTIMAL:
+        raise SingularSystem(f"measure LP returned {sol.status}")
+    row = np.maximum(sol.x, 0.0)
+    validate_rows(sys, lam, row[None, :])
+    return MeasureVector.from_flat(sys, row, lam), sol
+
+
+def _basis_measures(sys: DiscreteSystem, lam: float, basis: np.ndarray,
+                    seeds: np.ndarray) -> np.ndarray:
+    """Flat weight rows of the lam > 0 closed measures on a policy basis,
+    one per column of the (mS, k) array ``seeds``: A^T mu = seed, mu 0
+    off ``basis``, the flat (i, x, a) columns of one control per field
+    entry, in the order of the measure LP's basis positions.
+
+    The one place where a policy basis's measures are solved for: one
+    solve on the basis matrix, ``policy_matrix``^T up to column order,
+    gives every seed's weights, as the measure LP's final basic solve
+    does.  ``NumericalBreakdown`` when the closedness residual exceeds
+    ``FEAS_TOL`` on a row or a weight is below -``NEGATIVE_WEIGHT_TOL``
+    (the basis does not fit that seed); the weights, clamped at 0, must
+    then pass ``validate_rows``.
+    """
+    B = _linearized_rows(sys, lam, basis).T
+    try:
+        XB = np.linalg.solve(B, seeds)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"policy basis solve failed: {exc}")
+    residual = float(np.max(np.abs(B @ XB - seeds), initial=0.0))
+    if residual > FEAS_TOL:
+        raise NumericalBreakdown(f"policy basis measures miss closedness "
+                                 f"by {residual:.3e}")
+    if float(np.min(XB, initial=0.0)) < -NEGATIVE_WEIGHT_TOL:
+        raise NumericalBreakdown("policy basis weights significantly "
+                                 "negative: the basis does not fit a seed")
+    rows = np.zeros((seeds.shape[1], sys.total_vars))
+    rows[:, basis] = np.maximum(XB.T, 0.0)
     validate_rows(sys, lam, rows)
     return rows
-
-
-def _measure_of(sys: DiscreteSystem, lam: float, sol):
-    """The validated measure of a measure-LP solution, and the solution."""
-    return MeasureVector.from_flat(sys, _measure_rows(sys, lam, [sol])[0],
-                                   lam), sol
 
 
 def green_poisson(sys: DiscreteSystem, lam: float, z: int, k: int):
@@ -230,29 +260,17 @@ def green_poisson(sys: DiscreteSystem, lam: float, z: int, k: int):
 
 def occupation_from_policy(sys: DiscreteSystem, lam: float, policy: Policy,
                            z: int, k: int) -> MeasureVector:
-    """Occupation weights of one policy seeded at (z, k).
-
-    Solves the transposed policy system; the M-matrix certificate makes
-    the transpose inverse nonnegative, so weights are clamped only of
-    roundoff size.
+    """Occupation weights of one policy seeded at (z, k), the closed
+    measure on the policy's basis (``_basis_measures``): the M-matrix
+    certificate makes the transpose inverse nonnegative, so weights are
+    clamped only of roundoff size.
     """
     if not lam > 0.0:
         raise BadValue("occupation requires lam > 0")
-    A = policy_matrix(sys, lam, policy)
-    rhs = np.zeros(A.shape[0])
-    rhs[k * sys.num_states + z] = 1.0
-    try:
-        dense = np.linalg.solve(A.T, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"occupation solve failed: {exc}")
-    if float(np.min(dense)) < -1e-10:
-        raise SingularSystem("occupation weights significantly negative")
-    dense = np.maximum(dense, 0.0)
-    flat = np.zeros(sys.total_vars)
-    flat[policy_rows(sys, policy)] = dense
-    mu = MeasureVector.from_flat(sys, flat, lam)
-    mu.validate(sys)
-    return mu
+    seed = np.zeros((sys.m * sys.num_states, 1))
+    seed[k * sys.num_states + z] = 1.0
+    rows = _basis_measures(sys, lam, policy_rows(sys, policy), seed)
+    return MeasureVector.from_flat(sys, rows[0], lam)
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +363,14 @@ class DualityReport:
                 "passed": self.passed}
 
 
-def _duality_report(z, k, lam, solver_value, measure_sol, sub_value):
-    measure_value = measure_sol.objective_value
+def _duality_report(z, k, lam, solver_value, measure_value, slackness,
+                    sub_value):
     passed = (abs(solver_value - measure_value) <= DUALITY_TOL
               and abs(solver_value - sub_value) <= DUALITY_TOL)
     return DualityReport(z=z, k=k, lam=lam, solver_value=solver_value,
                          measure_value=measure_value,
                          subsolution_value=sub_value,
-                         slackness_residual=measure_sol.slackness_residual,
-                         passed=passed)
+                         slackness_residual=slackness, passed=passed)
 
 
 def duality_audit(sys: DiscreteSystem, lam: float, z: int, k: int,
@@ -370,7 +387,8 @@ def duality_audit(sys: DiscreteSystem, lam: float, z: int, k: int,
         solver_value = float(u[k, z])
     _, sol = _measure_of(sys, lam, lp_solve(_measure_problem(sys, lam, z, k)))
     _, sub_value = subsolution_lp(sys, lam, z, k)
-    return _duality_report(z, k, lam, solver_value, sol, sub_value)
+    return _duality_report(z, k, lam, solver_value, sol.objective_value,
+                           sol.slackness_residual, sub_value)
 
 
 def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
@@ -382,16 +400,16 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
     entry, which needs no phase 1, and pivots to its own optimum.
     Howard's policy would start it at an optimum in 0 pivots, but then
     the measure side would only re-check the solver's answer, and the
-    three numbers would no longer be found independently.  The same
-    ``lp_solve`` call certifies every point's seed on its optimal basis,
-    from one factorization of B, and solves a seed the basis does not fit
-    as its own LP.  With b = 1 > 0 every row needs positive weight on its
-    own field entry's columns, so every basic feasible solution is a
-    policy basis, and its nonnegative inverse fits every seed.  Each
-    seed's measure is validated as ``green_poisson``'s is, all in one
-    call.  The subsolution side is that LP's duals, the greatest
-    subsolution; a dual field with a Bellman residual above ``FEAS_TOL``
-    anywhere is no subsolution and raises ``NumericalBreakdown``.
+    three numbers would no longer be found independently.  With b = 1 > 0
+    every row needs positive weight on its own field entry's columns, so
+    every basic feasible solution is a policy basis, whose nonnegative
+    inverse fits every seed: each point's measure is read off the final
+    basis by ``_basis_measures``, and a seed the basis does not fit
+    raises ``NumericalBreakdown``.  Its value is <mu, L> and its
+    slackness residual max |mu (L - A y)| under the LP's duals y.  The
+    subsolution side is those duals, the greatest subsolution; a dual
+    field with a Bellman residual above ``FEAS_TOL`` anywhere is no
+    subsolution and raises ``NumericalBreakdown``.
     """
     if not lam > 0.0:
         raise BadValue("duality audit requires lam > 0")
@@ -399,17 +417,20 @@ def field_duality_audit(sys: DiscreteSystem, lam: float) -> list:
     u, _, _ = policy_iterate(sys, lam, tol=1e-10)
     crash = np.array([c.argmin(axis=1) for c in sys.cost])
     summed = lp_solve(replace(problem, b=np.ones_like(problem.b)),
-                      basis=policy_rows(sys, crash),
-                      rhs=np.eye(len(problem.b)))
+                      basis=policy_rows(sys, crash))
     if summed.status != OPTIMAL:
         raise SingularSystem(f"summed-seed measure LP returned "
                              f"{summed.status}")
     sub = summed.dual.reshape(sys.m, sys.num_states)
     check_subsolution(sys, lam, sub, "summed-seed duals")
+    rows = _basis_measures(sys, lam, summed.basis, np.eye(len(problem.b)))
+    values = rows @ problem.c
+    slackness = np.max(np.abs(rows * (problem.c - problem.A.T @ summed.dual)),
+                       axis=1)
     points = [(z, k) for k in range(sys.m) for z in range(sys.num_states)]
-    _measure_rows(sys, lam, summed.columns)
-    return [_duality_report(z, k, lam, float(u[k, z]), sol, float(sub[k, z]))
-            for (z, k), sol in zip(points, summed.columns)]
+    return [_duality_report(z, k, lam, float(u[k, z]), float(value),
+                            float(slack), float(sub[k, z]))
+            for (z, k), value, slack in zip(points, values, slackness)]
 
 
 @dataclass

@@ -551,15 +551,15 @@ def fenchel_equality_check(model: HamiltonianModel, table: LagrangianTable,
     if sample_count < 1:
         raise EmptySampleSet("sample_count must be >= 1")
     entries = list(table.finite_entries())
+    if not entries:
+        return StructureReport("fenchel-equality", False, math.inf, None, 0)
     rng = np.random.default_rng(seed)
     if recovery_tol is None:
         recovery_tol = max(CHECK_TOL, 0.5 * _max_spacing(table.xi_grid) ** 2)
-    p_rad = max(1.0, max((np.abs(xi).max() for (_, xi, _, _) in entries),
-                         default=1.0))
+    p_rad = max(1.0, max(np.abs(xi).max() for (_, xi, _, _) in entries))
     violations, witnesses = [], []
     for _ in range(sample_count):
-        x, xi0, _, _ = entries[int(rng.integers(len(entries)))] if entries \
-            else (table.x_points[0], None, None, None)
+        x, _, _, _ = entries[int(rng.integers(len(entries)))]
         p = _dyadic(rng, -p_rad, p_rad, model.n)
         u = _dyadic(rng, -2.0, 2.0, model.m)
         h = float(model.eval(x, table.mode, p, u))
@@ -571,14 +571,10 @@ def fenchel_equality_check(model: HamiltonianModel, table: LagrangianTable,
             score = float(xi @ p + eta @ u) - val
             best = max(best, score)
             worst_fy = max(worst_fy, score - h)
-        viol = max(worst_fy, (h - best) - recovery_tol if best > -math.inf
-                   else math.inf)
-        violations.append(viol)
+        # x is an entry's own point, so best is finite
+        violations.append(max(worst_fy, (h - best) - recovery_tol))
         witnesses.append({"x": np.asarray(x).tolist(), "p": p.tolist(),
-                          "u": u.tolist(), "H": h,
-                          "recovered": best if best > -math.inf else None})
-    if not entries:
-        return StructureReport("fenchel-equality", False, math.inf, None, 0)
+                          "u": u.tolist(), "H": h, "recovered": best})
     return _report("fenchel-equality", violations, witnesses, sample_count)
 
 

@@ -1,5 +1,7 @@
 import inspect
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -257,10 +259,11 @@ def test_manifest_counts_each_stage_own_work(tmp_path):
                           "lp_solves", "pivots", "phase1_pivots",
                           "refactorizations"}
                for c in stages.values())
-    # both lam > 0 measure LPs start from a policy basis: no phase 1, and
-    # the sweep's optimal policy leaves the Green-Poisson LP no pivot
+    # the audit's LP starts from a policy basis, so it needs no phase 1;
+    # the Green-Poisson measure is the sweep's optimal policy's occupation
+    # measure, which takes no LP at all
     assert stages["audits"]["phase1_pivots"] == 0
-    assert stages["green_poisson"]["lp_solves"] == 1
+    assert stages["green_poisson"]["lp_solves"] == 0
     assert stages["green_poisson"]["pivots"] == 0
     # the base system's and the frozen mode's; the cost-shifted copy that
     # the limit stages run on shares the base system's
@@ -681,3 +684,25 @@ def test_bad_counts_are_usage_errors(tmp_path, pipeline, overrides, error):
     assert report.status == 2 and not report.passed
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["error"]["type"] == error
+
+
+def _module(*args):
+    """``python -m discountlab`` with ``args``, run as a subprocess."""
+    src = str(Path(dl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "discountlab", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_module_entry_point_lists_the_zoo():
+    done = _module("zoo", "list")
+    assert done.returncode == 0
+    assert done.stdout.split() == ["constant-coupling", "linear-B",
+                                   "quadratic-plc", "eikonal-f"]
+
+
+def test_module_entry_point_without_a_command_exits_2():
+    done = _module()
+    assert done.returncode == 2
+    assert "usage: discountlab" in done.stdout

@@ -100,19 +100,30 @@ def test_mather_from_sweep_concentrates(eikonal32_normalized):
          "eikonal-f-32"])
 def test_mather_from_sweep_is_the_last_policys_occupation(name, sizes):
     # the sweep's last policy is an optimal basis of the Green-Poisson LP:
-    # 0 pivots, and the measure is lam times its occupation measure
+    # no LP is solved, and the measure is lam times its occupation measure,
+    # whose cost matches the cold LP's optimum
     work, _ = ergodic_normalize(dl.standard_system(name, **sizes))
     sweep = dl.discount_sweep(work)
     lam, policy = sweep.lambdas[-1], sweep.policies[-1]
     before = dict(dl.lp.WORK)
     nu = mather_from_sweep(work, sweep, 0, 0)
-    assert dl.lp.WORK["lp_solves"] - before["lp_solves"] == 1
-    assert dl.lp.WORK["pivots"] == before["pivots"]
+    assert dl.lp.WORK == before
     occupation = dl.occupation_from_policy(work, lam, policy, 0, 0)
-    scaled = lam * occupation.flat()
-    assert np.max(np.abs(nu.flat() - scaled)) <= 1e-12 * np.max(scaled)
+    assert np.array_equal(nu.flat(), lam * occupation.flat())
     _, cold = dl.green_poisson(work, lam, 0, 0)
     assert abs(nu.pair_cost(work) / lam - cold) <= DUALITY_TOL
+
+
+def test_mather_from_sweep_checks_the_last_rungs_field(
+        eikonal32_normalized):
+    # values raised by 1e-6 at one entry break a Bellman relation there:
+    # the policy basis is then not certified optimal
+    sweep = dl.discount_sweep(eikonal32_normalized, 0.5, 0.5, 18, tol=1e-10)
+    mather_from_sweep(eikonal32_normalized, sweep, 0, 0)
+    sweep.fields[-1] = sweep.fields[-1].copy()
+    sweep.fields[-1][0, 5] += 1e-6
+    with pytest.raises(NumericalBreakdown):
+        mather_from_sweep(eikonal32_normalized, sweep, 0, 0)
 
 
 def test_face_zero_only_for_positive_total_coupling(

@@ -283,9 +283,9 @@ def test_field_duality_audit_makes_one_lp_call(name, monkeypatch):
     calls = []
     solve = dl.lp.lp_solve
 
-    def counted(problem, basis=None, rhs=None):
+    def counted(problem, basis=None):
         calls.append(basis)
-        return solve(problem, basis=basis, rhs=rhs)
+        return solve(problem, basis=basis)
 
     monkeypatch.setattr(dl.measures, "lp_solve", counted)
     monkeypatch.setattr(dl.lp, "lp_solve", counted)
@@ -310,8 +310,8 @@ def test_field_duality_audit_lp_needs_no_phase1(name, monkeypatch):
     sols = []
     solve = dl.lp.lp_solve
 
-    def kept(problem, basis=None, rhs=None):
-        sols.append(solve(problem, basis=basis, rhs=rhs))
+    def kept(problem, basis=None):
+        sols.append(solve(problem, basis=basis))
         return sols[-1]
 
     monkeypatch.setattr(dl.measures, "lp_solve", kept)
@@ -329,8 +329,8 @@ def test_field_duality_audit_checks_its_dual_field(instance_b, monkeypatch):
     # they are no subsolution, and the audit must not pass them on
     solve = dl.lp.lp_solve
 
-    def pushed(problem, basis=None, rhs=None):
-        sol = solve(problem, basis=basis, rhs=rhs)
+    def pushed(problem, basis=None):
+        sol = solve(problem, basis=basis)
         dual = sol.dual.copy()
         dual[3] += 1e-6
         return replace(sol, dual=dual)
@@ -342,18 +342,81 @@ def test_field_duality_audit_checks_its_dual_field(instance_b, monkeypatch):
 
 def test_field_duality_audit_validates_every_seed_measure(instance_a,
                                                           monkeypatch):
-    # one seed's weights doubled: its discounted mass reads 2, and the
-    # one validation of all seed rows names that seed's row
-    solve = dl.measures.lp_solve
+    # one seed doubled: its measure is closed for that seed, but its
+    # discounted mass reads 2, and the one validation of all seed rows
+    # names that seed's row
+    measures = dl.measures._basis_measures
 
-    def doubled(problem, basis=None, rhs=None):
-        sol = solve(problem, basis=basis, rhs=rhs)
-        sol.columns[5] = replace(sol.columns[5], x=2.0 * sol.columns[5].x)
-        return sol
+    def doubled(sys_, lam, basis, seeds):
+        seeds = seeds.copy()
+        seeds[:, 5] *= 2.0
+        return measures(sys_, lam, basis, seeds)
 
-    monkeypatch.setattr(dl.measures, "lp_solve", doubled)
+    monkeypatch.setattr(dl.measures, "_basis_measures", doubled)
     with pytest.raises(BadValue, match="measure row 5: discounted mass 2"):
         dl.field_duality_audit(instance_a, 0.5)
+
+
+def _policy_basis(sys_, lam):
+    """Howard's optimal policy at ``lam`` as flat (i, x, a) rows."""
+    _, policy, _ = dl.policy_iterate(sys_, lam, tol=1e-10)
+    return policy_rows(sys_, policy)
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("constant-coupling", {}), ("linear-B", {}), ("quadratic-plc", {}),
+    ("eikonal-f", {}), ("quadratic-plc", dict(N=16))],
+    ids=["constant-coupling", "linear-B", "quadratic-plc", "eikonal-f",
+         "quadratic-plc-N16"])
+def test_basis_measures_are_each_seeds_lp_optimum(name, sizes):
+    # on the summed-seed LP's optimal basis, in its own position order:
+    # every point mass at once, each row within roundoff of that seed's
+    # own LP warm-started on the basis, which makes no pivot
+    sys_, lam = dl.standard_system(name, **sizes), 0.5
+    problem = _measure_problem(sys_, lam, 0, 0)
+    basis = lp_solve(replace(problem, b=np.ones_like(problem.b))).basis
+    rows = dl.measures._basis_measures(sys_, lam, basis,
+                                       np.eye(len(problem.b)))
+    for j, row in enumerate(rows):
+        sol = lp_solve(replace(problem, b=np.eye(len(problem.b))[j]),
+                       basis=basis)
+        assert sol.iterations == 0
+        assert np.max(np.abs(row - sol.x)) <= 1e-13 * max(1.0, np.max(sol.x))
+        assert abs(row @ problem.c - sol.objective_value) \
+            <= 1e-13 * max(1.0, abs(sol.objective_value))
+
+
+def _seed(sys_, *weights):
+    """The (mS, 1) seed with ``weights`` on the first field entries."""
+    seed = np.zeros((sys_.m * sys_.num_states, 1))
+    seed[:len(weights), 0] = weights
+    return seed
+
+
+def test_basis_measures_check_closedness(instance_b, monkeypatch):
+    # weights 0.1% too large miss the seed by 1e-3
+    basis = _policy_basis(instance_b, 0.5)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: 1.001 * solve(a, b))
+    with pytest.raises(NumericalBreakdown, match="closedness"):
+        dl.measures._basis_measures(instance_b, 0.5, basis,
+                                    _seed(instance_b, 1.0))
+
+
+def test_basis_measures_check_nonnegativity(instance_b):
+    # e_0 - e_1 is no measure's seed: the basis does not fit it
+    with pytest.raises(NumericalBreakdown, match="negative"):
+        dl.measures._basis_measures(instance_b, 0.5,
+                                    _policy_basis(instance_b, 0.5),
+                                    _seed(instance_b, 1.0, -1.0))
+
+
+def test_basis_measures_validate_their_rows(instance_b):
+    # 2 e_0 is closed on the basis, but its measure has discounted mass 2
+    with pytest.raises(BadValue, match="measure row 0: discounted mass 2"):
+        dl.measures._basis_measures(instance_b, 0.5,
+                                    _policy_basis(instance_b, 0.5),
+                                    _seed(instance_b, 2.0))
 
 
 def test_field_duality_audit_rejects_zero_lambda(instance_a):
@@ -374,6 +437,16 @@ def test_cold_measure_lp_solves_at_the_last_rung(name, N):
     assert sol.status == OPTIMAL
     assert sol.feasibility_residual <= FEAS_TOL
     assert sol.slackness_residual <= CS_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalBreakdown,
+                   reason="ROADMAP item 6: at lam = 1e-5 the summed-seed "
+                   "LP's crash start ends on an optimal basis whose absolute "
+                   "slackness, at weights of about 1/lam, exceeds CS_TOL")
+def test_field_duality_audit_passes_quadratic_plc_n32_at_1e_5():
+    reports = dl.field_duality_audit(
+        dl.standard_system("quadratic-plc", N=32), 1e-5)
+    assert all(rep.passed for rep in reports)
 
 
 def test_green_poisson_survives_pivot_drift(instance_b_normalized):

@@ -5,7 +5,7 @@ import pytest
 
 import discountlab as dl
 from discountlab.errors import EmptySampleSet, MissingRadius
-from discountlab.model import (HamiltonianModel, LagrangianTable,
+from discountlab.model import (HamiltonianModel, LagrangianTable, StructureReport,
                                check_coupling_domain, in_coupling_cone)
 
 
@@ -369,6 +369,17 @@ def test_fenchel_single_entry_table_fails_recovery():
                           values=np.full((1, 1, 1), -1.0))
     rep = dl.fenchel_equality_check(m, tab, 300, seed=13)
     assert not rep.passed
+
+
+def test_fenchel_all_infinite_table_fails_without_sampling():
+    # no finite entry: nothing recovers H, and no sample is drawn
+    m = dl.make_model("constant-coupling")
+    tab = LagrangianTable(mode=0, m=2, n=1, x_points=np.zeros((1, 1)),
+                          xi_grid=np.array([[-1.0], [1.0]]),
+                          eta_grid=np.array([[1.0, 0.0]]),
+                          values=np.full((1, 2, 1), np.inf))
+    rep = dl.fenchel_equality_check(m, tab, 300, seed=13)
+    assert rep == StructureReport("fenchel-equality", False, math.inf, None, 0)
 
 
 def test_coupling_domain_quadratic_passes():

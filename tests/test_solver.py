@@ -439,6 +439,16 @@ def test_a_new_policy_updates_only_the_newest_inverse():
     assert scalar.inverses[(lam, further.tobytes())][1] == 0
 
 
+def test_policy_iterate_stops_at_max_iter(monkeypatch):
+    # one Howard step cannot solve a cold eikonal-f N=32: the budget runs
+    # out, and the partial diagnostics come with the error
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="exceeded MAX_ITER") as info:
+        dl.policy_iterate(dl.standard_system("eikonal-f", N=32), 0.5)
+    assert isinstance(info.value.diagnostics, dl.SolveDiagnostics)
+    assert info.value.diagnostics.iterations == 1
+
+
 def test_negative_tolerances_are_rejected(instance_a, monkeypatch):
     # tol = 0 stays legal: it asks for an exact fixed point
     res = dl.ergodic_solve(dl.standard_system("eikonal-f"), 0.01, tol=0.0)
