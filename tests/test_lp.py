@@ -406,23 +406,47 @@ def test_warm_start_checks_the_rows_its_basis_dropped():
     assert warm.objective_value == lp_solve(consistent).objective_value
 
 
-def test_certification_makes_two_basic_solves(monkeypatch):
-    # from a cold start and from the optimal basis alike: one solve on B
-    # for the basic values, one on B^T for the duals
-    _, summed = _measure_problems("quadratic-plc")
-    solve = lp._Revised.basic_solve
-    calls = []
+@pytest.mark.parametrize("k", [1, 2, 8, 16, 64])
+def test_rhs_pass_makes_two_basic_solves_whatever_k(k, monkeypatch):
+    # k seeds read off the measure LP's final basis: from a cold start and
+    # from the optimal basis alike the LP makes one solve on B for its
+    # basic values and one on B^T for its duals, and
+    # measures._basis_measures one solve for all k seeds, none per seed;
+    # each row is its seed's own LP, warm-started there with no pivot
+    import discountlab as dl
+    sys_ = dl.standard_system("quadratic-plc")
+    seeds, summed = _measure_problems("quadratic-plc")
+    picked = [seeds[j % len(seeds)] for j in range(k)]
+    rhs = np.stack([seed.b for seed in picked], axis=1)
+    basic_solve, dense_solve = lp._Revised.basic_solve, np.linalg.solve
+    calls, dense = [], []
 
     def counted(self, B, rhs, transpose=False):
         calls.append(transpose)
-        return solve(self, B, rhs, transpose)
+        return basic_solve(self, B, rhs, transpose)
+
+    def counted_dense(a, b):
+        dense.append(np.shape(b))
+        return dense_solve(a, b)
 
     for start in (None, lp_solve(summed).basis):
         calls.clear()
+        dense.clear()
         with monkeypatch.context() as patch:
             patch.setattr(lp._Revised, "basic_solve", counted)
-            _assert_certified(lp_solve(summed, basis=start))
+            sol = lp_solve(summed, basis=start)
+        _assert_certified(sol)
         assert sorted(calls) == [False, True]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", counted_dense)
+            rows = dl.measures._basis_measures(sys_, 0.5, sol.basis, rhs)
+        assert dense == [(len(summed.b), k)]
+        assert rows.shape == (k, len(summed.c))
+        for row, seed in zip(rows, picked):
+            warm = lp_solve(seed, basis=sol.basis)
+            assert warm.iterations == 0
+            assert abs(row @ seed.c - warm.objective_value) \
+                <= 1e-13 * max(1.0, abs(warm.objective_value))
 
 
 class _LoopStandardized:
