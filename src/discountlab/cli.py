@@ -35,6 +35,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property, wraps
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -158,37 +159,89 @@ def serialize_config(spec: ExperimentSpec) -> str:
 # precise JSON / CSV emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if x != x:
-            return '"nan"'
-        if x in (float("inf"), float("-inf")):
-            return '"inf"' if x > 0 else '"-inf"'
-        return format(x, ".17g")
-    raise TypeError(type(x))
-
-
 def dumps_precise(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+    """Deterministic JSON with floats at 17 significant digits.
+
+    One pass appends every token to one list.  A float is written with
+    ``.17g``, NaN and the infinities as the strings ``"nan"``, ``"inf"``
+    and ``"-inf"``; a dict's items go in key order, each key as the JSON
+    string of ``str(key)``; strings are ASCII-escaped as ``json.dumps``
+    escapes them; lists and tuples become arrays, and the separators are
+    ``", "`` and ``": "``.  Numpy scalars, numpy arrays and subclasses of
+    the built-in types are written as the value of built-in type they
+    convert to (``_plain``); any other type raises ``TypeError``.
+    """
+    parts = []
+    _encode(obj, parts.append)
+    return "".join(parts)
+
+
+_quote = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+_by_key = itemgetter(0)
+
+
+def _encode(obj, append):
+    """Append the tokens of ``obj`` to the text of ``dumps_precise``,
+    dispatching on its exact type first."""
+    kind = type(obj)
+    if kind is float:
+        text = format(obj, ".17g")
+        append(_NONFINITE.get(text, text))
+    elif kind is str:
+        append(_quote(obj))
+    elif kind is dict:
+        sep = "{"   # the opening brace until the first item is written
+        for key, value in sorted(obj.items(), key=_by_key):
+            append(sep + _quote(str(key)) + ": ")
+            _encode(value, append)
+            sep = ", "
+        append("{}" if sep == "{" else "}")
+    elif kind is list or kind is tuple:
+        sep = "["
+        for value in obj:
+            append(sep)
+            _encode(value, append)
+            sep = ", "
+        append("[]" if sep == "[" else "]")
+    elif obj is None:
+        append("null")
+    elif kind is bool:
+        append("true" if obj else "false")
+    elif kind is int:
+        append(str(obj))
+    else:
+        _encode(_plain(obj), append)
+
+
+def _plain(obj):
+    """The value of built-in type that ``obj``, of no type ``_encode``
+    dispatches on, is written as; ``TypeError`` when there is none (a
+    numpy bool among them)."""
     if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
+        return float(obj)
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return int(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return str.__str__(obj)     # the characters, not an own __str__
     if isinstance(obj, np.ndarray):
-        return dumps_precise(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps_precise(v) for v in obj) + "]"
+        return list(obj)
     if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        return "{" + ", ".join(json.dumps(str(k)) + ": " + dumps_precise(v)
-                               for k, v in items) + "}"
+        return dict(obj.items())
     raise TypeError(f"cannot serialize {type(obj)}")
+
+
+# The files a run may write besides result.json.  A run removes them all
+# before it writes any (``_clear_run_files``), and so does the record of
+# a run that failed, so no file outlives the run that wrote it.
+_RUN_FILES = ("manifest.json", "duality.csv", "sweep.csv", "sweep.dat")
+
+
+def _clear_run_files(out: Path) -> None:
+    for name in _RUN_FILES:
+        (out / name).unlink(missing_ok=True)
 
 
 def _write_fresh(path: Path, text: str) -> bytes:
@@ -479,6 +532,7 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
         probe = out / ".write_probe"
         probe.write_text("")
         probe.unlink()
+        _clear_run_files(out)
     except OSError as exc:
         return ExitReport(2, "", False, f"output_dir not writable: {exc}")
     try:
@@ -518,7 +572,10 @@ def run_experiment(spec: ExperimentSpec) -> ExitReport:
 
 
 def _write_error(out: Path, exc: DiscountLabError, pipeline, instance):
-    """The ``"pass": false`` record of a run stopped by ``exc``."""
+    """The ``"pass": false`` record of a run stopped by ``exc``, alone
+    in ``out``: no file of an earlier run, nor one this run wrote before
+    it stopped, is left next to it."""
+    _clear_run_files(out)
     record = {"error": {"type": type(exc).__name__, "message": str(exc)},
               "pipeline": pipeline, "instance": instance, "pass": False}
     _write_fresh(out / "result.json", dumps_precise(record) + "\n")

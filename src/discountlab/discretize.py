@@ -505,27 +505,33 @@ def linearized_matrix(sys: DiscreteSystem, lam: float) -> np.ndarray:
                        sys.m * sys.num_states)
 
 
-def policy_matrix(sys: DiscreteSystem, lam: float, policy: Policy) -> np.ndarray:
+def policy_matrix(sys: DiscreteSystem, lam: float, policy: Policy,
+                  vals: Optional[np.ndarray] = None) -> np.ndarray:
     """Rows of ``linearized_matrix`` selected by a policy, as (mS, mS).
 
     Only the stencil triplets of the selected rows are accumulated, in
     the same order, so the result equals ``linearized_matrix(...)[rows]``
-    bit for bit without building the full matrix.
+    bit for bit without building the full matrix.  ``vals``, the
+    lam-shifted stencil values of a caller that holds them
+    (``Relations.vals``), spares computing them again.
     """
-    return _linearized_rows(sys, lam, policy_rows(sys, policy))
+    return _linearized_rows(sys, lam, policy_rows(sys, policy), vals)
 
 
-def _linearized_rows(sys: DiscreteSystem, lam: float,
-                     rows: np.ndarray) -> np.ndarray:
+def _linearized_rows(sys: DiscreteSystem, lam: float, rows: np.ndarray,
+                     vals: Optional[np.ndarray] = None) -> np.ndarray:
     """``linearized_matrix(sys, lam)[rows]`` for distinct flat (i, x, a)
-    rows, from their stencil triplets alone, summed in stored order."""
-    field_row = np.full(sys.total_vars, -1)
-    field_row[rows] = np.arange(len(rows))
+    rows, from their stencil triplets alone, summed in stored order: the
+    one assembly routine of a policy's matrix, its low-rank updates and
+    its measures.  Every triplet is summed, the unselected ones into a
+    scratch row past the last that is dropped.  ``vals`` as in
+    ``policy_matrix``."""
     st = sys.stencil
-    out_rows = field_row[st.rows]
-    keep = out_rows >= 0
-    return _accumulate(out_rows[keep], st.cols[keep], st.values(lam)[keep],
-                       len(rows), sys.m * sys.num_states)
+    out_row = np.full(sys.total_vars, len(rows))
+    out_row[rows] = np.arange(len(rows))
+    return _accumulate(out_row[st.rows], st.cols,
+                       st.values(lam) if vals is None else vals,
+                       len(rows) + 1, sys.m * sys.num_states)[:-1]
 
 
 def _accumulate(rows, cols, vals, nrows, ncols) -> np.ndarray:

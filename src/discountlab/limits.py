@@ -145,12 +145,12 @@ def discount_sweep(sys: DiscreteSystem, lam_start: float = 0.5,
         fields.append(u)
         policies.append(policy)
         diags.append(diag)
-        norms.append(float(np.max(np.abs(u))))
+        norms.append(float(np.abs(u).max()))
         u_prev = u
         if norms[-1] > DIVERGENCE_BOUND:
             divergent = True
             break
-    gaps = [float(np.max(np.abs(fields[j + 1] - fields[j])))
+    gaps = [float(np.abs(fields[j + 1] - fields[j]).max())
             for j in range(len(fields) - 1)]
     return SweepResult(lambdas=lambdas, fields=fields, diagnostics=diags,
                        cauchy_gaps=gaps, sup_norms=norms, divergent=divergent,

@@ -162,8 +162,9 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
 
     The matrix is the policy's rows of the cached ``sys.stencil``, the
     same triplets that ``linearized_matrix`` and the measure constraints
-    are summed from.  When ``sys.inverses`` is None it is factorized and
-    solved once (``np.linalg.solve``).  A system whose policy matrices
+    are summed from, with the lam-shifted values that ``relations``
+    holds.  When ``sys.inverses`` is None it is factorized and solved
+    once (``np.linalg.solve``).  A system whose policy matrices
     are solved again with new costs (``DiscreteSystem.uncoupled``)
     carries a dict there, keyed by ``(lam, policy.tobytes())``, of the
     inverses of the matrices seen so far, filled on first sight by
@@ -185,23 +186,25 @@ def policy_evaluate(sys: DiscreteSystem, lam: float, policy: Policy,
     rhs = rel.cost[rows]
     try:
         if sys.inverses is None:
-            flat = np.linalg.solve(policy_matrix(sys, lam, policy), rhs)
+            flat = np.linalg.solve(policy_matrix(sys, lam, policy, rel.vals),
+                                   rhs)
         else:
             key = (lam, policy.tobytes())
             if key not in sys.inverses:
-                sys.inverses[key] = _policy_inverse(sys, lam, policy)
+                sys.inverses[key] = _policy_inverse(sys, lam, policy,
+                                                    rel.vals)
             inv, _ = sys.inverses[key]
             flat = inv @ rhs
             flat -= inv @ rel.apply(flat)[rows]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"policy evaluation failed: {exc}")
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(flat).all():
         raise SingularSystem("policy evaluation produced non-finite values")
     return flat.reshape(sys.m, sys.num_states)
 
 
-def _policy_inverse(sys: DiscreteSystem, lam: float,
-                    policy: Policy):
+def _policy_inverse(sys: DiscreteSystem, lam: float, policy: Policy,
+                    vals: np.ndarray):
     """Inverse of the policy matrix on a system that carries ``inverses``,
     and how many field entries changed since its last full inversion.
 
@@ -213,7 +216,8 @@ def _policy_inverse(sys: DiscreteSystem, lam: float,
     (I + D inv0[:, r])^-1 D inv0 in O(k S^2) (singular only with the
     policy matrix: ``LinAlgError``).  The bound on c + k caps the chain
     of updates, and the roundoff it gathers, between two inversions.
-    Otherwise the matrix is built and inverted (c = 0).
+    Otherwise the matrix is built and inverted (c = 0).  Both sum the
+    lam-shifted stencil values ``vals`` of the caller's ``Relations``.
     """
     flat = policy.ravel()
     r = None
@@ -224,10 +228,10 @@ def _policy_inverse(sys: DiscreteSystem, lam: float,
             r = np.flatnonzero(old != flat)
     if r is None or UPDATE_RATIO * (changed + len(r)) >= flat.size:
         WORK["inversions"] += 1
-        return np.linalg.inv(policy_matrix(sys, lam, policy)), 0
+        return np.linalg.inv(policy_matrix(sys, lam, policy, vals)), 0
     WORK["inverse_updates"] += 1
-    d = _linearized_rows(sys, lam, policy_rows(sys, policy)[r]) - \
-        _linearized_rows(sys, lam, policy_rows(sys, old)[r])
+    d = _linearized_rows(sys, lam, policy_rows(sys, policy)[r], vals) - \
+        _linearized_rows(sys, lam, policy_rows(sys, old)[r], vals)
     left = inv0[:, r]
     return inv0 - left @ np.linalg.solve(np.eye(len(r)) + d @ left,
                                          d @ inv0), changed + len(r)
@@ -265,12 +269,12 @@ def policy_iterate(sys: DiscreteSystem, lam: float, tol: float = 1e-10,
         vals = rel.apply(u)
         greedy = rel.greedy(vals)
         best = rel.at(vals, greedy)
-        last_norm = float(np.max(np.abs(best)))
+        last_norm = float(np.abs(best).max())
         diag = SolveDiagnostics(it, last_norm, float("nan"))
         if last_norm <= tol:
             return u, policy, diag
         take = best > rel.at(vals, policy) + IMPROVE_TOL
-        if not np.any(take):
+        if not take.any():
             if last_norm <= max(10.0 * tol, 10.0 * IMPROVE_TOL):
                 return u, policy, diag
             raise NoConvergence(
@@ -375,7 +379,7 @@ def ergodic_solve(sys: DiscreteSystem, lam: float, tol: float = 1e-8,
         WORK["ergodic_sweeps"] += 1
         v, tu, c_est = ergodic_map(sys, lam, u, v0=v)
         f = (tu - u).ravel()
-        gap = float(np.max(np.abs(f)))
+        gap = float(np.abs(f).max())
         gaps.append(gap)
         if gap <= tol:
             residual = float(np.max(np.abs(
@@ -407,6 +411,6 @@ def _anderson_step(f, dx, df, damping):
         g = np.linalg.solve(dF @ dF.T, dF @ f)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         return None
     return damping * f - g @ (np.array(dx) + damping * dF)

@@ -1,10 +1,13 @@
+import hashlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -136,6 +139,8 @@ def test_run_is_deterministic(tmp_path):
         assert all(r.status == 0 for r in reports), (pipeline, reports)
         a, b = ((d / "result.json").read_bytes() for d in dirs)
         assert a == b, pipeline
+        # every value the encoder writes reads back as one it writes alike
+        assert (dumps_precise(json.loads(a)) + "\n").encode() == a, pipeline
         hashes = [json.loads((d / "manifest.json").read_text())
                   ["determinism_sha256"] for d in dirs]
         assert hashes[0] == hashes[1], pipeline
@@ -492,6 +497,137 @@ def test_rerun_writes_new_files(tmp_path):
     for name in names:
         assert (tmp_path / name).read_bytes() == before[name], name
         assert (out / name).read_bytes() != before[name], name
+
+
+def test_run_leaves_no_file_of_an_earlier_run(tmp_path):
+    # a full run writes every table; a solve run, a failed run and a
+    # rejected config after it leave only files of their own
+    out = tmp_path / "o"
+    spec = _small_spec("full", out)
+    assert run_experiment(spec).status == 0
+    assert {p.name for p in out.iterdir()} == {
+        "result.json", "manifest.json", "duality.csv", "sweep.csv",
+        "sweep.dat"}
+    assert run_experiment(replace(spec, pipeline="solve")).status == 0
+    assert {p.name for p in out.iterdir()} == {"result.json",
+                                               "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["spec"]["pipeline"] == "solve"
+    assert manifest["determinism_sha256"] == \
+        hashlib.sha256((out / "result.json").read_bytes()).hexdigest()
+    assert run_experiment(replace(spec, probe_state=99)).status == 2
+    assert [p.name for p in out.iterdir()] == ["result.json"]
+    assert run_experiment(spec).status == 0
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"instance = eikonal-f\npipeline = solve\n"
+                   f"lambda = abc\noutput_dir = {out}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert [p.name for p in out.iterdir()] == ["result.json"]
+
+
+def _dumps_reference(obj) -> str:
+    """The recursive encoder ``dumps_precise`` replaced, verbatim but for
+    its name and its float helper's, kept as the oracle of the one-pass
+    one."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_reference(float(obj))
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return _dumps_reference(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_dumps_reference(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: kv[0])
+        return "{" + ", ".join(json.dumps(str(k)) + ": " + _dumps_reference(v)
+                               for k, v in items) + "}"
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def _fmt_reference(x) -> str:
+    if isinstance(x, float):
+        if x != x:
+            return '"nan"'
+        if x in (float("inf"), float("-inf")):
+            return '"inf"' if x > 0 else '"-inf"'
+        return format(x, ".17g")
+    raise TypeError(type(x))
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+_EDGE_FLOATS = (float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                5e-324, -5e-324, 1.7976931348623157e308, 1.0 / 3.0, 1e16)
+_EDGE_STRINGS = ("", "plain", "caf\u00e9 \u2202\u03bb", "\x00\x1f\x7f",
+                 'quote " back \\ slash', "tab\tnew\nline", "\U0001f600")
+
+
+def _random_value(rng, depth):
+    """One value of the encoder's input: a scalar of any accepted type,
+    a numpy array, or (above depth 0) a container of such values."""
+    kind = int(rng.integers(0, 16 if depth else 10))
+    if kind == 0:
+        return _EDGE_FLOATS[int(rng.integers(len(_EDGE_FLOATS)))]
+    if kind == 1:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 2:
+        x = _EDGE_FLOATS[int(rng.integers(len(_EDGE_FLOATS)))]
+        return (np.float32(rng.standard_normal()), np.float32(x % 1e30),
+                np.float64(x))[int(rng.integers(3))]
+    if kind == 3:
+        return (int(rng.integers(-2**62, 2**62)) * 10 ** 30,
+                np.int64(rng.integers(-2**62, 2**62)),
+                np.int32(rng.integers(-2**31, 2**31)))[int(rng.integers(3))]
+    if kind == 4:
+        return _EDGE_STRINGS[int(rng.integers(len(_EDGE_STRINGS)))]
+    if kind == 5:
+        return (True, False, None)[int(rng.integers(3))]
+    if kind == 6:
+        return np.array(rng.standard_normal())
+    if kind == 7:
+        shape = tuple(int(n) for n in rng.integers(0, 4, rng.integers(1, 4)))
+        return rng.standard_normal(shape)
+    if kind == 8:
+        return np.array([[1, -2], [3, 4]], dtype=np.int64)
+    if kind == 9:
+        return np.array(_EDGE_FLOATS)
+    size = int(rng.integers(0, 5))
+    items = [_random_value(rng, depth - 1) for _ in range(size)]
+    if kind == 10:
+        return items
+    if kind == 11:
+        return tuple(items)
+    if kind == 12:
+        return _Pair(*(items + [None, None])[:2])
+    if kind == 13:
+        return {int(k): v for k, v in zip(rng.integers(-50, 50, size), items)}
+    keys = [_EDGE_STRINGS[int(rng.integers(len(_EDGE_STRINGS)))] + str(j)
+            for j in range(size)]
+    if kind == 14:
+        return OrderedDict(zip(keys[::-1], items))
+    return dict(zip(keys, items))
+
+
+def test_dumps_precise_matches_the_recursive_encoder():
+    rng = np.random.default_rng(20)
+    corpus = [_random_value(rng, 4) for _ in range(400)]
+    corpus += [list(_EDGE_FLOATS), {"z": {"y": [(), [], {}]}, "": _Pair(1, 2)},
+               {3: "a", -1: "b", 20: "c"}]
+    for obj in corpus:
+        assert dumps_precise(obj) == _dumps_reference(obj), obj
+    for bad in ({1.0}, np.bool_(True), object(), [1.0, {"k": {2}}]):
+        for encode in (dumps_precise, _dumps_reference):
+            with pytest.raises(TypeError):
+                encode(bad)
 
 
 def test_dumps_precise_float_formatting():

@@ -269,12 +269,28 @@ def test_stencil_matches_row_by_row_reference(zoo_id):
     sys_ = dl.standard_system(zoo_id)
     again = dl.standard_system(zoo_id)
     assert again.stencil is not sys_.stencil
+    for lam in (0.0, 0.01, 0.5):
+        assert np.array_equal(linearized_matrix(again, lam),
+                              linearized_matrix(sys_, lam))
+    _assert_rows_match_reference(sys_)
+
+
+def test_rows_match_reference_with_uneven_control_counts(instance_b_uneven):
+    sys_ = instance_b_uneven
+    assert [sys_.num_controls(i) for i in range(sys_.m)] == [18, 17]
+    _assert_rows_match_reference(sys_)
+
+
+def _assert_rows_match_reference(sys_):
+    """``linearized_matrix`` equals the row-by-row reference, and
+    ``policy_matrix`` and ``_linearized_rows`` (rows in any order, lam
+    values given or not) equal its rows, bit for bit."""
     rng = np.random.default_rng(11)
     S = sys_.num_states
     for lam in (0.0, 0.01, 0.5):
         A = linearized_matrix(sys_, lam)
         assert np.array_equal(A, _reference_linearized(sys_, lam))
-        assert np.array_equal(linearized_matrix(again, lam), A)
+        vals = Relations(sys_, lam).vals
         for _ in range(5):
             policy = np.stack([rng.integers(0, sys_.num_controls(i), S)
                                for i in range(sys_.m)])
@@ -282,8 +298,13 @@ def test_stencil_matches_row_by_row_reference(zoo_id):
                 [[sys_.var_index(i, x, policy[i, x]) for x in range(S)]
                  for i in range(sys_.m)])
             assert np.array_equal(policy_matrix(sys_, lam, policy), A[rows])
+            assert np.array_equal(policy_matrix(sys_, lam, policy, vals),
+                                  A[rows])
             some = rng.choice(rows, size=3, replace=False)
             assert np.array_equal(_linearized_rows(sys_, lam, some), A[some])
+            shuffled = rng.permutation(rows)
+            assert np.array_equal(_linearized_rows(sys_, lam, shuffled, vals),
+                                  A[shuffled])
 
 
 def _reference_stencil(sys_):
