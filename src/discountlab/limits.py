@@ -13,20 +13,18 @@ and equals 0 exactly on normalized instances).  At a sweep's smallest
 rung Howard's policy is an optimal basis of the Green-Poisson LP, so
 ``mather_from_sweep`` reads lam * mu^lam off that policy's occupation
 measure once the rung's field passes as a subsolution, and solves no
-LP.  The optimal face is a
-polytope; its vertices are enumerated exactly from bases over the face's
-support.  Mather measures live where the critical subsolution is tight,
-so most weight columns are 0 on the whole face and are pruned first:
-those with a positive reduced cost under the Mather LP's dual
-(complementary slackness), then those that are 0 on the whole face,
-found together by one LP over the cone of the face.  The face is
-convex, so the average of points that are each positive on one support
-column is positive on all of them; scaled by the cone's multiplier it
-reaches 1 on every support column at once, which a column that is 0 on
-the whole face never does.  The LP writes each column as y + s with
-y <= 1, so y <= x needs no row of its own.  Only when the support has
-too many bases to enumerate is the same pruned face sampled instead, by
-minimizing random linear objectives over it.
+LP.  The optimal face is a polytope; its vertices are enumerated exactly
+from bases over the face's support.  Mather measures live where the
+critical subsolution is tight, so most weight columns are 0 on the whole
+face and are pruned first: those with a positive reduced cost under the
+Mather LP's dual (complementary slackness), then those that are 0 on
+every closed measure over the rest.  A closed measure that leaks no mass
+is a conserved flow between field entries, so those are found on a
+graph, without an LP: the support is the union of the maximal end
+components of the remaining columns (de Alfaro, PhD thesis, Stanford
+1997).  Only when the support has too many bases to enumerate is the
+same pruned face sampled instead, by minimizing random linear objectives
+over it.
 
 The selection principle characterizes the limit field pointwise as the
 largest subsolution value at (z, k) among fields that pair
@@ -53,9 +51,9 @@ from .errors import (BadValue, DivergentSweep, EnumerationTooLarge,
                      InfeasibleLP, NumericalBreakdown, UnboundedLP)
 from .lp import (FEAS_TOL, INFEASIBLE, OPTIMAL, LPProblem,
                  enumerate_basic_solutions, lp_solve)
-from .measures import MeasureVector, _measure_of, _measure_problem, \
-    assemble_closed_constraints, check_subsolution, occupation_from_policy, \
-    subsolution_lp, validate_rows
+from .measures import MeasureVector, _mass_coefficients, _measure_of, \
+    _measure_problem, assemble_closed_constraints, check_subsolution, \
+    occupation_from_policy, subsolution_lp, validate_rows
 from .solver import ergodic_solve, policy_iterate
 
 DIVERGENCE_BOUND = 1e6
@@ -238,40 +236,87 @@ def exact_face(sys: DiscreteSystem, min_value: float):
     return np.hstack([A, slack]), np.concatenate([base.b, [min_value]])
 
 
-def face_support(A_exact, b_exact, dual):
+def face_support(sys: DiscreteSystem, A_exact, dual):
     """Weight columns of the exact face that are positive at some point
     of it, in increasing order; every other column is 0 on the whole
     face.
 
-    ``dual`` is an optimal dual of the Mather LP.  A column whose reduced
-    cost under it is positive is 0 at every optimum (complementary
-    slackness) and is dropped unsolved.  One LP over the cone of the face
-    splits the other columns C: maximize sum_C y subject to A x = tau b
-    over C and the mass slack, tau >= 0, y_j <= x_j and y_j <= 1.  Its
-    optimal y is 1 on the support and 0 off it (Freund-Roundy-Todd, 1985).
-    Written with x_j = y_j + s_j, s_j >= 0, the rows y_j <= x_j hold by
-    construction, and the LP has one row per face row and per y_j <= 1.
+    A column with a positive reduced cost under ``dual``, an optimal dual
+    of the Mather LP, is 0 at every optimum (complementary slackness).
+    On the others the face is the cone of closed measures, A_0^T x = 0,
+    cut by the mass row.  Column (i, x, a) of A_0^T is positive at most
+    on its own entry i*S + x (``NumericalBreakdown`` otherwise) and sums
+    to its leak sum_j eta_{a,j} >= 0, so summing the rows shows that a
+    leaking column is 0 on the face.  On the rest a closed measure is a
+    conserved flow from each column's own entry to its negative entries,
+    and the columns positive on some such flow are those of the maximal
+    end components (de Alfaro, PhD thesis, Stanford 1997; Chatterjee and
+    Henzinger, SODA 2011): drop every column that leaves its strongly
+    connected component until none does.  That drops a column pointing
+    to an entry with no live column, as that entry has no edge out.
     """
-    rows, cols = A_exact.shape
-    weights = cols - 1                                  # the slack is last
+    weights = sys.total_vars
+    closed = A_exact[:-2, :weights]                # one row per field entry
+    own = np.searchsorted(sys.layout.base, np.arange(weights),
+                          side="right") - 1
+    stray = closed > 0.0
+    stray[own, np.arange(weights)] = False
+    if stray.any():
+        raise NumericalBreakdown("a closedness column is positive off its "
+                                 "own field entry")
     reduced = A_exact[-1, :weights] - A_exact[:-1, :weights].T @ dual
-    candidates = np.nonzero(reduced <= SUPPORT_TOL)[0]
-    k = len(candidates)
-    # columns: y on C, then s on C, the mass slack and tau; with y first,
-    # phase 1 leaves y basic wherever it can and phase 2 has less to do
-    A = np.block([[A_exact[:, candidates],
-                   A_exact[:, np.append(candidates, weights)],
-                   -b_exact[:, None]],
-                  [np.eye(k), np.zeros((k, k + 2))]])
-    c = np.append(-np.ones(k), np.zeros(k + 2))
-    sol = lp_solve(LPProblem(c=c, A=A, b=np.append(np.zeros(rows), np.ones(k)),
-                             senses=["="] * rows + ["<="] * k))
-    if sol.status != OPTIMAL:
-        raise InfeasibleLP(f"face support LP returned {sol.status}")
-    # y is 1 on every support column and 0 on every other one: any cut
-    # strictly between them splits the two, and 0.5 is the farthest
-    # from both
-    return candidates[sol.x[:k] > 0.5]
+    live = (reduced <= SUPPORT_TOL) & (_mass_coefficients(sys, 0.0) == 0.0)
+    target, column = np.nonzero(closed < 0.0)
+    while True:
+        edge = live[column]
+        heads, tails = own[column[edge]], target[edge]
+        comp = _components(len(closed), heads, tails)
+        leaves = column[edge][comp[heads] != comp[tails]]
+        if len(leaves) == 0:
+            return np.nonzero(live)[0]
+        live[leaves] = False
+
+
+def _components(n: int, heads, tails) -> np.ndarray:
+    """Strongly connected component of each of n nodes under the edges
+    heads[e] -> tails[e], by Tarjan's algorithm, iterative."""
+    order = np.argsort(heads, kind="stable")
+    succ = tails[order].tolist()
+    start = np.searchsorted(heads[order], np.arange(n + 1)).tolist()
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    stack, count, found = [], 0, 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        path = [[root, start[root]]]
+        while path:
+            v, e = top = path[-1]
+            if e < start[v + 1]:
+                top[1] += 1
+                w = succ[e]
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    path.append([w, start[w]])
+                elif comp[w] < 0:                  # w is on the stack
+                    low[v] = min(low[v], index[w])
+                continue
+            path.pop()
+            if path:
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    comp[w] = found
+                    if w == v:
+                        break
+                found += 1
+    return np.array(comp)
 
 
 def _sample_face(A, b, count: int, seed: int):
@@ -300,13 +345,15 @@ def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
     The face (``exact_face``, the value row at equality) is restricted to
     its support: the weight columns ``face_support`` finds positive
     somewhere on it, by a reduced-cost filter under the Mather LP's dual
-    and one LP over the cone of the face for the surviving columns.  The
-    pruned columns are 0 on the whole face, so its vertex set is that of
-    the full face.  The vertices are enumerated exactly from bases over
-    the support, and the set is exhaustive.  When the support has more
-    bases than the enumeration budget, ``count`` random objectives
-    (``seed``) over the same pruned face give the rows instead, and the
-    set is not exhaustive.  Either way the rows are scattered back to full width,
+    and the end components of the surviving columns' graph.  The pruned
+    columns are 0 on the whole face, so its vertex set is that of the
+    full face.  The vertices are enumerated exactly from bases over the
+    support, and the set is exhaustive; nu = 0 with the mass slack at 1
+    is always one, so an enumeration that finds none raises
+    ``NumericalBreakdown``.  When the support has more bases than the
+    enumeration budget, ``count`` random objectives (``seed``) over the
+    same pruned face give the rows instead, and the set is not
+    exhaustive.  Either way the rows are scattered back to full width,
     checked against the lam = 0 rule and deduplicated in total variation
     one array at a time; only the kept rows become ``MeasureVector``s.
     ``mather`` is the ``mather_lp(sys)`` result when the caller has
@@ -315,11 +362,14 @@ def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
     _, min_value, dual = mather_lp(sys) if mather is None else mather
     A_exact, b_exact = exact_face(sys, min_value)
     ncols = A_exact.shape[1] - 1                        # the slack is last
-    support = face_support(A_exact, b_exact, dual)
+    support = face_support(sys, A_exact, dual)
     A_support = A_exact[:, np.append(support, ncols)]
     try:
         vertices = enumerate_basic_solutions(A_support, b_exact, tol=1e-8)
         exhaustive = True
+        if len(vertices) == 0:
+            raise NumericalBreakdown("no vertex found on a face that "
+                                     "holds nu = 0")
     except EnumerationTooLarge:
         vertices = _sample_face(A_support, b_exact, count, seed)
         exhaustive = False

@@ -472,7 +472,8 @@ def enumerate_basic_solutions(A: np.ndarray, b: np.ndarray,
 
     Rows are reduced to an independent subset first, then every
     size-rank column subset is solved in vectorized chunks; singular and
-    near-singular bases are rejected by determinant and residual checks.
+    near-singular bases are rejected by a conditioning test on their QR
+    factor, which does not decay with the rank, and a residual check.
     Returns a (k, n) array with one raw vertex per feasible basis, in the
     lexicographic order of the column subsets (duplicates from degenerate
     bases included; callers deduplicate), and (0, n) when no basis is
@@ -493,10 +494,14 @@ def enumerate_basic_solutions(A: np.ndarray, b: np.ndarray,
             break
         block = block.reshape(-1, r)
         B = np.swapaxes(A[:, block], 0, 1)      # (batch, r, r)
-        dets = np.abs(np.linalg.det(B))
-        # Hadamard-normalized singularity test: robust to row scaling
-        hadamard = np.prod(np.linalg.norm(B, axis=2), axis=1)
-        ok = dets > 1e-12 * np.maximum(hadamard, 1e-300)
+        # the LU drops the exactly singular bases, most of them, cheaply;
+        # the rest pass when min |R_ii| / max |R_ii| of their QR, which is
+        # at least 1 / cond(B) whatever r, exceeds 1e-12
+        ok = np.linalg.slogdet(B).sign != 0.0
+        R = np.abs(np.diagonal(np.linalg.qr(B[ok], mode="r"),
+                               axis1=1, axis2=2))
+        ok[ok] = (np.min(R, axis=1, initial=np.inf)
+                  > 1e-12 * np.max(R, axis=1, initial=0.0))
         if not np.any(ok):
             continue
         Bok = B[ok]

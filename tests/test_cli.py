@@ -225,12 +225,12 @@ def test_duality_reports_the_probe_point(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_exhaustive_face_solves_no_sampling_lp(tmp_path, monkeypatch, seed):
-    # 1 Mather LP, 1 face-support LP and 1 selection-field LP: the face
-    # is enumerated, so no sampling LP runs
+    # 1 Mather LP and 1 selection-field LP: the face support is found on
+    # a graph and the face is enumerated, so no other LP runs
     lps = _count_calls(monkeypatch, dl.lp.lp_solve)
     assert run_experiment(_small_spec("selection", tmp_path,
                                       seed=seed)).status == 0
-    assert len(lps) == 3
+    assert len(lps) == 2
 
 
 _STAGES = {"structure": [], "solve": [], "duality": ["audits"],
@@ -787,6 +787,21 @@ def test_pruned_exact_face_fits_the_default_budget(tmp_path, overrides):
     assert mather["exhaustive"] is True
     kept, total = mather["support_columns"]
     assert total == 30 and kept < total
+    assert mather["representatives"] >= 1
+
+
+def test_linear_b_152_face_has_a_representative(tmp_path):
+    # the 66-row vertex bases of this face have condition numbers of a
+    # few thousand, yet determinants below 1e-12 times the product of
+    # their row norms
+    spec = ExperimentSpec(instance="linear-B", pipeline="selection",
+                          grid_points=152, ergodic_lambda=0.05,
+                          ergodic_tol=1e-12, output_dir=str(tmp_path))
+    report = run_experiment(spec)
+    assert report.status == 0, report.error
+    mather = json.loads((tmp_path / "result.json").read_text())[
+        "sections"]["mather"]
+    assert mather["exhaustive"] is True
     assert mather["representatives"] >= 1
 
 

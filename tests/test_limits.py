@@ -282,6 +282,10 @@ def _face_system(case, request):
         "eikonal-f-flat-16": lambda: _normalized("eikonal-f", N=16,
                                                  f_amp=0.0),
         "eikonal-f-128": lambda: _normalized("eikonal-f", N=128)}
+    for family in ("quadratic-plc", "linear-B"):
+        for N in (16, 24):
+            systems[f"{family}-{N}"] = lambda family=family, N=N: \
+                _normalized(family, 0.05, 1e-12, N=N)
     return systems[case]()
 
 
@@ -348,8 +352,9 @@ def test_no_artificial_re_enters_on_the_face_oracle_lps(request,
     assert entered and not artificial[entered].any()
 
 
-@pytest.mark.parametrize("case", _FALLBACK_FACES + ["eikonal-f-flat-16",
-                                                    "eikonal-f-128"])
+@pytest.mark.parametrize("case", _FALLBACK_FACES + [
+    "eikonal-f-flat-16", "eikonal-f-128", "quadratic-plc-16",
+    "quadratic-plc-24", "linear-B-16", "linear-B-24"])
 def test_face_support_matches_the_column_loop(case, request, monkeypatch):
     sys_ = _face_system(case, request)
     _, min_value, dual = dl.mather_lp(sys_)
@@ -362,11 +367,30 @@ def test_face_support_matches_the_column_loop(case, request, monkeypatch):
         return lp_solve(problem, basis=basis)
 
     monkeypatch.setattr(limits, "lp_solve", counted)
-    support = face_support(A_exact, b_exact, dual)
+    support = face_support(sys_, A_exact, dual)
     assert np.array_equal(support, expected)
-    assert calls == [None]            # one cold LP
+    assert calls == []                # a graph, no LP
     if case == "eikonal-f-flat-16":
         assert len(support) == sys_.total_vars
+
+
+def test_face_support_checks_the_sign_pattern(tiny_eikonal_normalized):
+    sys_ = tiny_eikonal_normalized
+    _, min_value, dual = dl.mather_lp(sys_)
+    A_exact, _ = limits.exact_face(sys_, min_value)
+    # column (0, 0, 0) is positive on its own entry 0 and on entry 1 too
+    A_exact[1, 0] = 1.0
+    with pytest.raises(NumericalBreakdown):
+        face_support(sys_, A_exact, dual)
+
+
+def test_face_without_a_vertex_is_a_breakdown(tiny_eikonal_normalized,
+                                              monkeypatch):
+    # nu = 0 with the mass slack at 1 is a vertex of every face
+    monkeypatch.setattr(limits, "enumerate_basic_solutions",
+                        lambda A, b, tol: np.zeros((0, A.shape[1])))
+    with pytest.raises(NumericalBreakdown):
+        dl.mather_face_samples(tiny_eikonal_normalized, 4, seed=14)
 
 
 def test_face_rejects_vertex_outside_lam0_rule(tiny_eikonal_normalized,
