@@ -5,7 +5,8 @@ normalized by its ergodic constants; unnormalized, the values blow up
 like c / lambda and the sweep flags divergence.  On the normalized
 instance the ladder is Cauchy, and the rescaled minimizing measures
 lam * mu^lam converge to a Mather measure: a closed measure of minimal
-(here zero) cost concentrated on the cheapest circuit.
+(here zero) cost concentrated on the cheapest circuit.  That the minimum
+is zero needs no LP: the ergodic field certifies it.
 
 Run:  python demos/03_vanishing_discount.py
 """
@@ -35,6 +36,12 @@ print(f"uniform bound {sweep.uniform_bound:.4f}, "
 
 nu, min_value, _ = dl.mather_lp(normalized)
 print(f"\nMather LP minimum {min_value:.2e} (zero on a normalized instance)")
+# no LP needed: the ergodic field is a lam = 0 subsolution, so (u, 0) is
+# a dual point of value 0 and nu = 0 attains it (weak duality)
+residual = np.max(dl.bellman_residual(normalized, 0.0, erg.u))
+certified = dl.mather_certificate(normalized, erg.u)
+print(f"ergodic field's lam = 0 residual {residual:.2e} "
+      f"(<= {dl.lp.FEAS_TOL:.0e}): certified minimum {certified[1]}")
 
 scaled = dl.mather_from_sweep(normalized, sweep, 0, 0)
 from discountlab.limits import closedness_residual

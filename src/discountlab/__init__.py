@@ -14,9 +14,9 @@ from .discretize import (DiscreteSystem, TorusGrid, assemble_system,
                          standard_system, system_from_json, system_to_json,
                          upwind_directional)
 from .limits import (MatherSet, SweepResult, convergence_report,
-                     discount_sweep, ergodic_normalize, mather_face_samples,
-                     mather_from_sweep, mather_lp, selection_field,
-                     selection_solve, shift_costs)
+                     discount_sweep, ergodic_normalize, mather_certificate,
+                     mather_face_samples, mather_from_sweep, mather_lp,
+                     selection_field, selection_solve, shift_costs)
 from .lp import LPProblem, LPSolution, lp_solve
 from .measures import (MeasureVector, assemble_closed_constraints,
                        duality_audit, field_duality_audit, green_poisson,

@@ -367,7 +367,18 @@ class _Run:
 
     @_stage
     def mather(self):
-        """(Mather measure, minimum, dual) of the Mather LP on ``work``."""
+        """(Mather measure, minimum, dual) of the Mather LP on ``work``.
+
+        On a normalized run the ergodic stage's field certifies them
+        (``limits.mather_certificate``) and no LP is solved.  The Mather
+        LP is solved when ``normalize`` is false, as the unshifted system
+        has no such field, or when the field's lam = 0 residual exceeds
+        ``FEAS_TOL``, as after a loose ``ergodic_tol``."""
+        if self.spec.normalize:
+            certified = limits.mather_certificate(self.work,
+                                                  self.ergodic[1].u)
+            if certified is not None:
+                return certified
         return limits.mather_lp(self.work)
 
     @_stage

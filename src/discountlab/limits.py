@@ -9,22 +9,25 @@ nonzero ergodic constant makes the discounted values blow up like c/lam.
 On the measure side, the rescaled optimal measures lam * mu^lam converge
 to minimizers of <nu, L> over the lam = 0 closed measures (the Mather
 measures; the zero measure is always feasible, so the minimum is <= 0
-and equals 0 exactly on normalized instances).  At a sweep's smallest
-rung Howard's policy is an optimal basis of the Green-Poisson LP, so
-``mather_from_sweep`` reads lam * mu^lam off that policy's occupation
-measure once the rung's field passes as a subsolution, and solves no
-LP.  The optimal face is a polytope; its vertices are enumerated exactly
-from bases over the face's support.  Mather measures live where the
-critical subsolution is tight, so most weight columns are 0 on the whole
-face and are pruned first: those with a positive reduced cost under the
-Mather LP's dual (complementary slackness), then those that are 0 on
-every closed measure over the rest.  A closed measure that leaks no mass
-is a conserved flow between field entries, so those are found on a
-graph, without an LP: the support is the union of the maximal end
-components of the remaining columns (de Alfaro, PhD thesis, Stanford
-1997).  Only when the support has too many bases to enumerate is the
-same pruned face sampled instead, by minimizing random linear objectives
-over it.
+and equals 0 exactly on normalized instances).  There the LP need not be
+solved: a lam = 0 subsolution u, such as the ergodic field, makes (u, 0)
+a dual feasible point of value 0, so by weak duality nu = 0 and (u, 0)
+are optimal (``mather_certificate``).  ``mather_lp`` solves the LP where
+no such field is at hand.  At a sweep's smallest rung Howard's policy is
+an optimal basis of the Green-Poisson LP, so ``mather_from_sweep`` reads
+lam * mu^lam off that policy's occupation measure once the rung's field
+passes as a subsolution, and solves no LP.  The optimal face is a
+polytope; its vertices are enumerated exactly from bases over the face's
+support.  Mather measures live where the critical subsolution is tight,
+so most weight columns are 0 on the whole face and are pruned first:
+those with a positive reduced cost under an optimal dual of the Mather
+LP (complementary slackness), then those that are 0 on every closed
+measure over the rest.  A closed measure that leaks no mass is a
+conserved flow between field entries, so those are found on a graph,
+without an LP: the support is the union of the maximal end components of
+the remaining columns (de Alfaro, PhD thesis, Stanford 1997).  Only when
+the support has too many bases to enumerate is the same pruned face
+sampled instead, by minimizing random linear objectives over it.
 
 The selection principle characterizes the limit field pointwise as the
 largest subsolution value at (z, k) among fields that pair
@@ -203,6 +206,26 @@ def mather_lp(sys: DiscreteSystem):
     return nu, sol.objective_value, sol.dual
 
 
+def mather_certificate(sys: DiscreteSystem, u: ValueField):
+    """``mather_lp(sys)``'s (nu, minimum, dual) from a lam = 0 subsolution
+    ``u``, with no LP: nu = 0, minimum 0.0 and the dual (u, 0), ``u`` on
+    the closedness rows and 0 on the mass row.  None when ``u`` fails
+    ``check_subsolution`` at lam = 0.
+
+    nu = 0 is feasible with value 0, and (u, 0) is dual feasible with
+    value 0, as its reduced costs L - A_0 u are the negated Bellman
+    slacks.  By weak duality both are optimal (Chvatal, *Linear
+    Programming*, 1983, ch. 5).  The ergodic field of a normalized system
+    is such a ``u`` up to the ergodic solve's tolerance.
+    """
+    try:
+        check_subsolution(sys, 0.0, u, "the field's values")
+    except NumericalBreakdown:
+        return None
+    nu = MeasureVector.from_flat(sys, np.zeros(sys.total_vars), 0.0)
+    return nu, 0.0, np.append(u, 0.0)
+
+
 @dataclass
 class MatherSet:
     representatives: list        # MeasureVector, lam_tag = 0
@@ -344,21 +367,24 @@ def mather_face_samples(sys: DiscreteSystem, count: int, seed: int,
 
     The face (``exact_face``, the value row at equality) is restricted to
     its support: the weight columns ``face_support`` finds positive
-    somewhere on it, by a reduced-cost filter under the Mather LP's dual
-    and the end components of the surviving columns' graph.  The pruned
-    columns are 0 on the whole face, so its vertex set is that of the
-    full face.  The vertices are enumerated exactly from bases over the
-    support, and the set is exhaustive; nu = 0 with the mass slack at 1
-    is always one, so an enumeration that finds none raises
+    somewhere on it, by a reduced-cost filter under an optimal dual of the
+    Mather LP and the end components of the surviving columns' graph.  The
+    pruned columns are 0 on the whole face, so its vertex set is that of
+    the full face.  The vertices are enumerated exactly from bases over
+    the support, and the set is exhaustive; nu = 0 with the mass slack at
+    1 is always one, so an enumeration that finds none raises
     ``NumericalBreakdown``.  When the support has more bases than the
     enumeration budget, ``count`` random objectives (``seed``) over the
-    same pruned face give the rows instead, and the set is not
-    exhaustive.  Either way the rows are scattered back to full width,
-    checked against the lam = 0 rule and deduplicated in total variation
-    one array at a time; only the kept rows become ``MeasureVector``s.
-    ``mather`` is the ``mather_lp(sys)`` result when the caller has
-    already solved it; ``None`` solves it here.
+    same pruned face give the rows instead, and the set is not exhaustive.
+    Either way the rows are scattered back to full width, checked against
+    the lam = 0 rule and deduplicated in total variation one array at a
+    time; only the kept rows become ``MeasureVector``s.  ``mather`` is a
+    (nu, minimum, dual) triple the caller already holds, from
+    ``mather_lp(sys)`` or ``mather_certificate``; ``None`` solves the LP
+    here.  A ``count`` below 1 raises ``BadValue`` on either path.
     """
+    if count < 1:
+        raise BadValue(f"face sample count must be >= 1, got {count}")
     _, min_value, dual = mather_lp(sys) if mather is None else mather
     A_exact, b_exact = exact_face(sys, min_value)
     ncols = A_exact.shape[1] - 1                        # the slack is last

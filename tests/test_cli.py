@@ -187,7 +187,7 @@ def test_full_computes_each_stage_once(tmp_path, monkeypatch):
     assert run_experiment(_small_spec("full", tmp_path)).status == 0
     assert len(ergodic) == 1
     assert len(sweeps) == 1
-    assert len(mather) == 1
+    assert len(mather) == 0           # the ergodic field certifies it
 
 
 def test_duality_solves_one_lp_per_field(tmp_path, monkeypatch):
@@ -225,12 +225,39 @@ def test_duality_reports_the_probe_point(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_exhaustive_face_solves_no_sampling_lp(tmp_path, monkeypatch, seed):
-    # 1 Mather LP and 1 selection-field LP: the face support is found on
-    # a graph and the face is enumerated, so no other LP runs
+    # 1 selection-field LP: the ergodic field certifies the Mather LP's
+    # optimum, the face support is found on a graph and the face is
+    # enumerated, so no other LP runs
     lps = _count_calls(monkeypatch, dl.lp.lp_solve)
     assert run_experiment(_small_spec("selection", tmp_path,
                                       seed=seed)).status == 0
-    assert len(lps) == 2
+    assert len(lps) == 1
+
+
+@pytest.mark.parametrize("overrides", [
+    # the unshifted system: its ergodic field, at constant +1, certifies
+    # nothing, and the stage does not run the ergodic solve to try
+    dict(instance="constant-coupling", normalize=False),
+    # the field misses the lam = 0 rule by about 8e-9 > FEAS_TOL
+    dict(instance="eikonal-f", ergodic_tol=1e-6)])
+def test_mather_stage_solves_the_lp_without_a_certificate(tmp_path,
+                                                          overrides):
+    spec = ExperimentSpec(pipeline="mather", output_dir=str(tmp_path),
+                          **overrides)
+    assert run_experiment(spec).status == 0
+    stages = {stage["name"]: stage["counters"] for stage in json.loads(
+        (tmp_path / "manifest.json").read_text())["stages"]}
+    assert stages["mather"]["lp_solves"] == 1
+    assert ("ergodic" in stages) == spec.normalize
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_selection_rejects_a_face_sample_count_below_one(tmp_path, count):
+    report = run_experiment(_small_spec("selection", tmp_path,
+                                        face_samples=count))
+    assert report.status == 2
+    error = json.loads((tmp_path / "result.json").read_text())["error"]
+    assert error["type"] == "BadValue" and f"got {count}" in error["message"]
 
 
 _STAGES = {"structure": [], "solve": [], "duality": ["audits"],
@@ -279,8 +306,9 @@ def test_manifest_counts_each_stage_own_work(tmp_path):
             "outer_iterations"]
     assert stages["ergodic"]["lp_solves"] == 0
     assert stages["ergodic"]["refactorizations"] == 0
-    assert stages["mather"]["lp_solves"] == 1
-    assert stages["mather"]["refactorizations"] >= 1   # optimality check
+    assert stages["mather"]["lp_solves"] == 0      # certified, no LP
+    assert stages["mather"]["pivots"] == 0
+    assert stages["mather"]["refactorizations"] == 0
     assert stages["mather"]["howard_steps"] == 0
 
 

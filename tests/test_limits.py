@@ -5,12 +5,12 @@ import discountlab as dl
 from discountlab import limits
 from discountlab.errors import (BadValue, DivergentSweep, NumericalBreakdown,
                                UnboundedLP)
-from discountlab.lp import (OPTIMAL, LPProblem, _Standardized,
+from discountlab.lp import (FEAS_TOL, OPTIMAL, LPProblem, _Standardized,
                             enumerate_basic_solutions, lp_solve)
 from discountlab.limits import (closedness_residual, ergodic_normalize,
                                 face_support, mather_from_sweep,
                                 stencil_norm)
-from discountlab.measures import DUALITY_TOL
+from discountlab.measures import DUALITY_TOL, check_subsolution
 
 
 def test_sweep_constant_coupling_closed_form(instance_a):
@@ -57,6 +57,49 @@ def test_mather_lp_zero_on_normalized(eikonal32_normalized,
         nu, min_value, _ = dl.mather_lp(sys_)
         assert -1e-8 <= min_value <= 1e-12
         assert nu.total_mass() <= 1.0 + 1e-12
+
+
+def _certified(instance, tol, N=None):
+    """(normalized system, its ergodic field) as a normalized run makes
+    them at the CLI's ergodic_lambda; N = None is the zoo default."""
+    sys_ = dl.standard_system(instance, **({} if N is None else {"N": N}))
+    shifted, erg = ergodic_normalize(sys_, lam=0.05, tol=tol)
+    return shifted, erg.u
+
+
+@pytest.mark.parametrize("instance, N, tol", [
+    (instance, None, tol) for instance in dl.model.ZOO_IDS
+    for tol in (limits.ERGODIC_TOL, 1e-12)] + [
+    (instance, N, limits.ERGODIC_TOL)
+    for instance in ("quadratic-plc", "linear-B", "eikonal-f")
+    for N in (16, 32)])
+def test_ergodic_field_certifies_the_mather_lp(instance, N, tol):
+    sys_, u = _certified(instance, tol, N)
+    nu, min_value, dual = dl.mather_certificate(sys_, u)
+    assert min_value == 0.0 and nu.total_mass() == 0.0
+    assert np.array_equal(dual, np.append(u, 0.0))
+    # the LP is the oracle: its minimum is 0 within the mather gate, and
+    # both duals prune the face to the same support
+    _, lp_min, lp_dual = dl.mather_lp(sys_)
+    assert -1e-8 <= lp_min <= 1e-12
+    A_exact, _ = limits.exact_face(sys_, min_value)
+    assert np.array_equal(face_support(sys_, A_exact, dual),
+                          face_support(sys_, A_exact, lp_dual))
+
+
+def test_no_certificate_past_the_feasibility_tolerance():
+    # eikonal-f's field at ergodic_tol 1e-6 misses lam = 0 by about 8e-9
+    sys_, u = _certified("eikonal-f", 1e-6)
+    assert np.max(dl.bellman_residual(sys_, 0.0, u)) > FEAS_TOL
+    assert dl.mather_certificate(sys_, u) is None
+    # a certified field, pushed past FEAS_TOL by lowering every cost
+    sys_, u = _certified("quadratic-plc", 1e-12)
+    assert dl.mather_certificate(sys_, u) is not None
+    lowered = dl.shift_costs(sys_, -2.0 * FEAS_TOL)
+    assert dl.mather_certificate(lowered, u) is None
+    with pytest.raises(NumericalBreakdown):
+        check_subsolution(lowered, 0.0, u, "the lowered field")
+    assert dl.mather_lp(lowered)[1] < 0.0
 
 
 def test_mather_lp_detects_negative_cost_circuit():
@@ -382,6 +425,18 @@ def test_face_support_checks_the_sign_pattern(tiny_eikonal_normalized):
     A_exact[1, 0] = 1.0
     with pytest.raises(NumericalBreakdown):
         face_support(sys_, A_exact, dual)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("max_bases", [None, 0])
+def test_face_rejects_a_sample_count_below_one(tiny_eikonal_normalized,
+                                               monkeypatch, count,
+                                               max_bases):
+    # on the exhaustive face (the default budget) and on the sampled one
+    if max_bases is not None:
+        monkeypatch.setattr(dl.lp, "MAX_BASES", max_bases)
+    with pytest.raises(BadValue, match=f"got {count}$"):
+        dl.mather_face_samples(tiny_eikonal_normalized, count, seed=14)
 
 
 def test_face_without_a_vertex_is_a_breakdown(tiny_eikonal_normalized,
